@@ -218,6 +218,10 @@ def part_count_means(p_ni0: float, e_ni: float = 1.0) -> tuple[float, float]:
     return e_ni / (1.0 - p_ni0), p_ni0 / (1.0 - p_ni0)
 
 
+_CCT_MODES = {CsmaMode.RTS_CTS: CctMode.CSMA_RTS_CTS,
+              CsmaMode.BASIC: CctMode.CSMA_BASIC}
+
+
 def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
              mode: CsmaMode = CsmaMode.RTS_CTS,
              p_c: float | None = None) -> AnalyticCct:
@@ -229,6 +233,9 @@ def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
     Basic mode:
         psi = [ (l_difs + l_tran - 1) E[N_I]
                 + (l_difs + l_tran)/(1 - p_c) + mu ] / (1 - p_ni0)
+
+    Both are psi = part1 + part2 with the mode's success and collision
+    lengths from `CsmaParams.busy_slots`.
 
     p_c defaults to the contention fixed point for the given window; pass an
     empirical value to evaluate the form against a measured run.  p_ni0 and
@@ -243,28 +250,21 @@ def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
         p_c = solve_collision_probability(params.cw_min, params.beta).p_c
     elif not 0.0 <= p_c < 1.0:
         raise DomainError(f"p_c={p_c} outside [0, 1)")
+    succ_len, coll_len = params.busy_slots(mode)
     mu = expected_backoff_sum(p_c, params.cw_min, params.beta)
     retry = 1.0 / (1.0 - p_c)
     e_nb, e_na = part_count_means(p_ni0, e_ni)
-    if mode is CsmaMode.RTS_CTS:
-        attempt = (params.l_difs + params.l_rcts) * retry + mu
-        part1 = (params.l_difs + params.l_nav) * e_nb + params.l_tran + attempt
-        part2 = e_na * (attempt + params.l_tran)
-        psi = ((params.l_difs + params.l_nav) * e_ni + params.l_tran
-               + (params.l_difs + params.l_rcts) * retry + mu) / (1.0 - p_ni0)
-        cct_mode = CctMode.CSMA_RTS_CTS
-    elif mode is CsmaMode.BASIC:
-        attempt = (params.l_difs + params.l_tran) * retry + mu
-        part1 = (params.l_difs + params.l_tran - 1) * e_nb + attempt
-        part2 = e_na * attempt
-        psi = ((params.l_difs + params.l_tran - 1) * e_ni
-               + (params.l_difs + params.l_tran) * retry + mu) / (1.0 - p_ni0)
-        cct_mode = CctMode.CSMA_BASIC
-    else:
-        raise DomainError(f"unsupported CSMA mode {mode!r}")
+    # A deferral freezes the loser for the winner's exchange less the one
+    # slot its counter expires; the owner's attempts pay DIFS plus the
+    # collision cost per try, and a success adds the payload on top.
+    defer = params.l_difs + succ_len - 1
+    payload = succ_len - coll_len
+    attempt = (params.l_difs + coll_len) * retry + mu
+    part1 = defer * e_nb + payload + attempt
+    part2 = e_na * (attempt + payload)
     comps = CctComponents(part1_mean=part1, part2_mean=part2, mu=mu,
                           p_c=p_c, p_ni0=p_ni0, e_ni=e_ni)
-    return AnalyticCct(psi, cct_mode, comps)
+    return AnalyticCct(part1 + part2, _CCT_MODES[mode], comps)
 
 
 def csma_cct_fixed_window(params: CsmaParams, p_ni0: float = 0.32) -> float:

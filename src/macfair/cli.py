@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -40,21 +41,60 @@ def parse_duration(text: str, micros_per_slot: int) -> int:
     return value
 
 
-def _duration_list(text: str, micros_per_slot: int) -> list[int]:
-    return [parse_duration(part, micros_per_slot) for part in text.split(",")]
+_CSMA_MODES = {"csma-rtscts": CsmaMode.RTS_CTS, "csma-basic": CsmaMode.BASIC}
+_PROTOCOLS = ("aloha", *_CSMA_MODES, "tdma")
 
 
-def _csma_params(args, micros_per_slot: int, l_pkt: int | None = None) -> CsmaParams:
-    mps = micros_per_slot
+def _build_params(protocol: str, args, point: dict | None = None):
+    """One protocol's parameters from the flags: AlohaParams, CsmaParams, or
+    the list of TDMA packet lengths.
+
+    A sweep `point` maps field names to values that take the place of the
+    matching flags; fields the protocol does not have are ignored.
+    """
+    point = point or {}
+    mps = args.micros_per_slot
+
+    def duration(field: str, text: str) -> int:
+        return point[field] if field in point else parse_duration(text, mps)
+
+    if protocol == "aloha":
+        return AlohaParams(point.get("p_a", args.pa), point.get("p_b", args.pb),
+                           duration("slot", args.slot))
+    if protocol == "tdma":
+        return point.get("lengths") or [parse_duration(part, mps)
+                                        for part in args.lengths.split(",")]
     return CsmaParams(
-        cw_min=args.cw_min,
+        cw_min=point.get("cw_min", args.cw_min),
         beta=args.beta,
         l_difs=parse_duration(args.difs, mps),
-        l_pkt=l_pkt if l_pkt is not None else parse_duration(args.pkt, mps),
+        l_pkt=duration("l_pkt", args.pkt),
         l_ack=parse_duration(args.ack, mps),
         l_rts=parse_duration(args.rts, mps),
         l_cts=parse_duration(args.cts, mps),
     )
+
+
+def _simulate(protocol: str, params, config: SimConfig, audit: bool = False):
+    """Run the protocol's simulator: (trace, CSMA audit log or None)."""
+    if protocol == "aloha":
+        return simulate_aloha(params, config), None
+    if protocol == "tdma":
+        return simulate_tdma(params, config), None
+    result = simulate_csma(params, config, _CSMA_MODES[protocol], audit=audit)
+    return result if audit else (result, None)
+
+
+def _predict(protocol: str, params, args) -> analytic.AnalyticCct:
+    """The protocol's closed-form cycle time."""
+    if protocol == "aloha":
+        return analytic.aloha_cct(params)
+    if protocol == "tdma":
+        return analytic.AnalyticCct(analytic.tdma_cct(params),
+                                    analytic.CctMode.TDMA_ROUND_ROBIN,
+                                    analytic.CctComponents())
+    return analytic.csma_cct(params, p_ni0=args.p_ni0, e_ni=args.e_ni,
+                             mode=_CSMA_MODES[protocol], p_c=args.p_c)
 
 
 def _add_csma_flags(sp, require_pkt: bool = True) -> None:
@@ -68,28 +108,16 @@ def _add_csma_flags(sp, require_pkt: bool = True) -> None:
     sp.add_argument("--cts", default="1")
 
 
-_CSMA_MODES = {"rtscts": CsmaMode.RTS_CTS, "basic": CsmaMode.BASIC}
-
-
 def cmd_simulate(args) -> int:
     mps = args.micros_per_slot
+    if args.audit_out and args.protocol not in _CSMA_MODES:
+        raise TraceError("--audit-out applies to CSMA only")
     users = tuple(args.users.split(","))
     config = SimConfig(seed=args.seed, horizon=args.slots, users=users,
                        warmup=args.warmup)
-    audit_rec = None
-    if args.protocol == "aloha":
-        params = AlohaParams(args.pa, args.pb, parse_duration(args.slot, mps))
-        trace = simulate_aloha(params, config)
-    elif args.protocol in ("csma-rtscts", "csma-basic"):
-        params = _csma_params(args, mps)
-        mode = _CSMA_MODES[args.protocol.split("-")[1]]
-        if args.audit_out:
-            trace, audit_rec = simulate_csma(params, config, mode, audit=True)
-        else:
-            trace = simulate_csma(params, config, mode)
-    else:
-        lengths = _duration_list(args.lengths, mps)
-        trace = simulate_tdma(lengths, config)
+    params = _build_params(args.protocol, args)
+    trace, audit_rec = _simulate(args.protocol, params, config,
+                                 audit=bool(args.audit_out))
     validate_trace(trace)
     if args.out:
         trace.to_file(args.out)
@@ -133,23 +161,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    mps = args.micros_per_slot
-    if args.family == "aloha":
-        params = AlohaParams(args.pa, args.pb, parse_duration(args.slot, mps))
-        result = analytic.aloha_cct(params)
-    elif args.family == "csma":
-        params = _csma_params(args, mps)
-        result = analytic.csma_cct(params, p_ni0=args.p_ni0, e_ni=args.e_ni,
-                                   mode=_CSMA_MODES[args.mode], p_c=args.p_c)
-    else:
-        lengths = _duration_list(args.lengths, mps)
-        psi = analytic.tdma_cct(lengths)
-        print(f"psi_slots={psi:.6f}")
-        print(f"psi_us={slots_to_us(1, mps) * psi:.6f}")
-        print("mode=tdma")
-        return 0
+    protocol = f"csma-{args.mode}" if args.family == "csma" else args.family
+    result = _predict(protocol, _build_params(protocol, args), args)
+    psi_us = slots_to_us(1, args.micros_per_slot) * result.psi_slots
     print(f"psi_slots={result.psi_slots:.6f}")
-    print(f"psi_us={result.psi_slots * mps:.6f}")
+    print(f"psi_us={psi_us:.6f}")
     print(f"mode={result.mode.value}")
     c = result.components
     for name in ("p_c", "mu", "part1_mean", "part2_mean", "p_ni0", "e_ni"):
@@ -181,89 +197,41 @@ def _run_seed(base: int, point: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sim_psi(protocol: str, x, args, seed: int, mps: int) -> float | None:
-    config = SimConfig(seed=seed, horizon=args.slots, warmup=args.warmup)
-    if protocol == "aloha":
-        if args.axis == "p":
-            pa, pb = x
-            params = AlohaParams(pa, pb, parse_duration(args.slot, mps))
-        else:
-            params = AlohaParams(args.pa, args.pb, int(x))
-        trace = simulate_aloha(params, config)
-    elif protocol in ("csma-rtscts", "csma-basic"):
-        mode = _CSMA_MODES[protocol.split("-")[1]]
-        if args.axis == "pkt":
-            params = _csma_params(args, mps, l_pkt=int(x))
-        else:
-            params = CsmaParams(cw_min=int(x), beta=args.beta,
-                                l_difs=parse_duration(args.difs, mps),
-                                l_pkt=parse_duration(args.pkt, mps),
-                                l_ack=parse_duration(args.ack, mps),
-                                l_rts=parse_duration(args.rts, mps),
-                                l_cts=parse_duration(args.cts, mps))
-        trace = simulate_csma(params, config, mode)
-    else:
-        length = int(x) if args.axis == "pkt" else parse_duration(args.pkt, mps)
-        trace = simulate_tdma([length, length], config)
-    report = metrics.channel_cycle_time(trace)
-    return report.psi_slots
-
-
-def _analytic_psi(protocol: str, x, args, mps: int) -> float:
-    if protocol == "aloha":
-        if args.axis == "p":
-            pa, pb = x
-            return analytic.aloha_cct(
-                AlohaParams(pa, pb, parse_duration(args.slot, mps))).psi_slots
-        return analytic.aloha_cct(
-            AlohaParams(args.pa, args.pb, int(x))).psi_slots
-    if protocol in ("csma-rtscts", "csma-basic"):
-        mode = _CSMA_MODES[protocol.split("-")[1]]
-        if args.axis == "pkt":
-            params = _csma_params(args, mps, l_pkt=int(x))
-        else:
-            params = CsmaParams(cw_min=int(x), beta=args.beta,
-                                l_difs=parse_duration(args.difs, mps),
-                                l_pkt=parse_duration(args.pkt, mps),
-                                l_ack=parse_duration(args.ack, mps),
-                                l_rts=parse_duration(args.rts, mps),
-                                l_cts=parse_duration(args.cts, mps))
-        return analytic.csma_cct(params, p_ni0=args.p_ni0, e_ni=args.e_ni,
-                                 mode=mode).psi_slots
-    length = int(x) if args.axis == "pkt" else parse_duration(args.pkt, mps)
-    return analytic.tdma_cct([length, length])
-
-
 def cmd_sweep(args) -> int:
-    mps = args.micros_per_slot
     protocols = args.protocols.split(",")
-    known = {"aloha", "csma-rtscts", "csma-basic", "tdma"}
     for p in protocols:
-        if p not in known:
+        if p not in _PROTOCOLS:
             raise TraceError(f"unknown protocol {p!r}")
+    # Each point overrides one parameter field per protocol: a packet length
+    # is the Aloha slot, the CSMA packet and both TDMA lengths.
     if args.pkt_range:
-        args.axis = "pkt"
-        points = [(str(v), v) for v in _parse_range(args.pkt_range, integer=True)]
+        points = [(str(v), {"slot": v, "l_pkt": v, "lengths": [v, v]})
+                  for v in _parse_range(args.pkt_range, integer=True)]
     elif args.p_range:
-        args.axis = "p"
         if set(protocols) - {"aloha"}:
             raise TraceError("--p-range sweeps apply to aloha only")
         grid = _parse_range(args.p_range, integer=False)
-        points = [(f"{pa:g}/{pb:g}", (pa, pb)) for pa in grid for pb in grid]
+        points = [(f"{pa:g}/{pb:g}", {"p_a": pa, "p_b": pb})
+                  for pa in grid for pb in grid]
     elif args.cw_range:
-        args.axis = "cw"
-        if set(protocols) - {"csma-rtscts", "csma-basic"}:
+        if set(protocols) - set(_CSMA_MODES):
             raise TraceError("--cw-range sweeps apply to CSMA only")
-        points = [(str(v), v) for v in _parse_range(args.cw_range, integer=True)]
+        points = [(str(v), {"cw_min": v})
+                  for v in _parse_range(args.cw_range, integer=True)]
     else:
         raise TraceError("one of --pkt-range, --p-range, --cw-range is required")
     rows = ["x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95"]
-    for pi, (label, x) in enumerate(points):
+    for pi, (label, point) in enumerate(points):
         for protocol in protocols:
-            psi_a = _analytic_psi(protocol, x, args, mps)
+            params = _build_params(protocol, args, point)
+            psi_a = _predict(protocol, params, args).psi_slots
             samples = []
             for rep in range(args.reps):
-                psi = _sim_psi(protocol, x, args, _run_seed(args.seed, pi, rep), mps)
+                config = SimConfig(seed=_run_seed(args.seed, pi, rep),
+                                   horizon=args.slots, warmup=args.warmup)
+                # No name holds the trace, so it is freed before the next rep.
+                psi = metrics.channel_cycle_time(
+                    _simulate(protocol, params, config)[0]).psi_slots
                 if psi is not None:
                     samples.append(psi)
             if samples:
@@ -292,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a simulator and report cycle times")
-    sim.add_argument("--protocol", required=True,
-                     choices=["aloha", "csma-rtscts", "csma-basic", "tdma"])
+    sim.add_argument("--protocol", required=True, choices=_PROTOCOLS)
     sim.add_argument("--slots", type=int, required=True, help="trace horizon")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--warmup", type=int, default=1000)
@@ -320,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--pb", type=float, required=True)
     al.add_argument("--slot", default="1")
     cs = fam.add_parser("csma")
-    cs.add_argument("--mode", choices=sorted(_CSMA_MODES), default="rtscts")
+    cs.add_argument("--mode", choices=sorted(m.value for m in CsmaMode),
+                    default="rtscts")
     cs.add_argument("--p-ni0", type=float, default=0.32)
     cs.add_argument("--e-ni", type=float, default=1.0)
     cs.add_argument("--p-c", type=float, default=None,
@@ -347,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--e-ni", type=float, default=1.0)
     _add_csma_flags(sw, require_pkt=False)
     sw.add_argument("--pkt", default="30")
-    sw.set_defaults(func=cmd_sweep)
+    # No --p-c here: every sweep point solves the fixed point.
+    sw.set_defaults(func=cmd_sweep, p_c=None)
     return parser
 
 
@@ -355,7 +324,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`macfair analyze t.csv | head`); the flush
+        # above brings that out before exit.  Point the descriptor at devnull
+        # so the interpreter's own flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (TraceError, analytic.AnalyticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -439,3 +439,16 @@ class CsmaParams:
         loser's pending backoff also expires one slot during that exchange.
         """
         return self.l_tran + self.l_rcts - 1
+
+    def busy_slots(self, mode: CsmaMode) -> tuple[int, int]:
+        """Slots the channel stays busy after a success and after a collision.
+
+        In RTS/CTS mode a success holds the reservation plus the data exchange
+        and a collision only the reservation; in basic mode both hold the data
+        exchange (colliders give up when no ACK arrives).
+        """
+        if mode is CsmaMode.RTS_CTS:
+            return self.l_rcts + self.l_tran, self.l_rcts
+        if mode is CsmaMode.BASIC:
+            return self.l_tran, self.l_tran
+        raise TraceError(f"unsupported CSMA mode {mode!r}")

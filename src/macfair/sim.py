@@ -136,22 +136,14 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     until the smaller one expires and its owner transmits.  A tie is a
     collision (both escalate their stage and redraw); a sole winner resets to
     stage zero and redraws, while the loser freezes for the winner's exchange
-    and its counter ticks down exactly once during it.  In RTS/CTS mode a
-    collision costs l_rcts slots and a success l_rcts + l_tran; in basic mode
-    both cost l_tran (colliders give up when no ACK arrives).
+    and its counter ticks down exactly once during it.  A success and a
+    collision hold the channel for `params.busy_slots(mode)`.
 
     Returns the trace, or (trace, CsmaAudit) when `audit` is true.
     """
     if len(config.users) != 2:
         raise TraceError("CSMA/CA simulation is two-user")
-    if mode is CsmaMode.RTS_CTS:
-        succ_len = params.l_rcts + params.l_tran
-        coll_len = params.l_rcts
-    elif mode is CsmaMode.BASIC:
-        succ_len = params.l_tran
-        coll_len = params.l_tran
-    else:
-        raise TraceError(f"unsupported CSMA mode {mode!r}")
+    succ_len, coll_len = params.busy_slots(mode)
     rngs = _user_streams(config)
     cutoff = config.warmup + config.horizon
     stage = [0, 0]

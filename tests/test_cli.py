@@ -1,5 +1,8 @@
 """CLI contract: subcommands, exit codes, output schemas, determinism."""
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -116,6 +119,16 @@ class TestSimulate:
                            "--pa", "1.5", "--slots", "1000")
         assert code == 1
 
+    @pytest.mark.parametrize("protocol", ["aloha", "tdma"])
+    def test_audit_out_rejected_without_csma(self, tmp_path, capsys, protocol):
+        audit_path = tmp_path / "audit.csv"
+        code, out, err = run(capsys, "simulate", "--protocol", protocol,
+                             "--slots", "1000", "--audit-out", str(audit_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert not audit_path.exists()
+
     def test_missing_slots_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--protocol", "aloha"])
@@ -143,6 +156,29 @@ class TestAnalyze:
         assert blob["psi_undefined"] is False
         assert blob["users"][0]["cycle_samples"] == [7, 4]
         assert "intertx_pmf" in blob
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path, capsys,
+                                              monkeypatch):
+        path = tmp_path / "fig.csv"
+        helpers.fig_trace().to_file(path)
+        sink = tmp_path / "stdout"
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        with open(sink, "w") as fp:
+            fd = fp.fileno()
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = cli.main(["analyze", str(path), "--json"])
+            monkeypatch.undo()
+            os.write(fd, b"after")  # the descriptor now points at devnull
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert sink.read_bytes() == b""
 
     def test_missing_file_is_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/trace.csv")
@@ -213,6 +249,56 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--pkt-range", "30-50-10",
                            "--slots", "1000")
         assert code == 1
+
+
+class TestCharacterization:
+    """Full stdout of seeded runs, pinned so refactors keep the output exact."""
+
+    CASES = [
+        (["sweep", "--protocols", "csma-rtscts,csma-basic", "--cw-range",
+          "8:40:16", "--pkt", "30", "--slots", "20000", "--reps", "2",
+          "--seed", "5"],
+         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95\n"
+         "8,csma-rtscts,118.404887,119.029503,11.845222\n"
+         "8,csma-basic,120.412391,125.866932,14.283363\n"
+         "24,csma-rtscts,129.277188,130.863912,4.766903\n"
+         "24,csma-basic,126.562601,128.263276,3.191215\n"
+         "40,csma-rtscts,140.817774,140.965013,6.028426\n"
+         "40,csma-basic,136.921156,140.861426,1.966408\n"),
+        (["--micros-per-slot", "10", "sweep", "--protocols", "tdma,csma-basic",
+          "--pkt-range", "20:30:10", "--difs", "40us", "--slots", "20000",
+          "--reps", "2", "--seed", "7"],
+         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95\n"
+         "20,tdma,40.000000,40.000000,0.000000\n"
+         "20,csma-basic,101.326883,102.653527,7.502206\n"
+         "30,tdma,60.000000,60.000000,0.000000\n"
+         "30,csma-basic,131.580361,129.340547,0.353615\n"),
+        (["analytic", "csma", "--pkt", "30", "--p-c", "0.1"],
+         "psi_slots=138.561046\n"
+         "psi_us=2771.220915\n"
+         "mode=csma-rtscts\n"
+         "p_c=0.100000\n"
+         "mu=20.554844\n"
+         "part1_mean=111.162688\n"
+         "part2_mean=27.398358\n"
+         "p_ni0=0.320000\n"
+         "e_ni=1.000000\n"),
+        (["simulate", "--protocol", "aloha", "--slot", "2", "--pa", "0.4",
+          "--slots", "20000", "--seed", "3"],
+         "psi_slots=16.013629\n"
+         "psi_undefined=false\n"
+         "psi_us=320.272577\n"
+         "throughput=0.506900\n"
+         "events=9132\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", CASES,
+                             ids=["sweep-cw", "sweep-pkt-us", "analytic-p-c",
+                                  "simulate-aloha-slot"])
+    def test_stdout_pinned(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestDurationParsing:

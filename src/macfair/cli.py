@@ -21,6 +21,7 @@ from .core import (
     CsmaMode,
     CsmaParams,
     TraceError,
+    UnitError,
     slots_to_us,
     us_to_slots,
     validate_trace,
@@ -202,6 +203,11 @@ def cmd_sweep(args) -> int:
     for p in protocols:
         if p not in _PROTOCOLS:
             raise TraceError(f"unknown protocol {p!r}")
+    if args.reps < 1:
+        raise TraceError("--reps must be at least 1")
+    if sum(bool(a) for a in (args.pkt_range, args.p_range, args.cw_range)) != 1:
+        raise TraceError("exactly one of --pkt-range, --p-range, --cw-range "
+                         "is required")
     # Each point overrides one parameter field per protocol: a packet length
     # is the Aloha slot, the CSMA packet and both TDMA lengths.
     if args.pkt_range:
@@ -213,13 +219,11 @@ def cmd_sweep(args) -> int:
         grid = _parse_range(args.p_range, integer=False)
         points = [(f"{pa:g}/{pb:g}", {"p_a": pa, "p_b": pb})
                   for pa in grid for pb in grid]
-    elif args.cw_range:
+    else:
         if set(protocols) - set(_CSMA_MODES):
             raise TraceError("--cw-range sweeps apply to CSMA only")
         points = [(str(v), {"cw_min": v})
                   for v in _parse_range(args.cw_range, integer=True)]
-    else:
-        raise TraceError("one of --pkt-range, --p-range, --cw-range is required")
     rows = ["x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95"]
     for pi, (label, point) in enumerate(points):
         for protocol in protocols:
@@ -324,6 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.micros_per_slot <= 0:
+            raise UnitError("micros_per_slot must be positive")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -338,23 +338,16 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
         raise TraceError("event extends past the horizon")
     if np.any(m >> len(trace.users)):
         raise UnknownUserError("event mask uses bits beyond the user set")
-    counts = _popcount(m)
-    if np.any((k == SUCCESS_CODE) & (counts != 1)):
+    # Masks are non-negative here, so m & (m - 1) clears the lowest set bit
+    # and is non-zero exactly when two or more users take part.
+    multi = (m & (m - 1)) != 0
+    if np.any((k == SUCCESS_CODE) & ((m == 0) | multi)):
         raise TraceError("Success events must name exactly one user")
-    if np.any((k == COLLISION_CODE) & (counts < 2)):
+    if np.any((k == COLLISION_CODE) & ~multi):
         raise TraceError("Collision events must name at least two users")
-    if np.any((k == IDLE_CODE) & (counts != 0)):
+    if np.any((k == IDLE_CODE) & (m != 0)):
         raise TraceError("Idle events must name no users")
     return trace
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(masks), np.int64)
-    rest = masks.copy()
-    while np.any(rest):
-        out += rest & 1
-        rest >>= 1
-    return out
 
 
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:

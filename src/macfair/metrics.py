@@ -1,10 +1,18 @@
 """Short-term fairness metrics over channel traces.
 
-The central quantity is the per-user cycle time: the span between two refresh
-moments of a user such that every other user completed at least one successful
-transmission strictly inside the span.  Averaging per-user mean cycle times
-over the user set gives the channel cycle time, a single figure for how long
-the channel takes to serve everybody once more.
+The central quantity is the per-user cycle time: the span from a refresh
+moment of a user to the earliest later refresh moment such that every other
+user completed at least one successful transmission strictly inside the span.
+Averaging per-user mean cycle times over the user set gives the channel cycle
+time, a single figure for how long the channel takes to serve everybody once
+more.
+
+Cycles are found by the next-occurrence rule, one vectorized search for any
+number of users.  Number the successes of the trace in order.  From each
+refresh position g of user u, let q be the latest among every other user's
+first success after g.  The cycle closes at u's first refresh position after
+q; if some other user never succeeds after g, or u has no refresh position
+after q, no cycle starts at g.
 """
 from __future__ import annotations
 
@@ -25,12 +33,16 @@ class TooFewUsersError(TraceError):
 
 def _success_seq(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
     """End times and user indices of all Success events, in trace order."""
-    hit = trace.kinds == SUCCESS_CODE
-    ends = trace.ends[hit]
-    masks = trace.masks[hit]
+    hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
+    ends = trace.ends.take(hit)
     # Success masks are single-bit, so log2 recovers the user index exactly.
-    uidx = np.log2(masks.astype(np.float64)).astype(np.int64)
+    uidx = np.log2(trace.masks.take(hit).astype(np.float64)).astype(np.int64)
     return ends, uidx
+
+
+def _refresh_positions(uidx: np.ndarray, i: int) -> np.ndarray:
+    """Success positions of user i whose next success belongs to someone else."""
+    return np.flatnonzero((uidx[:-1] == i) & (uidx[1:] != i))
 
 
 def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -42,74 +54,31 @@ def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
     """
     i = trace.user_index(user)
     ends, uidx = _success_seq(trace)
-    if len(ends) < 2:
-        return np.empty(0, np.int64)
-    hit = (uidx[:-1] == i) & (uidx[1:] != i)
-    return ends[:-1][hit]
+    return ends[_refresh_positions(uidx, i)]
 
 
 def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
-    """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2).
-
-    For each refresh moment t0 of the user, the cycle closes at the earliest
-    later refresh moment t1 such that every other user ends at least one
-    Success strictly inside (t0, t1).  With two users that is always the very
-    next refresh moment; with more users intermediate refresh moments may be
-    skipped until all others have appeared.
-    """
+    """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2)."""
     i = trace.user_index(user)
     ends, uidx = _success_seq(trace)
-    n = len(trace.users)
-    if len(ends) < 2:
-        return np.empty((0, 2), np.int64)
-    pos = np.flatnonzero((uidx[:-1] == i) & (uidx[1:] != i))
-    if len(pos) < 2:
-        return np.empty((0, 2), np.int64)
-    if n == 2:
-        # The success right after a refresh moment is the other user's, so
-        # every consecutive refresh pair qualifies and none can be skipped.
-        t = ends[pos]
-        return np.column_stack([t[:-1], t[1:]])
-    return _covered_intervals(ends, uidx, pos, i, n)
+    return _cycle_intervals(ends, uidx, i, len(trace.users))
 
 
-def _covered_intervals(ends: np.ndarray, uidx: np.ndarray, pos: np.ndarray,
-                       user: int, n_users: int) -> np.ndarray:
-    """Sliding-window search for the earliest covering refresh moment (N > 2)."""
-    need = n_users - 1
-    count = np.zeros(n_users, np.int64)
-    covered = 0
-    total = len(ends)
-    lo = int(pos[0]) + 1   # window over success positions [lo, q]
-    q = int(pos[0])
-    out = []
-    for g in pos.tolist():
-        while lo <= g:
-            if lo <= q:
-                u = int(uidx[lo])
-                if u != user:
-                    count[u] -= 1
-                    if count[u] == 0:
-                        covered -= 1
-            lo += 1
-        if q < g:
-            q = g
-        while covered < need and q + 1 < total:
-            q += 1
-            u = int(uidx[q])
-            if u != user and count[u] == 0:
-                covered += 1
-            if u != user:
-                count[u] += 1
-        if covered < need:
-            break  # the tail lacks some user entirely; later windows only shrink
-        hi = int(np.searchsorted(pos, q, side="right"))
-        if hi == len(pos):
-            break
-        out.append((int(ends[g]), int(ends[pos[hi]])))
-    if not out:
-        return np.empty((0, 2), np.int64)
-    return np.asarray(out, np.int64)
+def _cycle_intervals(ends: np.ndarray, uidx: np.ndarray, i: int,
+                     n_users: int) -> np.ndarray:
+    """User i's cycles by the next-occurrence rule of the module docstring."""
+    pos = _refresh_positions(uidx, i)
+    q = pos
+    for v in range(n_users):
+        if v != i:
+            is_v = uidx == v
+            # Position of v's first success after each refresh position; the
+            # sentinel len(uidx) marks "none", which no refresh position passes.
+            occ = np.append(np.flatnonzero(is_v), len(uidx))
+            q = np.maximum(q, occ[np.cumsum(is_v)[pos]])
+    close = np.searchsorted(pos, q, "right")
+    ok = close < len(pos)
+    return np.column_stack([ends[pos[ok]], ends[pos[close[ok]]]])
 
 
 def cycle_times(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -164,7 +133,11 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     """Average the per-user mean cycle times into one channel-wide figure."""
     if len(trace.users) < 2:
         raise TooFewUsersError("channel cycle time needs at least two users")
-    samples = {u: cycle_times(trace, u) for u in trace.users}
+    ends, uidx = _success_seq(trace)
+    samples = {}
+    for i, u in enumerate(trace.users):
+        iv = _cycle_intervals(ends, uidx, i, len(trace.users))
+        samples[u] = iv[:, 1] - iv[:, 0]
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
     if missing:
         return CycleTimeReport(trace.users, samples, None, True, missing)
@@ -175,11 +148,12 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
 def inter_transmissions(trace: ChannelTrace, user: str) -> np.ndarray:
     """Counts of other users' successes between the user's consecutive successes."""
     i = trace.user_index(user)
-    _, uidx = _success_seq(trace)
-    mine = np.flatnonzero(uidx == i)
-    if len(mine) < 2:
-        return np.empty(0, np.int64)
-    return np.diff(mine) - 1
+    return _gaps(_success_seq(trace)[1], i)
+
+
+def _gaps(uidx: np.ndarray, i: int) -> np.ndarray:
+    """Other users' successes between user i's consecutive successes."""
+    return np.diff(np.flatnonzero(uidx == i)) - 1
 
 
 @dataclass(frozen=True)
@@ -209,9 +183,9 @@ def inter_transmission_report(trace: ChannelTrace) -> InterTxReport:
     """Pool every user's inter-transmission counts into one empirical pmf."""
     if len(trace.users) < 2:
         raise TooFewUsersError("inter-transmission counts need at least two users")
-    counts = {u: inter_transmissions(trace, u) for u in trace.users}
-    pooled = np.concatenate([counts[u] for u in trace.users]) if counts \
-        else np.empty(0, np.int64)
+    _, uidx = _success_seq(trace)
+    counts = {u: _gaps(uidx, i) for i, u in enumerate(trace.users)}
+    pooled = np.concatenate(list(counts.values()))
     if len(pooled) == 0:
         return InterTxReport(trace.users, counts, {}, None)
     freq = np.bincount(pooled)
@@ -242,7 +216,7 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
     ends, uidx = _success_seq(trace)
     own = ends[uidx == i]
     other = ends[uidx != i]
-    iv = cycle_intervals(trace, user)
+    iv = _cycle_intervals(ends, uidx, i, 2)
     if len(iv) == 0:
         return []
     t0, t1 = iv[:, 0], iv[:, 1]

@@ -129,6 +129,14 @@ class TestSimulate:
         assert err.startswith("error:")
         assert not audit_path.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_micros_per_slot_is_exit_1(self, capsys, value):
+        code, out, err = run(capsys, "--micros-per-slot", value, "simulate",
+                             "--protocol", "aloha", "--slots", "2000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_slots_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--protocol", "aloha"])
@@ -244,6 +252,31 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--protocols", "tdma",
                            "--slots", "1000")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_micros_per_slot_is_exit_1(self, capsys, value):
+        code, out, err = run(capsys, "--micros-per-slot", value, "sweep",
+                             "--protocols", "tdma", "--pkt-range", "30:30:1",
+                             "--slots", "1000", "--reps", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_zero_reps_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--protocols", "aloha",
+                             "--pkt-range", "30:30:1", "--slots", "1000",
+                             "--reps", "0")
+        assert code == 1
+        assert out == ""
+        assert "--reps" in err
+
+    def test_two_axes_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "--protocols", "aloha",
+                             "--pkt-range", "30:30:1", "--p-range",
+                             "0.4:0.6:0.1", "--slots", "1000")
+        assert code == 1
+        assert out == ""
+        assert "exactly one of" in err
 
     def test_bad_range_is_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep", "--pkt-range", "30-50-10",

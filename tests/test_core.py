@@ -7,6 +7,9 @@ from hypothesis import given, settings
 
 import helpers
 from macfair.core import (
+    COLLISION_CODE,
+    IDLE_CODE,
+    SUCCESS_CODE,
     AlohaParams,
     ChannelEvent,
     ChannelTrace,
@@ -92,6 +95,20 @@ class TestValidateTrace:
     def test_mask_bits_beyond_user_set(self):
         tr = ChannelTrace(("A", "B"), [0], [1], [0], [4], 2)
         with pytest.raises(UnknownUserError):
+            validate_trace(tr)
+
+    @pytest.mark.parametrize("kind,mask,error,message", [
+        (SUCCESS_CODE, 0, TraceError, "Success events must name exactly one"),
+        (SUCCESS_CODE, 3, TraceError, "Success events must name exactly one"),
+        (COLLISION_CODE, 1, TraceError, "Collision events must name at least"),
+        (IDLE_CODE, 1, TraceError, "Idle events must name no users"),
+        (SUCCESS_CODE, -1, UnknownUserError, "bits beyond the user set"),
+    ], ids=["success-empty", "success-two", "collision-one", "idle-one",
+            "negative-mask"])
+    def test_kind_mask_mismatch(self, kind, mask, error, message):
+        tr = ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE, kind],
+                          [1, mask], 2)
+        with pytest.raises(error, match=message):
             validate_trace(tr)
 
     def test_horizon_violation(self):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from macfair import metrics
 from macfair.core import ChannelTrace, UnknownUserError, idle, success
 from macfair.metrics import (
     TooFewUsersError,
@@ -83,27 +82,15 @@ class TestCycleTimes:
             for t0, t1 in cycle_intervals(fig_trace, user).tolist():
                 assert t0 in r and t1 in r and t1 > t0
 
-    @given(helpers.traces())
+    # Each example draws one trace of 2-3 users and one of up to 6 users.
+    @given(helpers.traces(), helpers.traces(max_users=6, max_events=60))
     @settings(max_examples=150, deadline=None)
-    def test_matches_literal_scan(self, tr):
-        for user in tr.users:
-            got = cycle_intervals(tr, user).tolist()
-            want = [list(p) for p in helpers.brute_cycle_intervals(tr, user)]
-            assert got == want
-
-    @given(helpers.traces(max_users=2))
-    @settings(max_examples=80, deadline=None)
-    def test_two_user_fast_path_equals_general(self, tr):
-        for user in tr.users:
-            fast = cycle_intervals(tr, user)
-            ends, uidx = metrics._success_seq(tr)
-            i = tr.user_index(user)
-            pos = np.flatnonzero((uidx[:-1] == i) & (uidx[1:] != i))
-            if len(pos) < 2:
-                assert len(fast) == 0
-                continue
-            general = metrics._covered_intervals(ends, uidx, pos, i, len(tr.users))
-            assert np.array_equal(fast, general)
+    def test_matches_literal_scan(self, small, wide):
+        for tr in (small, wide):
+            for user in tr.users:
+                got = cycle_intervals(tr, user).tolist()
+                want = [list(p) for p in helpers.brute_cycle_intervals(tr, user)]
+                assert got == want
 
     @given(helpers.traces())
     @settings(max_examples=100, deadline=None)
@@ -115,22 +102,23 @@ class TestCycleTimes:
             for t0, t1 in iv.tolist():
                 assert t0 in r and t1 in r
 
-    @given(helpers.traces())
+    @given(helpers.traces(), helpers.traces(max_users=6, max_events=60))
     @settings(max_examples=100, deadline=None)
-    def test_nonconsecutive_witness_recheck(self, tr):
+    def test_nonconsecutive_witness_recheck(self, small, wide):
         # Every emitted nonconsecutive pair must have an uncovered inner
         # interval ending at the refresh moment closest to the right endpoint.
-        seq = helpers.success_seq(tr)
-        for user in tr.users:
-            refresh = refresh_moments(tr, user).tolist()
-            others = [u for u in tr.users if u != user]
-            for t0, t1 in cycle_intervals(tr, user).tolist():
-                inner = [t for t in refresh if t0 < t < t1]
-                if not inner:
-                    continue
-                witness = max(inner)
-                counts = helpers._m_counts(seq, t0, witness)
-                assert any(counts.get(u, 0) == 0 for u in others)
+        for tr in (small, wide):
+            seq = helpers.success_seq(tr)
+            for user in tr.users:
+                refresh = refresh_moments(tr, user).tolist()
+                others = [u for u in tr.users if u != user]
+                for t0, t1 in cycle_intervals(tr, user).tolist():
+                    inner = [t for t in refresh if t0 < t < t1]
+                    if not inner:
+                        continue
+                    witness = max(inner)
+                    counts = helpers._m_counts(seq, t0, witness)
+                    assert any(counts.get(u, 0) == 0 for u in others)
 
 
 class TestChannelCycleTime:

@@ -221,7 +221,8 @@ class ChannelTrace:
 
     # -- file format ---------------------------------------------------------
     # One event per line: start,end,kind,users with kind in {S,C,I} and users
-    # a +-joined list (empty for idle).  Lines starting with # are headers.
+    # a +-joined list (empty for idle).  Lines starting with # are headers
+    # (slots_per_unit, users, horizon) and must all precede the first event.
 
     def write(self, fp: TextIO) -> None:
         fp.write("#slots_per_unit=1\n")
@@ -256,6 +257,8 @@ class ChannelTrace:
             if not line:
                 continue
             if line.startswith("#"):
+                if starts:
+                    raise TraceParseError(line_no, "header after the first event")
                 key, _, value = line[1:].partition("=")
                 if key == "slots_per_unit":
                     try:
@@ -272,6 +275,8 @@ class ChannelTrace:
                         horizon = int(value)
                     except ValueError:
                         raise TraceParseError(line_no, f"bad horizon {value!r}")
+                else:
+                    raise TraceParseError(line_no, f"unknown header {key!r}")
                 continue
             parts = line.split(",")
             if len(parts) != 4:

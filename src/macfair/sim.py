@@ -3,7 +3,9 @@ round-robin TDMA, all emitting validated channel traces.
 
 Determinism contract: identical parameters and SimConfig produce bit-identical
 traces.  Each user draws from its own child stream of the run seed, so one
-user's consumption never perturbs another's.
+user's consumption never perturbs another's.  CSMA/CA backoffs are taken from
+blocks of raw 32-bit words and mapped exactly as `Generator.integers(1, cw + 1)`
+maps them, so every backoff equals the value of one such call per draw.
 """
 from __future__ import annotations
 
@@ -25,6 +27,41 @@ from .core import (
 )
 
 COLLISION_OUTCOME = -1
+
+# Backoff draws are served from blocks of this many raw 32-bit words per user.
+BLOCK = 1024
+_WORD = 1 << 32
+
+
+def _backoff_draw(rng: np.random.Generator):
+    """Return draw(cw), giving what `rng.integers(1, cw + 1)` would, call by call.
+
+    numpy draws a window of cw <= 2**32 from 32-bit words with Lemire's
+    multiply-shift map, `1 + (x * cw >> 32)`, rejecting a word whose low half
+    falls below `(2**32 - cw) % cw`, and spends no word when cw is 1.  That
+    call and the block fill `integers(0, 2**32, BLOCK, dtype=np.uint64)` read
+    the same buffered 32-bit stream, so taking words in blocks changes no value
+    drawn.  This leans on numpy's bounded-integer algorithm, which
+    tests/test_sim.py::TestBackoffDraw checks against the numpy in use.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(cw: int) -> int:
+        nonlocal words, pos
+        if cw == 1:
+            return 1
+        reject = (_WORD - cw) % cw
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, _WORD, BLOCK, dtype=np.uint64).tolist()
+                pos = 0
+            m = words[pos] * cw
+            pos += 1
+            if m & 0xFFFFFFFF >= reject:
+                return 1 + (m >> 32)
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -143,83 +180,84 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     """
     if len(config.users) != 2:
         raise TraceError("CSMA/CA simulation is two-user")
+    if params.cw_max > _WORD:
+        # numpy draws wider windows from 64-bit words, which _backoff_draw
+        # does not reproduce.
+        raise TraceError(f"cw_max={params.cw_max} above 2**32 is not "
+                         "supported by the CSMA/CA simulator")
     succ_len, coll_len = params.busy_slots(mode)
-    rngs = _user_streams(config)
+    draw0, draw1 = (_backoff_draw(rng) for rng in _user_streams(config))
+    cws = [params.cw(s) for s in range(params.beta + 1)]
+    beta = params.beta
+    l_difs = params.l_difs
     cutoff = config.warmup + config.horizon
-    stage = [0, 0]
-    counter = [0, 0]
-    fresh = [True, True]
-    ev_start: list[int] = []
-    ev_end: list[int] = []
-    ev_kind: list[int] = []
-    ev_mask: list[int] = []
-    au_t: list[int] = []
-    au_end: list[int] = []
-    au_out: list[int] = []
-    au_stage: list[tuple[int, int]] = []
-    au_counter: list[tuple[int, int]] = []
-    au_fresh: list[tuple[bool, bool]] = []
+    # Per round: the backoff slots m before the busy period and the
+    # outcome; every event time follows from them.
+    rec_m: list[int] = []
+    rec_out: list[int] = []
+    au_rows: list[tuple] = []
+    s0 = s1 = c0 = c1 = 0
+    f0 = f1 = True
     t = 0
     while t < cutoff:
-        r_start = t
-        for u in (0, 1):
-            if fresh[u]:
-                counter[u] = int(rngs[u].integers(1, params.cw(stage[u]) + 1))
-        c0, c1 = counter
+        if f0:
+            c0 = draw0(cws[s0])
+        if f1:
+            c1 = draw1(cws[s1])
         if audit:
-            au_t.append(r_start)
-            au_stage.append((stage[0], stage[1]))
-            au_counter.append((c0, c1))
-            au_fresh.append((fresh[0], fresh[1]))
-        m = c0 if c0 < c1 else c1
-        t += params.l_difs + m
-        ev_start.append(r_start)
-        ev_end.append(t)
-        ev_kind.append(IDLE_CODE)
-        ev_mask.append(0)
-        busy_start = t
-        if c0 == c1:
-            outcome = COLLISION_OUTCOME
-            t += coll_len
-            kind, mask = COLLISION_CODE, 3
-            stage[0] = min(stage[0] + 1, params.beta)
-            stage[1] = min(stage[1] + 1, params.beta)
-            fresh = [True, True]
-        else:
-            w = 0 if c0 < c1 else 1
-            l = 1 - w
-            outcome = w
-            t += succ_len
-            kind, mask = SUCCESS_CODE, 1 << w
-            stage[w] = 0
-            fresh = [False, False]
-            fresh[w] = True
+            au_rows.append((s0, s1, c0, c1, f0, f1))
+        if c0 < c1:
             # The loser defers for the exchange; its counter expires one slot
             # of backoff while the channel is held.
-            counter[l] = counter[l] - m - 1
-            assert counter[l] >= 0
-        ev_start.append(busy_start)
-        ev_end.append(t)
-        ev_kind.append(kind)
-        ev_mask.append(mask)
-        if audit:
-            au_end.append(t)
-            au_out.append(outcome)
-    trace = _window_trace(config.users, ev_start, ev_end, ev_kind, ev_mask,
+            m, out = c0, 0
+            c1 -= c0 + 1
+            s0 = 0
+            f0, f1 = True, False
+            t += l_difs + m + succ_len
+        elif c1 < c0:
+            m, out = c1, 1
+            c0 -= c1 + 1
+            s1 = 0
+            f0, f1 = False, True
+            t += l_difs + m + succ_len
+        else:
+            m, out = c0, COLLISION_OUTCOME
+            s0 = min(s0 + 1, beta)
+            s1 = min(s1 + 1, beta)
+            f0 = f1 = True
+            t += l_difs + m + coll_len
+        rec_m.append(m)
+        rec_out.append(out)
+    outcome = np.asarray(rec_out, np.int64)
+    coll = outcome == COLLISION_OUTCOME
+    busy_start = np.asarray(rec_m, np.int64) + l_difs
+    r_end = busy_start + np.where(coll, coll_len, succ_len)
+    np.cumsum(r_end, out=r_end)
+    r_start = np.zeros_like(r_end)
+    r_start[1:] = r_end[:-1]
+    busy_start += r_start
+    # Each round is an idle event followed by its busy event.
+    n = len(outcome)
+    starts = np.column_stack((r_start, busy_start)).ravel()
+    ends = np.column_stack((busy_start, r_end)).ravel()
+    kinds = np.full(2 * n, IDLE_CODE, np.int8)
+    kinds[1::2] = np.where(coll, COLLISION_CODE, SUCCESS_CODE)
+    masks = np.zeros(2 * n, np.int64)
+    masks[1::2] = np.where(coll, 3, outcome + 1)  # winner u has mask 1 << u
+    trace = _window_trace(config.users, starts, ends, kinds, masks,
                           config.warmup, config.horizon)
     if not audit:
         return trace
-    at = np.asarray(au_t, np.int64)
-    ae = np.asarray(au_end, np.int64)
-    keep = (at >= config.warmup) & (ae <= cutoff)
+    keep = (r_start >= config.warmup) & (r_end <= cutoff)
+    rows = np.asarray(au_rows, np.int64)[keep]
     rec = CsmaAudit(
         users=config.users,
-        t=at[keep] - config.warmup,
-        end=ae[keep] - config.warmup,
-        outcome=np.asarray(au_out, np.int64)[keep],
-        stage=np.asarray(au_stage, np.int64)[keep],
-        counter=np.asarray(au_counter, np.int64)[keep],
-        fresh=np.asarray(au_fresh, bool)[keep],
+        t=r_start[keep] - config.warmup,
+        end=r_end[keep] - config.warmup,
+        outcome=outcome[keep],
+        stage=rows[:, 0:2],
+        counter=rows[:, 2:4],
+        fresh=rows[:, 4:6].astype(bool),
     )
     return trace, rec
 
@@ -255,13 +293,14 @@ def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
 
 def write_audit(audit_rec: CsmaAudit, fp: TextIO) -> None:
     """One line per round: t,winner|collision,stage_a,stage_b,lambda_a,lambda_b."""
-    labels = audit_rec.users
-    for i in range(len(audit_rec)):
-        out = audit_rec.outcome[i]
-        who = "collision" if out == COLLISION_OUTCOME else labels[out]
-        fp.write(f"{audit_rec.t[i]},{who},"
-                 f"{audit_rec.stage[i, 0]},{audit_rec.stage[i, 1]},"
-                 f"{audit_rec.counter[i, 0]},{audit_rec.counter[i, 1]}\n")
+    # COLLISION_OUTCOME is -1, so it indexes the trailing "collision" label.
+    labels = (*audit_rec.users, "collision")
+    who = [labels[o] for o in audit_rec.outcome.tolist()]
+    stage_a, stage_b = audit_rec.stage.T.tolist()
+    lam_a, lam_b = audit_rec.counter.T.tolist()
+    fp.writelines([f"{t},{w},{sa},{sb},{la},{lb}\n" for t, w, sa, sb, la, lb
+                   in zip(audit_rec.t.tolist(), who, stage_a, stage_b,
+                          lam_a, lam_b)])
 
 
 def empirical_collision_probability(audit_rec: CsmaAudit) -> float:

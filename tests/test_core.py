@@ -206,6 +206,19 @@ class TestFileRoundTrip:
         with pytest.raises(TraceParseError):
             ChannelTrace.read(io.StringIO(text))
 
+    @pytest.mark.parametrize("header", ["#users=B+A", "#slots_per_unit=2"])
+    def test_header_after_first_event_rejected(self, header):
+        text = f"#users=A+B\n0,5,S,A\n5,9,S,A\n{header}\n9,12,S,B\n"
+        with pytest.raises(TraceParseError) as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == 4
+
+    def test_unknown_header_rejected(self):
+        text = "#users=A+B\n#user=A\n0,5,S,A\n"
+        with pytest.raises(TraceParseError) as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == 2
+
     def test_file_io(self, tmp_path, fig_trace):
         path = tmp_path / "trace.csv"
         fig_trace.to_file(path)

@@ -1,5 +1,6 @@
 """Simulators: determinism, structural validity, known degenerate behaviours,
 agreement with closed forms, and the audit-log conservation identities."""
+import hashlib
 import io
 
 import numpy as np
@@ -17,8 +18,10 @@ from macfair.core import (
     validate_trace,
 )
 from macfair.sim import (
+    BLOCK,
     COLLISION_OUTCOME,
     SimConfig,
+    _backoff_draw,
     empirical_collision_probability,
     reconstruct_parts,
     simulate_aloha,
@@ -125,6 +128,13 @@ class TestCsma:
         assert 0 not in kinds  # no successes, ever
         assert 1 in kinds
 
+    def test_window_beyond_32_bits_rejected(self):
+        params = CsmaParams(cw_min=3, beta=31, l_difs=1, l_pkt=1)
+        assert params.cw_max > 2**32
+        with pytest.raises(TraceError):
+            simulate_csma(params, SimConfig(seed=0, horizon=100))
+        assert analytic.csma_cct(params).psi_slots > 0
+
     def test_symmetry_mean_cycle_times(self):
         tr = simulate_csma(TABLE, SimConfig(seed=17, horizon=10_000_000))
         rep = metrics.channel_cycle_time(tr)
@@ -173,6 +183,72 @@ class TestCsma:
                          [p0 ** kmax])
         chi = scipy.stats.chisquare(observed, probs * observed.sum(), ddof=1)
         assert chi.pvalue > 0.01
+
+
+def _sim_digest(trace, audit) -> str:
+    h = hashlib.sha256()
+    for a in (trace.starts, trace.ends, trace.kinds, trace.masks, audit.t,
+              audit.end, audit.outcome, audit.stage, audit.counter, audit.fresh):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestBackoffDraw:
+    """The block draw must replay Generator.integers(1, cw + 1) exactly; a numpy
+    release that changes its bounded-integer stream fails here first."""
+
+    @staticmethod
+    def _both(seed, cws):
+        draw = _backoff_draw(np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        return ([draw(cw) for cw in cws],
+                [int(ref.integers(1, cw + 1)) for cw in cws])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_windows(self, seed):
+        windows = [1, 2, 3, 24, 32, 1024, 12345, 2**31 + 1, 2**32]
+        pick = np.random.default_rng(1000 + seed)
+        cws = [windows[i] for i in pick.integers(0, len(windows), 3 * BLOCK + 5)]
+        got, want = self._both(seed, cws)
+        assert got == want
+
+    @pytest.mark.parametrize("cw", [3, 12345, 2**31 + 1, 3 * 2**30,
+                                    2**32 - 1, 2**32])
+    def test_rejection_heavy_windows(self, cw):
+        got, want = self._both(7, [cw] * (2 * BLOCK + 3))
+        assert got == want
+        assert min(got) >= 1 and max(got) <= cw
+
+
+class TestCsmaPinned:
+    """Digests of full traces and audits for fixed seeds: any drift in the
+    seed-to-trace mapping fails here."""
+
+    PINNED = {
+        (32, CsmaMode.RTS_CTS):
+            "b6592f60d092dc6d23dee7165dbf06aebc644961531989adb440572a2542d052",
+        (32, CsmaMode.BASIC):
+            "044c54c68e0e2ba0694b56d57c20ad79b79fcb4a24f6d0fcd2c57afcee191230",
+        (3, CsmaMode.RTS_CTS):
+            "793c395488a44cc20ab499d582cf1453ed7780f7912c384c0b763d0226636432",
+        (3, CsmaMode.BASIC):
+            "c0e25d69b9b1e5b546bafc7d0b4f063b93d42de190facdff3753962ea286d98a",
+    }
+    CONFIGS = {
+        32: (TABLE, SimConfig(seed=3, horizon=20_000)),
+        3: (CsmaParams(cw_min=3, beta=2, l_difs=1, l_pkt=5),
+            SimConfig(seed=4, horizon=5_000, warmup=0)),
+    }
+
+    @pytest.mark.parametrize("cw_min,mode", list(PINNED))
+    def test_digest(self, cw_min, mode):
+        params, cfg = self.CONFIGS[cw_min]
+        trace, audit = simulate_csma(params, cfg, mode, audit=True)
+        assert _sim_digest(trace, audit) == self.PINNED[cw_min, mode]
+        # A pending counter never goes negative; a fresh draw is at least 1.
+        assert np.all(audit.counter >= 0)
+        assert np.all(audit.counter[audit.fresh] >= 1)
 
 
 class TestCsmaAudit:
@@ -227,6 +303,21 @@ class TestCsmaAudit:
         assert len(first) == 6
         assert first[1] in ("A", "B", "collision")
         assert int(first[0]) == audit.t[0]
+
+    def test_audit_file_matches_row_format(self):
+        _, audit = simulate_csma(TABLE, SimConfig(seed=9, horizon=200_000),
+                                 audit=True)
+        assert np.any(audit.outcome == COLLISION_OUTCOME)
+        want = io.StringIO()
+        for i in range(len(audit)):
+            out = audit.outcome[i]
+            who = "collision" if out == COLLISION_OUTCOME else audit.users[out]
+            want.write(f"{audit.t[i]},{who},"
+                       f"{audit.stage[i, 0]},{audit.stage[i, 1]},"
+                       f"{audit.counter[i, 0]},{audit.counter[i, 1]}\n")
+        buf = io.StringIO()
+        write_audit(audit, buf)
+        assert buf.getvalue() == want.getvalue()
 
 
 class TestTdma:

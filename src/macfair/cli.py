@@ -257,13 +257,14 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="macfair",
+        prog="macfair", allow_abbrev=False,
         description="Short-term fairness lab: cycle-time metrics, closed forms, "
                     "and slot-level MAC simulators.")
     parser.add_argument("--micros-per-slot", type=int, default=MICROS_PER_SLOT)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a simulator and report cycle times")
+    sim = sub.add_parser("simulate", allow_abbrev=False,
+                         help="run a simulator and report cycle times")
     sim.add_argument("--protocol", required=True, choices=_PROTOCOLS)
     sim.add_argument("--slots", type=int, required=True, help="trace horizon")
     sim.add_argument("--seed", type=int, default=0)
@@ -279,18 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pkt", default="30", help="slots or <n>us")
     sim.set_defaults(func=cmd_simulate)
 
-    ana = sub.add_parser("analyze", help="report metrics for a trace file")
+    ana = sub.add_parser("analyze", allow_abbrev=False,
+                         help="report metrics for a trace file")
     ana.add_argument("trace")
     ana.add_argument("--json", action="store_true")
     ana.set_defaults(func=cmd_analyze)
 
-    an = sub.add_parser("analytic", help="evaluate a closed-form cycle time")
+    an = sub.add_parser("analytic", allow_abbrev=False,
+                        help="evaluate a closed-form cycle time")
     fam = an.add_subparsers(dest="family", required=True)
-    al = fam.add_parser("aloha")
+    al = fam.add_parser("aloha", allow_abbrev=False)
     al.add_argument("--pa", type=float, required=True)
     al.add_argument("--pb", type=float, required=True)
     al.add_argument("--slot", default="1")
-    cs = fam.add_parser("csma")
+    cs = fam.add_parser("csma", allow_abbrev=False)
     cs.add_argument("--mode", choices=sorted(m.value for m in CsmaMode),
                     default="rtscts")
     cs.add_argument("--p-ni0", type=float, default=0.32)
@@ -298,11 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--p-c", type=float, default=None,
                     help="override the fixed-point collision probability")
     _add_csma_flags(cs)
-    td = fam.add_parser("tdma")
+    td = fam.add_parser("tdma", allow_abbrev=False)
     td.add_argument("--lengths", required=True)
     an.set_defaults(func=cmd_analytic)
 
-    sw = sub.add_parser("sweep", help="simulation vs theory along one axis")
+    sw = sub.add_parser("sweep", allow_abbrev=False,
+                        help="simulation vs theory along one axis")
     sw.add_argument("--protocols", default="tdma,csma-rtscts,csma-basic,aloha")
     sw.add_argument("--pkt-range", help="lo:hi:step in slots")
     sw.add_argument("--p-range", help="lo:hi:step transmit probability grid")

@@ -251,6 +251,7 @@ class ChannelTrace:
         starts, ends, kinds, masks = [], [], [], []
         index: dict[str, int] = {}
         seen: list[str] = []
+        headers: set[str] = set()
         max_end = 0
         for line_no, raw in enumerate(fp, start=1):
             line = raw.strip()
@@ -260,6 +261,9 @@ class ChannelTrace:
                 if starts:
                     raise TraceParseError(line_no, "header after the first event")
                 key, _, value = line[1:].partition("=")
+                if key in headers:
+                    raise TraceParseError(line_no, f"repeated header {key!r}")
+                headers.add(key)
                 if key == "slots_per_unit":
                     try:
                         scale = int(value)

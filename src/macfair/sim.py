@@ -5,7 +5,11 @@ Determinism contract: identical parameters and SimConfig produce bit-identical
 traces.  Each user draws from its own child stream of the run seed, so one
 user's consumption never perturbs another's.  CSMA/CA backoffs are taken from
 blocks of raw 32-bit words and mapped exactly as `Generator.integers(1, cw + 1)`
-maps them, so every backoff equals the value of one such call per draw.
+maps them, so every backoff equals the value of one such call per draw.  A
+CSMA/CA user draws its next backoff as soon as a round ends in its win or in a
+collision, not when the next round starts; as no other user reads its stream,
+it draws the same values in the same order, and what it draws after the last
+round is never recorded.
 """
 from __future__ import annotations
 
@@ -147,9 +151,13 @@ class CsmaAudit:
 
     One row per contention round: start and end tick, outcome (user index of
     the winner, or -1 for a collision), both users' retry stages at the round
-    start, counter values after any fresh draw at the round start, and whether
-    each counter was freshly drawn in that round.  Only rounds fully inside the
-    recorded window are kept, so round k's end equals round k+1's start.
+    start, both pending backoff counters at the round start, and whether each
+    counter was freshly drawn for that round.  The simulator records only the
+    counters; outcome, stage and fresh follow from them.  A user's stage is
+    the number of collisions since its last win, capped at beta, and its
+    counter is fresh unless it lost the previous round.  Only rounds fully
+    inside the recorded window are kept, so round k's end equals round k+1's
+    start.
     """
 
     users: tuple[str, ...]
@@ -158,7 +166,7 @@ class CsmaAudit:
     outcome: np.ndarray  # winner index or COLLISION_OUTCOME
     stage: np.ndarray    # (rounds, 2) retry stages
     counter: np.ndarray  # (rounds, 2) backoff counters at round start
-    fresh: np.ndarray    # (rounds, 2) counter drawn this round?
+    fresh: np.ndarray    # (rounds, 2) counter drawn for this round?
 
     def __len__(self) -> int:
         return len(self.t)
@@ -189,48 +197,41 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     draw0, draw1 = (_backoff_draw(rng) for rng in _user_streams(config))
     cws = [params.cw(s) for s in range(params.beta + 1)]
     beta = params.beta
-    l_difs = params.l_difs
+    succ_round = params.l_difs + succ_len
+    coll_round = params.l_difs + coll_len
     cutoff = config.warmup + config.horizon
-    # Per round: the backoff slots m before the busy period and the
-    # outcome; every event time follows from them.
-    rec_m: list[int] = []
-    rec_out: list[int] = []
-    au_rows: list[tuple] = []
-    s0 = s1 = c0 = c1 = 0
-    f0 = f1 = True
+    # Both counters at every round start; all else follows from them.
+    rec0: list[int] = []
+    rec1: list[int] = []
+    s0 = s1 = 0
+    c0, c1 = draw0(cws[0]), draw1(cws[0])
     t = 0
     while t < cutoff:
-        if f0:
-            c0 = draw0(cws[s0])
-        if f1:
-            c1 = draw1(cws[s1])
-        if audit:
-            au_rows.append((s0, s1, c0, c1, f0, f1))
+        rec0.append(c0)
+        rec1.append(c1)
         if c0 < c1:
             # The loser defers for the exchange; its counter expires one slot
             # of backoff while the channel is held.
-            m, out = c0, 0
+            t += succ_round + c0
             c1 -= c0 + 1
             s0 = 0
-            f0, f1 = True, False
-            t += l_difs + m + succ_len
+            c0 = draw0(cws[0])
         elif c1 < c0:
-            m, out = c1, 1
+            t += succ_round + c1
             c0 -= c1 + 1
             s1 = 0
-            f0, f1 = False, True
-            t += l_difs + m + succ_len
+            c1 = draw1(cws[0])
         else:
-            m, out = c0, COLLISION_OUTCOME
+            t += coll_round + c0
             s0 = min(s0 + 1, beta)
             s1 = min(s1 + 1, beta)
-            f0 = f1 = True
-            t += l_difs + m + coll_len
-        rec_m.append(m)
-        rec_out.append(out)
-    outcome = np.asarray(rec_out, np.int64)
-    coll = outcome == COLLISION_OUTCOME
-    busy_start = np.asarray(rec_m, np.int64) + l_difs
+            c0 = draw0(cws[s0])
+            c1 = draw1(cws[s1])
+    counter = np.array((rec0, rec1), np.int64)
+    outcome = (counter[1] < counter[0]).astype(np.int64)
+    coll = counter[0] == counter[1]
+    outcome[coll] = COLLISION_OUTCOME
+    busy_start = counter.min(axis=0) + params.l_difs
     r_end = busy_start + np.where(coll, coll_len, succ_len)
     np.cumsum(r_end, out=r_end)
     r_start = np.zeros_like(r_end)
@@ -248,18 +249,24 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
                           config.warmup, config.horizon)
     if not audit:
         return trace
+    # Stage and fresh as defined in CsmaAudit.
+    n_coll = _prefix(coll)
+    at_win = np.where(outcome[:, None] == (0, 1), n_coll[1:, None], 0)
+    stage = np.repeat(n_coll[:-1, None], 2, axis=1)
+    stage[1:] -= np.maximum.accumulate(at_win[:-1])
+    np.minimum(stage, beta, out=stage)
+    fresh = np.ones((n, 2), bool)
+    fresh[1:] = outcome[:-1, None] != (1, 0)
     keep = (r_start >= config.warmup) & (r_end <= cutoff)
-    rows = np.asarray(au_rows, np.int64)[keep]
-    rec = CsmaAudit(
+    return trace, CsmaAudit(
         users=config.users,
         t=r_start[keep] - config.warmup,
         end=r_end[keep] - config.warmup,
         outcome=outcome[keep],
-        stage=rows[:, 0:2],
-        counter=rows[:, 2:4],
-        fresh=rows[:, 4:6].astype(bool),
+        stage=stage[keep],
+        counter=counter.T[keep],
+        fresh=fresh[keep],
     )
-    return trace, rec
 
 
 def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
@@ -341,16 +348,14 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
 
     Part 1 of a cycle (refresh moment to the end of the owner's first success)
     must equal n_b deferrals plus the owner's own attempts; part 2 is the
-    owner's run of further successes.  In RTS/CTS mode:
+    owner's run of further successes.  With (succ_len, coll_len) =
+    `params.busy_slots(mode)`, the terms `csma_cct` uses,
 
-        part1 = n_b (l_difs + l_nav) + l_tran
-                + (rho1 + 1)(l_difs + l_rcts) + sum of fresh lambdas
-        part2 = n_a' l_tran + (rho2 + n_a')(l_difs + l_rcts) + sum of fresh lambdas
+        defer = l_difs + succ_len - 1,  attempt = l_difs + coll_len,
+        payload = succ_len - coll_len,
 
-    and in basic mode (l_tran - 1 freeze per deferral, l_tran per collision):
-
-        part1 = n_b (l_difs + l_tran - 1) + (rho1 + 1)(l_difs + l_tran) + sum
-        part2 = (rho2 + n_a')(l_difs + l_tran) + sum
+        part1 = n_b defer + payload + (rho1 + 1) attempt + sum of fresh lambdas
+        part2 = n_a' payload + (rho2 + n_a') attempt + sum of fresh lambdas
 
     where rho counts collisions inside the part and the lambda sums range over
     the owner's fresh draws in it.  Slot-exact equality with the trace-measured
@@ -401,17 +406,12 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
         raise TraceError("other user's success inside part 2 of a cycle")
     if np.any(k1 != rho1 + 1) or np.any(k2 != rho2 + n_a):
         raise TraceError("fresh-draw counts do not match round outcomes")
-    ld = params.l_difs
-    if mode is CsmaMode.RTS_CTS:
-        defer = ld + params.l_nav
-        attempt = ld + params.l_rcts
-        recon1 = n_b * defer + params.l_tran + (rho1 + 1) * attempt + lam1
-        recon2 = n_a * params.l_tran + (rho2 + n_a) * attempt + lam2
-    else:
-        defer = ld + params.l_tran - 1
-        attempt = ld + params.l_tran
-        recon1 = n_b * defer + (rho1 + 1) * attempt + lam1
-        recon2 = (rho2 + n_a) * attempt + lam2
+    succ_len, coll_len = params.busy_slots(mode)
+    defer = params.l_difs + succ_len - 1
+    attempt = params.l_difs + coll_len
+    payload = succ_len - coll_len
+    recon1 = n_b * defer + payload + (rho1 + 1) * attempt + lam1
+    recon2 = n_a * payload + (rho2 + n_a) * attempt + lam2
     measured1 = audit_rec.end[s] - t0
     measured2 = t1 - audit_rec.end[s]
     return PartReconstruction(recon1, recon2, measured1, measured2, n_b, n_a)

@@ -142,6 +142,16 @@ class TestSimulate:
             cli.main(["simulate", "--protocol", "aloha"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--pk", "40"], ["--cw", "3"]],
+                             ids=["pk", "cw"])
+    def test_abbreviated_flag_is_exit_2(self, capsys, flag):
+        # Prefixes of --pkt and --cw-min are not taken as those flags.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--protocol", "csma-rtscts", *flag,
+                      "--slots", "20000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestAnalyze:
     def test_reference_trace_report(self, tmp_path, capsys):

@@ -219,6 +219,17 @@ class TestFileRoundTrip:
             ChannelTrace.read(io.StringIO(text))
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("first,again", [
+        ("#slots_per_unit=2", "#slots_per_unit=3"),
+        ("#users=A+B", "#users=B+A"),
+        ("#horizon=100", "#horizon=100"),
+    ])
+    def test_repeated_header_rejected(self, first, again):
+        text = f"{first}\n\n{again}\n0,1,S,A\n1,2,S,B\n"
+        with pytest.raises(TraceParseError, match="repeated header") as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == 3
+
     def test_file_io(self, tmp_path, fig_trace):
         path = tmp_path / "trace.csv"
         fig_trace.to_file(path)

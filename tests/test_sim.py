@@ -260,16 +260,39 @@ class TestCsmaAudit:
         succ_ends = tr.ends[tr.kinds == 0]
         assert np.all(np.isin(succ_ends, audit.end))
 
-    def test_fresh_draw_bookkeeping(self):
-        _, audit = simulate_csma(TABLE, SimConfig(seed=3, horizon=100_000),
+    @pytest.mark.parametrize("params", [
+        TABLE, CsmaParams(cw_min=2, beta=2, l_difs=1, l_pkt=3)],
+        ids=["table", "capped"])
+    def test_fresh_draw_bookkeeping(self, params):
+        _, audit = simulate_csma(params, SimConfig(seed=3, horizon=100_000),
                                  audit=True)
-        # After a collision both users redraw; after a success only the winner.
-        for i in range(1, len(audit)):
-            prev = audit.outcome[i - 1]
-            if prev == COLLISION_OUTCOME:
-                assert audit.fresh[i].all()
-            else:
-                assert audit.fresh[i, prev]
+        outcome = audit.outcome.tolist()
+        stage = audit.stage.tolist()
+        counter = audit.counter.tolist()
+        fresh = audit.fresh.tolist()
+        # Replay the protocol rule round by round against the derived columns.
+        cap_hits = 0
+        for i in range(len(audit)):
+            for u in (0, 1):
+                if fresh[i][u]:
+                    assert 1 <= counter[i][u] <= params.cw(stage[i][u])
+                if i == 0:
+                    continue
+                prev = outcome[i - 1]
+                # A user redraws after a collision or its own win only.
+                assert fresh[i][u] == (prev in (COLLISION_OUTCOME, u))
+                if prev == u:
+                    assert stage[i][u] == 0
+                elif prev == COLLISION_OUTCOME:
+                    assert stage[i][u] == min(stage[i - 1][u] + 1, params.beta)
+                    cap_hits += stage[i - 1][u] == params.beta
+                else:
+                    # The loser keeps its stage and carries its counter less
+                    # the winner's backoff and the one slot in the exchange.
+                    assert stage[i][u] == stage[i - 1][u]
+                    assert counter[i][u] == (counter[i - 1][u]
+                                             - counter[i - 1][prev] - 1)
+        assert cap_hits > 0 or params is TABLE
 
     @pytest.mark.parametrize("mode", [CsmaMode.RTS_CTS, CsmaMode.BASIC])
     def test_conservation_identities(self, mode):

@@ -18,7 +18,7 @@ from macfair.core import CsmaParams
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--pkt-range", default="48:96:8", help="lo:hi:step slots")
     ap.add_argument("--slots", type=int, default=1_000_000)
     ap.add_argument("--reps", type=int, default=3)

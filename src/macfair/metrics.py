@@ -236,6 +236,6 @@ def throughput(trace: ChannelTrace) -> float:
     """Fraction of the horizon spent in successful transmissions."""
     if trace.horizon <= 0:
         raise TraceError("throughput needs a positive horizon")
-    hit = trace.kinds == SUCCESS_CODE
-    busy = int((trace.ends[hit] - trace.starts[hit]).sum())
+    hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
+    busy = int((trace.ends.take(hit) - trace.starts.take(hit)).sum())
     return busy / trace.horizon

@@ -10,6 +10,12 @@ CSMA/CA user draws its next backoff as soon as a round ends in its win or in a
 collision, not when the next round starts; as no other user reads its stream,
 it draws the same values in the same order, and what it draws after the last
 round is never recorded.
+
+Every simulator emits its events sorted and tiling the channel from tick 0,
+each event starting where the previous one ends, so one non-decreasing
+boundary array `edge` describes them all: event i spans [edge[i], edge[i+1]).
+The warm-up and horizon window then keeps one contiguous run of events, which
+`_window_trace` finds by binary search and slices instead of filtering.
 """
 from __future__ import annotations
 
@@ -35,6 +41,10 @@ COLLISION_OUTCOME = -1
 # Backoff draws are served from blocks of this many raw 32-bit words per user.
 BLOCK = 1024
 _WORD = 1 << 32
+
+# Kind of an Aloha slot indexed by its participant mask.
+_ALOHA_KIND = np.array([IDLE_CODE, SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE],
+                       np.int8)
 
 
 def _backoff_draw(rng: np.random.Generator):
@@ -95,16 +105,32 @@ def _user_streams(config: SimConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(len(config.users))]
 
 
-def _window_trace(users, starts, ends, kinds, masks, warmup: int,
+def _span(edge: np.ndarray, warmup: int, horizon: int) -> tuple[int, int]:
+    """Event index range [lo, hi) of the events inside [warmup, warmup+horizon).
+
+    Event i spans [edge[i], edge[i+1]); `edge` must be non-decreasing, so the
+    events inside the window form one contiguous run.  lo is the first event
+    starting at or after `warmup`, hi the first ending after the window's end,
+    and hi == lo when no event fits.
+    """
+    lo = int(np.searchsorted(edge, warmup))
+    hi = int(np.searchsorted(edge, warmup + horizon, "right")) - 1
+    return lo, max(lo, hi)
+
+
+def _window_trace(users, edge, kinds, masks, warmup: int,
                   horizon: int) -> ChannelTrace:
-    """Keep events fully inside [warmup, warmup+horizon) and rebase to 0."""
-    starts = np.asarray(starts, np.int64)
-    ends = np.asarray(ends, np.int64)
-    kinds = np.asarray(kinds, np.int8)
-    masks = np.asarray(masks, np.int64)
-    keep = (starts >= warmup) & (ends <= warmup + horizon)
-    return ChannelTrace(users, starts[keep] - warmup, ends[keep] - warmup,
-                        kinds[keep], masks[keep], horizon)
+    """Keep events fully inside [warmup, warmup+horizon) and rebase to 0.
+
+    Event i spans [edge[i], edge[i+1]) and has kinds[i], masks[i].  The
+    events must be sorted and tile the channel (`edge` non-decreasing), so
+    the kept events are one slice of them; the trace's starts and ends are
+    two views of one rebased copy of its boundaries.
+    """
+    lo, hi = _span(edge, warmup, horizon)
+    e = edge[lo:hi + 1] - warmup
+    return ChannelTrace(users, e[:-1], e[1:], kinds[lo:hi], masks[lo:hi],
+                        horizon)
 
 
 def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
@@ -122,27 +148,20 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     rng_a, rng_b = _user_streams(config)
     tx_a = rng_a.random(n_slots) < params.p_a
     tx_b = rng_b.random(n_slots) < params.p_b
-    busy = tx_a | tx_b
+    # Each slot's participant mask: bit 0 for A, bit 1 for B.
+    code = tx_b.view(np.uint8) << 1
+    code |= tx_a.view(np.uint8)
     # Segment the slot axis: every busy slot stands alone, idle runs merge.
-    new_seg = np.empty(n_slots, bool)
-    new_seg[0] = True
-    new_seg[1:] = busy[1:] | busy[:-1]
-    seg_start = np.flatnonzero(new_seg)
-    seg_end = np.append(seg_start[1:], n_slots)
-    first_a = tx_a[seg_start]
-    first_b = tx_b[seg_start]
-    kinds = np.full(len(seg_start), IDLE_CODE, np.int8)
-    masks = np.zeros(len(seg_start), np.int64)
-    only_a = first_a & ~first_b
-    only_b = first_b & ~first_a
-    both = first_a & first_b
-    kinds[only_a | only_b] = SUCCESS_CODE
-    kinds[both] = COLLISION_CODE
-    masks[only_a] = 1
-    masks[only_b] = 2
-    masks[both] = 3
-    return _window_trace(config.users, seg_start * slot, seg_end * slot,
-                         kinds, masks, config.warmup, config.horizon)
+    # The flag past the last slot makes the end of the run the final boundary.
+    new_seg = np.empty(n_slots + 1, bool)
+    new_seg[0] = new_seg[n_slots] = True
+    np.logical_or(code[1:], code[:-1], out=new_seg[1:n_slots])
+    edge = np.flatnonzero(new_seg)
+    masks = code.take(edge[:-1])
+    if slot != 1:
+        edge *= slot
+    return _window_trace(config.users, edge, _ALOHA_KIND.take(masks), masks,
+                         config.warmup, config.horizon)
 
 
 @dataclass(frozen=True)
@@ -231,21 +250,19 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     outcome = (counter[1] < counter[0]).astype(np.int64)
     coll = counter[0] == counter[1]
     outcome[coll] = COLLISION_OUTCOME
-    busy_start = counter.min(axis=0) + params.l_difs
-    r_end = busy_start + np.where(coll, coll_len, succ_len)
-    np.cumsum(r_end, out=r_end)
-    r_start = np.zeros_like(r_end)
-    r_start[1:] = r_end[:-1]
-    busy_start += r_start
-    # Each round is an idle event followed by its busy event.
+    # Each round is an idle event (DIFS and backoff) followed by its busy
+    # event; edge holds every event boundary.
     n = len(outcome)
-    starts = np.column_stack((r_start, busy_start)).ravel()
-    ends = np.column_stack((busy_start, r_end)).ravel()
+    length = np.empty(2 * n, np.int64)
+    length[0::2] = counter.min(axis=0) + params.l_difs
+    length[1::2] = np.where(coll, coll_len, succ_len)
+    edge = np.zeros(2 * n + 1, np.int64)
+    np.cumsum(length, out=edge[1:])
     kinds = np.full(2 * n, IDLE_CODE, np.int8)
     kinds[1::2] = np.where(coll, COLLISION_CODE, SUCCESS_CODE)
     masks = np.zeros(2 * n, np.int64)
     masks[1::2] = np.where(coll, 3, outcome + 1)  # winner u has mask 1 << u
-    trace = _window_trace(config.users, starts, ends, kinds, masks,
+    trace = _window_trace(config.users, edge, kinds, masks,
                           config.warmup, config.horizon)
     if not audit:
         return trace
@@ -257,15 +274,17 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     np.minimum(stage, beta, out=stage)
     fresh = np.ones((n, 2), bool)
     fresh[1:] = outcome[:-1, None] != (1, 0)
-    keep = (r_start >= config.warmup) & (r_end <= cutoff)
+    # Rounds tile the channel too, so the audit keeps rounds by the same rule.
+    rounds = edge[::2]  # round k spans [rounds[k], rounds[k+1])
+    lo, hi = _span(rounds, config.warmup, config.horizon)
     return trace, CsmaAudit(
         users=config.users,
-        t=r_start[keep] - config.warmup,
-        end=r_end[keep] - config.warmup,
-        outcome=outcome[keep],
-        stage=stage[keep],
-        counter=counter.T[keep],
-        fresh=fresh[keep],
+        t=rounds[lo:hi] - config.warmup,
+        end=rounds[lo + 1:hi + 1] - config.warmup,
+        outcome=outcome[lo:hi],
+        stage=stage[lo:hi],
+        counter=np.ascontiguousarray(counter.T[lo:hi]),
+        fresh=fresh[lo:hi],
     )
 
 
@@ -281,18 +300,13 @@ def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
         raise TraceError("need one packet length per user")
     if any(l < 1 for l in lengths):
         raise TraceError("packet lengths must be at least 1 slot")
-    n_users = len(lengths)
-    period = sum(lengths)
-    total = config.warmup + config.horizon
-    n_rounds = total // period + 1
-    offsets = np.cumsum([0] + lengths[:-1])
-    base = np.arange(n_rounds, dtype=np.int64) * period
-    starts = (base[:, None] + offsets[None, :]).ravel()
-    ends = starts + np.tile(np.asarray(lengths, np.int64), n_rounds)
-    kinds = np.full(len(starts), SUCCESS_CODE, np.int8)
-    masks = np.tile(np.left_shift(1, np.arange(n_users, dtype=np.int64)),
+    n_rounds = (config.warmup + config.horizon) // sum(lengths) + 1
+    edge = np.zeros(n_rounds * len(lengths) + 1, np.int64)
+    np.cumsum(np.tile(np.asarray(lengths, np.int64), n_rounds), out=edge[1:])
+    kinds = np.full(len(edge) - 1, SUCCESS_CODE, np.int8)
+    masks = np.tile(np.left_shift(1, np.arange(len(lengths), dtype=np.int64)),
                     n_rounds)
-    return _window_trace(config.users, starts, ends, kinds, masks,
+    return _window_trace(config.users, edge, kinds, masks,
                          config.warmup, config.horizon)
 
 

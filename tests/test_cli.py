@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, output schemas, determinism."""
+import importlib.util
 import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,3 +362,45 @@ class TestDurationParsing:
         from macfair.core import TraceError
         with pytest.raises(TraceError):
             cli.parse_duration("30ms", 20)
+
+
+class TestCrossoverScript:
+    """scripts/rtscts_crossover.py runs its sweep through cli.main."""
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "rtscts_crossover.py"
+        spec = importlib.util.spec_from_file_location("rtscts_crossover", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sweeps = []
+
+        def fake_main(argv):
+            sweeps.append(argv)
+            return 1
+
+        monkeypatch.setattr(module.cli, "main", fake_main)
+        return module, sweeps
+
+    def test_abbreviated_flag_is_exit_2(self, script, monkeypatch, tmp_path,
+                                        capsys):
+        module, sweeps = script
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(sys, "argv", ["rtscts_crossover.py", "--slot",
+                                          "20000", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            module.main()
+        assert exc.value.code == 2
+        assert "--slot" in capsys.readouterr().err
+        assert sweeps == []
+        assert not out.exists()
+
+    def test_full_flag_reaches_sweep(self, script, monkeypatch, tmp_path):
+        module, sweeps = script
+        monkeypatch.setattr(sys, "argv", ["rtscts_crossover.py", "--slots",
+                                          "20000", "--out",
+                                          str(tmp_path / "sweep.csv")])
+        assert module.main() == 1
+        assert len(sweeps) == 1
+        i = sweeps[0].index("--slots")
+        assert sweeps[0][i + 1] == "20000"

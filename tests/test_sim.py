@@ -185,10 +185,13 @@ class TestCsma:
         assert chi.pvalue > 0.01
 
 
-def _sim_digest(trace, audit) -> str:
+def _sim_digest(trace, audit=None) -> str:
+    arrays = [trace.starts, trace.ends, trace.kinds, trace.masks]
+    if audit is not None:
+        arrays += [audit.t, audit.end, audit.outcome, audit.stage,
+                   audit.counter, audit.fresh]
     h = hashlib.sha256()
-    for a in (trace.starts, trace.ends, trace.kinds, trace.masks, audit.t,
-              audit.end, audit.outcome, audit.stage, audit.counter, audit.fresh):
+    for a in arrays:
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
@@ -249,6 +252,44 @@ class TestCsmaPinned:
         # A pending counter never goes negative; a fresh draw is at least 1.
         assert np.all(audit.counter >= 0)
         assert np.all(audit.counter[audit.fresh] >= 1)
+
+
+class TestAlohaPinned:
+    """Digests of Aloha traces for a fixed seed, with warm-ups on and off the
+    slot grid: any drift in the seed-to-trace mapping fails here."""
+
+    PINNED = {
+        (0.5, 0.5, 1, 0):
+            "b6dc9b2caa62197325e05079bfbf646321b8e4e9097f80df23292fdecf8bd651",
+        (0.5, 0.5, 1, 1000):
+            "e48d8f237ff9ee6d1a4d727e99c46bb7de1e5cedf0e28245e54647645c3ea144",
+        (0.5, 0.5, 1, 1001):
+            "49b74e4cc9b6a4ff723d81322503d9b84b8e47cba4485f33df7d6621cba354e1",
+        (0.5, 0.5, 3, 0):
+            "4aaeb0101a59e811271d400d38c7c58f7399b8b9adde9c41fd97846a95331a44",
+        (0.5, 0.5, 3, 1000):
+            "6b41aa94156273fa2ca35a44197c4dc3af8f8f378ba5dbb48f47dc3e5dafb37d",
+        (0.5, 0.5, 3, 1001):
+            "3e10d2b9f62cfb32037a4407d8adad2b19ad2005fb7351ebc89e26d702bc462d",
+        (0.2, 0.8, 1, 0):
+            "d4df5c22689f0bf19f452d847e5c2aa37e84d20526900663c0d7bd0a74669aec",
+        (0.2, 0.8, 1, 1000):
+            "f4981c1bdbeb1733c66963c6be7709bf2b079a7d839e6716a5c1bdd49260f8dd",
+        (0.2, 0.8, 1, 1001):
+            "d32fbba589eef020c0ebabfdec80f4d96b0d700807fb4046410827b6dca549bd",
+        (0.2, 0.8, 3, 0):
+            "7c24c1441e72973542a1278d3dcc3f67009f8e863616899070e95f8b8029fc7a",
+        (0.2, 0.8, 3, 1000):
+            "7405019b1264bf9c8f25622395ff4f25cbcdf2f7c50b6e234fec5fdaeca29a88",
+        (0.2, 0.8, 3, 1001):
+            "67b4e6e035a9206f3d51e8bda423a191ed999ffce62d8ec67c1793a8278bbc72",
+    }
+
+    @pytest.mark.parametrize("p_a,p_b,slot,warmup", list(PINNED))
+    def test_digest(self, p_a, p_b, slot, warmup):
+        trace = simulate_aloha(AlohaParams(p_a, p_b, slot=slot),
+                               SimConfig(seed=7, horizon=20_000, warmup=warmup))
+        assert _sim_digest(trace) == self.PINNED[p_a, p_b, slot, warmup]
 
 
 class TestCsmaAudit:
@@ -380,6 +421,48 @@ class TestWindowing:
         # Packets cover [45,60) partially: dropped; first kept starts at 60-45.
         assert tr.starts.min() == 15
         assert tr.ends.max() <= 100
+
+    SIMS = {
+        "aloha": lambda cfg: simulate_aloha(AlohaParams(0.5, 0.5, slot=30), cfg),
+        "csma": lambda cfg: simulate_csma(TABLE, cfg),
+        "tdma": lambda cfg: simulate_tdma([30, 30], cfg),
+    }
+
+    @pytest.mark.parametrize("warmup", [0, 5, 1000])
+    @pytest.mark.parametrize("sim", list(SIMS))
+    def test_horizon_shorter_than_one_event(self, sim, warmup):
+        # Every event these simulators emit is longer than 4 ticks.
+        tr = self.SIMS[sim](SimConfig(seed=1, horizon=4, warmup=warmup))
+        validate_trace(tr)
+        assert len(tr) == 0 and tr.horizon == 4
+        for a in (tr.starts, tr.ends, tr.kinds, tr.masks):
+            assert a.shape == (0,)
+
+    def test_short_horizon_empty_audit(self):
+        tr, audit = simulate_csma(TABLE, SimConfig(seed=1, horizon=4, warmup=7),
+                                  audit=True)
+        assert len(tr) == 0 and len(audit) == 0
+        assert audit.counter.shape == audit.stage.shape == (0, 2)
+
+    def test_aloha_straddlers_dropped_off_grid(self):
+        # warmup 1001 and warmup + horizon 1102 both fall inside a 3-tick
+        # slot; with p = 1 every slot is its own Collision event, so the kept
+        # events are exactly the slots [1002, 1005), ..., [1098, 1101).
+        cfg = SimConfig(seed=0, horizon=101, warmup=1001)
+        tr = simulate_aloha(AlohaParams(1.0, 1.0, slot=3), cfg)
+        validate_trace(tr)
+        assert tr.starts.tolist() == list(range(1, 98, 3))
+        assert tr.ends.tolist() == list(range(4, 101, 3))
+
+    @pytest.mark.parametrize("sim", list(SIMS))
+    def test_starts_ends_read_only(self, sim):
+        tr = self.SIMS[sim](SimConfig(seed=2, horizon=5000, warmup=7))
+        assert len(tr) > 0
+        assert np.shares_memory(tr.starts, tr.ends)
+        for a in (tr.starts, tr.ends, tr.kinds, tr.masks):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     def test_bad_config(self):
         with pytest.raises(TraceError):

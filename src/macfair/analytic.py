@@ -69,45 +69,48 @@ class AnalyticCct:
 
 # -- slotted Aloha -----------------------------------------------------------
 
-def aloha_success_split(p_a: float, p_b: float) -> tuple[float, float]:
-    """Probability that a successful slot belongs to user A (resp. B).
+def _solo_rates(p_a: float, p_b: float) -> tuple[float, float]:
+    """Per-slot probabilities s_a = p_a(1-p_b) and s_b = p_b(1-p_a) that A,
+    resp. B, transmits alone; a slot is a success with probability s_a + s_b."""
+    s_a, s_b = p_a * (1.0 - p_b), p_b * (1.0 - p_a)
+    if s_a + s_b == 0.0:
+        raise DegenerateError("no single-transmitter slot is possible")
+    return s_a, s_b
 
-    Conditioning on the slot being a success: A transmits alone with weight
-    (1-p_b)p_a, B with (1-p_a)p_b; the two weights are renormalised.
-    """
+
+def aloha_success_split(p_a: float, p_b: float) -> tuple[float, float]:
+    """Probability that a successful slot belongs to user A (resp. B):
+    the solo rates renormalised, s_a/(s_a+s_b) and s_b/(s_a+s_b)."""
     _check_prob("p_a", p_a)
     _check_prob("p_b", p_b)
-    denom = (1.0 - p_b) * p_a + (1.0 - p_a) * p_b
-    if denom == 0.0:
-        raise DegenerateError("no single-transmitter slot is possible")
-    return ((1.0 - p_b) * p_a / denom, (1.0 - p_a) * p_b / denom)
+    s_a, s_b = _solo_rates(p_a, p_b)
+    return s_a / (s_a + s_b), s_b / (s_a + s_b)
 
 
 def aloha_mean_success_time(params: AlohaParams) -> float:
     """Mean waiting time for the next successful slot, in ticks.
 
-    Successes arrive per slot with probability (1-p_a)p_b + (1-p_b)p_a, so the
-    wait is geometric with that parameter, scaled by the slot length.
+    The wait is geometric with the success rate s_a + s_b, scaled by the slot
+    length.
     """
-    denom = ((1.0 - params.p_a) * params.p_b + (1.0 - params.p_b) * params.p_a)
-    if denom == 0.0:
-        raise DegenerateError("no single-transmitter slot is possible")
-    return params.slot / denom
+    s_a, s_b = _solo_rates(params.p_a, params.p_b)
+    return params.slot / (s_a + s_b)
 
 
 def aloha_cct(params: AlohaParams) -> AnalyticCct:
     """Channel cycle time of two-user slotted Aloha, in ticks.
 
-    psi = [(1-p_a)p_b + (1-p_b)p_a] / [(1-p_a)(1-p_b) p_a p_b] * slot.
+    psi = (s_a + s_b) / [(1-p_a)(1-p_b) p_a p_b] * slot.
     Undefined when either probability is 0 or 1: one user then never succeeds
     (or never yields), so no finite cycle exists.
     """
     p_a, p_b = params.p_a, params.p_b
     if p_a in (0.0, 1.0) or p_b in (0.0, 1.0):
         raise DegenerateError("cycle time needs both probabilities inside (0, 1)")
-    num = (1.0 - p_a) * p_b + (1.0 - p_b) * p_a
+    s_a, s_b = _solo_rates(p_a, p_b)
+    # The denominator stays this product: s_a * s_b rounds differently.
     den = (1.0 - p_a) * (1.0 - p_b) * p_a * p_b
-    psi = num / den * params.slot
+    psi = (s_a + s_b) / den * params.slot
     return AnalyticCct(psi, CctMode.ALOHA_SLOTTED, CctComponents())
 
 
@@ -221,8 +224,11 @@ def part_count_means(p_ni0: float, e_ni: float = 1.0) -> tuple[float, float]:
 _CCT_MODES = {CsmaMode.RTS_CTS: CctMode.CSMA_RTS_CTS,
               CsmaMode.BASIC: CctMode.CSMA_BASIC}
 
+# P(N_I = 0) observed in simulation under symmetric saturation at cw_min 32.
+DEFAULT_P_NI0 = 0.32
 
-def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
+
+def csma_cct(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0, e_ni: float = 1.0,
              mode: CsmaMode = CsmaMode.RTS_CTS,
              p_c: float | None = None) -> AnalyticCct:
     """Channel cycle time of two-user CSMA/CA, in slots.
@@ -234,8 +240,8 @@ def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
         psi = [ (l_difs + l_tran - 1) E[N_I]
                 + (l_difs + l_tran)/(1 - p_c) + mu ] / (1 - p_ni0)
 
-    Both are psi = part1 + part2 with the mode's success and collision
-    lengths from `CsmaParams.busy_slots`.
+    Both are psi = part1 + part2 built from the mode's defer, attempt and
+    payload terms in `CsmaParams.round_terms`.
 
     p_c defaults to the contention fixed point for the given window; pass an
     empirical value to evaluate the form against a measured run.  p_ni0 and
@@ -248,26 +254,24 @@ def csma_cct(params: CsmaParams, p_ni0: float = 0.32, e_ni: float = 1.0,
         raise DomainError("e_ni must be positive")
     if p_c is None:
         p_c = solve_collision_probability(params.cw_min, params.beta).p_c
-    elif not 0.0 <= p_c < 1.0:
-        raise DomainError(f"p_c={p_c} outside [0, 1)")
-    succ_len, coll_len = params.busy_slots(mode)
     mu = expected_backoff_sum(p_c, params.cw_min, params.beta)
-    retry = 1.0 / (1.0 - p_c)
+    defer, attempt, payload = params.round_terms(mode)
     e_nb, e_na = part_count_means(p_ni0, e_ni)
-    # A deferral freezes the loser for the winner's exchange less the one
-    # slot its counter expires; the owner's attempts pay DIFS plus the
-    # collision cost per try, and a success adds the payload on top.
-    defer = params.l_difs + succ_len - 1
-    payload = succ_len - coll_len
-    attempt = (params.l_difs + coll_len) * retry + mu
-    part1 = defer * e_nb + payload + attempt
-    part2 = e_na * (attempt + payload)
+    # Expected cost of the owner's tries up to and including its success.
+    tries = attempt * (1.0 / (1.0 - p_c)) + mu
+    part1 = defer * e_nb + payload + tries
+    part2 = e_na * (tries + payload)
     comps = CctComponents(part1_mean=part1, part2_mean=part2, mu=mu,
                           p_c=p_c, p_ni0=p_ni0, e_ni=e_ni)
     return AnalyticCct(part1 + part2, _CCT_MODES[mode], comps)
 
 
-def csma_cct_fixed_window(params: CsmaParams, p_ni0: float = 0.32) -> float:
+def _cw_cost(cw: int, l_difs: int, l_rcts: int) -> float:
+    """The window-dependent part of the fixed-window RTS/CTS cycle time."""
+    return 2.0 * (l_difs + l_rcts) / (cw + 1.0) + (cw + 1.0) / 2.0
+
+
+def csma_cct_fixed_window(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0) -> float:
     """RTS/CTS cycle time for a non-escalating window (beta = 0), in slots.
 
     With a fixed window CW the fixed point is p_c = 2/(CW+3) and the general
@@ -280,11 +284,9 @@ def csma_cct_fixed_window(params: CsmaParams, p_ni0: float = 0.32) -> float:
         raise DomainError("fixed-window form requires beta = 0")
     if not 0.0 < p_ni0 < 1.0:
         raise DomainError(f"p_ni0={p_ni0} outside (0, 1)")
-    cw = params.cw_min
     const = (2 * params.l_difs + params.l_nav + params.l_rcts
              + params.l_tran + 1)
-    core = (2.0 * (params.l_difs + params.l_rcts) / (cw + 1.0)
-            + (cw + 1.0) / 2.0 + const)
+    core = _cw_cost(params.cw_min, params.l_difs, params.l_rcts) + const
     return core / (1.0 - p_ni0)
 
 
@@ -306,13 +308,9 @@ def cw_min_optimal(l_difs: int, l_rcts: int) -> CwOptimum:
     if l_difs < 0 or l_rcts < 0 or l_difs + l_rcts <= 0:
         raise DomainError("l_difs + l_rcts must be positive")
     cont = 2.0 * math.sqrt(l_difs + l_rcts) - 1.0
-
-    def cost(cw: int) -> float:
-        return 2.0 * (l_difs + l_rcts) / (cw + 1.0) + (cw + 1.0) / 2.0
-
     lo = max(1, math.floor(cont))
     hi = max(1, math.ceil(cont))
-    best = lo if cost(lo) <= cost(hi) else hi
+    best = min((lo, hi), key=lambda cw: _cw_cost(cw, l_difs, l_rcts))
     return CwOptimum(cont, best)
 
 

@@ -46,30 +46,19 @@ _CSMA_MODES = {"csma-rtscts": CsmaMode.RTS_CTS, "csma-basic": CsmaMode.BASIC}
 _PROTOCOLS = ("aloha", *_CSMA_MODES, "tdma")
 
 
-def _build_params(protocol: str, args, point: dict | None = None):
+def _build_params(protocol: str, args):
     """One protocol's parameters from the flags: AlohaParams, CsmaParams, or
-    the list of TDMA packet lengths.
-
-    A sweep `point` maps field names to values that take the place of the
-    matching flags; fields the protocol does not have are ignored.
-    """
-    point = point or {}
+    the list of TDMA packet lengths."""
     mps = args.micros_per_slot
-
-    def duration(field: str, text: str) -> int:
-        return point[field] if field in point else parse_duration(text, mps)
-
     if protocol == "aloha":
-        return AlohaParams(point.get("p_a", args.pa), point.get("p_b", args.pb),
-                           duration("slot", args.slot))
+        return AlohaParams(args.pa, args.pb, parse_duration(args.slot, mps))
     if protocol == "tdma":
-        return point.get("lengths") or [parse_duration(part, mps)
-                                        for part in args.lengths.split(",")]
+        return [parse_duration(part, mps) for part in args.lengths.split(",")]
     return CsmaParams(
-        cw_min=point.get("cw_min", args.cw_min),
+        cw_min=args.cw_min,
         beta=args.beta,
         l_difs=parse_duration(args.difs, mps),
-        l_pkt=duration("l_pkt", args.pkt),
+        l_pkt=parse_duration(args.pkt, mps),
         l_ack=parse_duration(args.ack, mps),
         l_rts=parse_duration(args.rts, mps),
         l_cts=parse_duration(args.cts, mps),
@@ -183,14 +172,18 @@ def _parse_range(text: str, integer: bool) -> list:
             lo, hi, step = int(lo_s), int(hi_s), int(step_s)
             if step <= 0:
                 raise ValueError
-            return list(range(lo, hi + 1, step))
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-        if step <= 0:
-            raise ValueError
-        values = np.round(np.arange(lo, hi + step / 2, step), 10)
-        return [float(v) for v in values]
+            values = list(range(lo, hi + 1, step))
+        else:
+            lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+            if step <= 0:
+                raise ValueError
+            values = [float(v) for v in
+                      np.round(np.arange(lo, hi + step / 2, step), 10)]
     except ValueError:
         raise TraceError(f"bad range {text!r}; use lo:hi:step") from None
+    if not values:
+        raise TraceError(f"range {text!r} has no values")
+    return values
 
 
 def _run_seed(base: int, point: int, rep: int) -> int:
@@ -205,19 +198,22 @@ def cmd_sweep(args) -> int:
             raise TraceError(f"unknown protocol {p!r}")
     if args.reps < 1:
         raise TraceError("--reps must be at least 1")
+    if args.seed < 0:
+        raise TraceError("seed must be non-negative")
     if sum(bool(a) for a in (args.pkt_range, args.p_range, args.cw_range)) != 1:
         raise TraceError("exactly one of --pkt-range, --p-range, --cw-range "
                          "is required")
-    # Each point overrides one parameter field per protocol: a packet length
-    # is the Aloha slot, the CSMA packet and both TDMA lengths.
+    # Each point overrides flag values: a packet length is the Aloha slot, the
+    # CSMA packet and both TDMA lengths.
     if args.pkt_range:
-        points = [(str(v), {"slot": v, "l_pkt": v, "lengths": [v, v]})
+        points = [(str(v), {"slot": str(v), "pkt": str(v),
+                            "lengths": f"{v},{v}"})
                   for v in _parse_range(args.pkt_range, integer=True)]
     elif args.p_range:
         if set(protocols) - {"aloha"}:
             raise TraceError("--p-range sweeps apply to aloha only")
         grid = _parse_range(args.p_range, integer=False)
-        points = [(f"{pa:g}/{pb:g}", {"p_a": pa, "p_b": pb})
+        points = [(f"{pa:g}/{pb:g}", {"pa": pa, "pb": pb})
                   for pa in grid for pb in grid]
     else:
         if set(protocols) - set(_CSMA_MODES):
@@ -225,9 +221,10 @@ def cmd_sweep(args) -> int:
         points = [(str(v), {"cw_min": v})
                   for v in _parse_range(args.cw_range, integer=True)]
     rows = ["x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95"]
-    for pi, (label, point) in enumerate(points):
+    for pi, (label, flags) in enumerate(points):
+        point_args = argparse.Namespace(**{**vars(args), **flags})
         for protocol in protocols:
-            params = _build_params(protocol, args, point)
+            params = _build_params(protocol, point_args)
             psi_a = _predict(protocol, params, args).psi_slots
             samples = []
             for rep in range(args.reps):
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = fam.add_parser("csma", allow_abbrev=False)
     cs.add_argument("--mode", choices=sorted(m.value for m in CsmaMode),
                     default="rtscts")
-    cs.add_argument("--p-ni0", type=float, default=0.32)
+    cs.add_argument("--p-ni0", type=float, default=analytic.DEFAULT_P_NI0)
     cs.add_argument("--e-ni", type=float, default=1.0)
     cs.add_argument("--p-c", type=float, default=None,
                     help="override the fixed-point collision probability")
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--pa", type=float, default=0.5)
     sw.add_argument("--pb", type=float, default=0.5)
     sw.add_argument("--slot", default="1")
-    sw.add_argument("--p-ni0", type=float, default=0.32)
+    sw.add_argument("--p-ni0", type=float, default=analytic.DEFAULT_P_NI0)
     sw.add_argument("--e-ni", type=float, default=1.0)
     _add_csma_flags(sw, require_pkt=False)
     sw.add_argument("--pkt", default="30")

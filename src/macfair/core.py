@@ -250,9 +250,8 @@ class ChannelTrace:
         horizon: int | None = None
         starts, ends, kinds, masks = [], [], [], []
         index: dict[str, int] = {}
-        seen: list[str] = []
+        mask_of: dict[str, int] = {}  # users field -> its mask, once checked
         headers: set[str] = set()
-        max_end = 0
         for line_no, raw in enumerate(fp, start=1):
             line = raw.strip()
             if not line:
@@ -293,26 +292,29 @@ class ChannelTrace:
             code = _CHAR_TO_CODE.get(kind_str)
             if code is None:
                 raise TraceParseError(line_no, f"unknown event kind {kind_str!r}")
-            mask = 0
-            if who:
-                for u in who.split("+"):
-                    if u not in index:
-                        if users is not None:
-                            raise TraceParseError(line_no, f"unknown user {u!r}")
-                        index[u] = len(seen)
-                        seen.append(u)
-                    mask |= 1 << index[u]
+            mask = mask_of.get(who)
+            if mask is None:
+                mask = 0
+                if who:
+                    for u in who.split("+"):
+                        if u not in index:
+                            if users is not None:
+                                raise TraceParseError(line_no, f"unknown user {u!r}")
+                            index[u] = len(index)
+                        mask |= 1 << index[u]
+                mask_of[who] = mask
+            # Scaled per line: an int64 array scaled afterwards would wrap
+            # silently on overflow.
             starts.append(s * scale)
             ends.append(e * scale)
             kinds.append(code)
             masks.append(mask)
-            if ends and ends[-1] > max_end:
-                max_end = ends[-1]
         if users is None:
-            users = tuple(seen)
+            users = tuple(index)
+        ends_arr = np.asarray(ends, np.int64)
         if horizon is None:
-            horizon = max_end
-        return cls(users, np.asarray(starts, np.int64), np.asarray(ends, np.int64),
+            horizon = int(ends_arr.max(initial=0))
+        return cls(users, np.asarray(starts, np.int64), ends_arr,
                    np.asarray(kinds, np.int8), np.asarray(masks, np.int64), horizon)
 
     @classmethod
@@ -435,11 +437,8 @@ class CsmaParams:
 
     @property
     def l_nav(self) -> int:
-        """Slots a deferring station stays frozen after losing a reservation.
-
-        One slot shorter than the full RTS/CTS + data exchange because the
-        loser's pending backoff also expires one slot during that exchange.
-        """
+        """Slots a deferring station stays frozen after losing a reservation:
+        the RTS/CTS-mode defer of `round_terms` less DIFS."""
         return self.l_tran + self.l_rcts - 1
 
     def busy_slots(self, mode: CsmaMode) -> tuple[int, int]:
@@ -454,3 +453,15 @@ class CsmaParams:
         if mode is CsmaMode.BASIC:
             return self.l_tran, self.l_tran
         raise TraceError(f"unsupported CSMA mode {mode!r}")
+
+    def round_terms(self, mode: CsmaMode) -> tuple[int, int, int]:
+        """Slot costs (defer, attempt, payload) of the rounds a cycle is made
+        of, from (succ, coll) = `busy_slots(mode)`.
+
+        defer = l_difs + succ - 1 is a round the other station wins, less the
+        one slot the loser's counter expires during the winner's exchange;
+        attempt = l_difs + coll is paid by every try; payload = succ - coll is
+        what a success adds to its attempt.
+        """
+        succ, coll = self.busy_slots(mode)
+        return self.l_difs + succ - 1, self.l_difs + coll, succ - coll

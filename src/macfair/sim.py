@@ -93,6 +93,8 @@ class SimConfig:
     warmup: int = 1000
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise TraceError("seed must be non-negative")
         if self.horizon < 1:
             raise TraceError("horizon must be at least 1 tick")
         if self.warmup < 0:
@@ -362,11 +364,8 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
 
     Part 1 of a cycle (refresh moment to the end of the owner's first success)
     must equal n_b deferrals plus the owner's own attempts; part 2 is the
-    owner's run of further successes.  With (succ_len, coll_len) =
-    `params.busy_slots(mode)`, the terms `csma_cct` uses,
-
-        defer = l_difs + succ_len - 1,  attempt = l_difs + coll_len,
-        payload = succ_len - coll_len,
+    owner's run of further successes.  With the terms of
+    `params.round_terms(mode)`, which `csma_cct` also uses,
 
         part1 = n_b defer + payload + (rho1 + 1) attempt + sum of fresh lambdas
         part2 = n_a' payload + (rho2 + n_a') attempt + sum of fresh lambdas
@@ -420,10 +419,7 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
         raise TraceError("other user's success inside part 2 of a cycle")
     if np.any(k1 != rho1 + 1) or np.any(k2 != rho2 + n_a):
         raise TraceError("fresh-draw counts do not match round outcomes")
-    succ_len, coll_len = params.busy_slots(mode)
-    defer = params.l_difs + succ_len - 1
-    attempt = params.l_difs + coll_len
-    payload = succ_len - coll_len
+    defer, attempt, payload = params.round_terms(mode)
     recon1 = n_b * defer + payload + (rho1 + 1) * attempt + lam1
     recon2 = n_a * payload + (rho2 + n_a) * attempt + lam2
     measured1 = audit_rec.end[s] - t0

@@ -1,5 +1,6 @@
 """Closed forms: Aloha cycle time, the contention fixed point, backoff series,
 CSMA cycle times, window optimum, and the RTS/CTS-vs-basic inflection."""
+import hashlib
 import math
 
 import numpy as np
@@ -408,3 +409,48 @@ class TestAnalyticCctType:
             assert getattr(c, field) is not None
         a = aloha_cct(AlohaParams(0.5, 0.5)).components
         assert a.p_c is None and a.mu is None
+
+
+def _pinned_lines():
+    """`repr` of each closed-form result, or its exception type and message,
+    over a fixed grid of inputs and edge values."""
+
+    def out(fn, *args, **kwargs) -> str:
+        try:
+            return repr(fn(*args, **kwargs))
+        except analytic.AnalyticError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    probs = [i / 100 for i in range(101)]
+    for p_a in probs:
+        for p_b in probs:
+            yield out(aloha_success_split, p_a, p_b)
+            for slot in (1, 3, 30):
+                params = AlohaParams(p_a, p_b, slot)
+                yield out(aloha_mean_success_time, params)
+                yield out(aloha_cct, params)
+    for cw in (1, 2, 3, 8, 32, 64):
+        for beta in (0, 1, 5):
+            for difs in (1, 4, 40):
+                for pkt in (1, 30, 100):
+                    params = CsmaParams(cw_min=cw, beta=beta, l_difs=difs,
+                                        l_pkt=pkt)
+                    for mode in CsmaMode:
+                        yield out(csma_cct, params, mode=mode)
+                        yield out(csma_cct, params, p_ni0=0.2, e_ni=1.7,
+                                  mode=mode)
+                        for p_c in (0.1, 0.0, 1.0, -0.1):
+                            yield out(csma_cct, params, mode=mode, p_c=p_c)
+                    yield out(csma_cct_fixed_window, params)
+    for l_difs in range(20):
+        for l_rcts in range(10):
+            yield out(cw_min_optimal, l_difs, l_rcts)
+
+
+class TestPinned:
+    def test_digest(self):
+        # Generated from the closed forms before their shared terms were
+        # factored out; any change in the last bit of a result shows here.
+        digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
+        assert digest == (
+            "60200c73660f2d0d10d35fb1d26bb95af3313454c616fb5ddf849a7ad64361d5")

@@ -155,6 +155,19 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--protocol", "aloha", "--slots", "100"),
+    ("simulate", "--protocol", "tdma", "--slots", "100"),
+    ("sweep", "--protocols", "aloha", "--pkt-range", "30:30:1",
+     "--slots", "100"),
+])
+def test_negative_seed_is_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be non-negative\n"
+
+
 class TestAnalyze:
     def test_reference_trace_report(self, tmp_path, capsys):
         path = tmp_path / "fig.csv"
@@ -294,6 +307,22 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--pkt-range", "30-50-10",
                            "--slots", "1000")
         assert code == 1
+
+    @pytest.mark.parametrize("protocols,axis,text", [
+        ("aloha", "--pkt-range", "100:30:10"),
+        ("aloha", "--p-range", "0.8:0.2:0.1"),
+        ("csma-rtscts", "--cw-range", "64:4:8"),
+    ])
+    def test_empty_range_is_exit_1(self, tmp_path, capsys, protocols, axis,
+                                   text):
+        path = tmp_path / "sweep.csv"
+        for extra in ((), ("--out", str(path))):
+            code, out, err = run(capsys, "sweep", "--protocols", protocols,
+                                 axis, text, *extra)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: range {text!r} has no values\n"
+        assert not path.exists()
 
 
 class TestCharacterization:

@@ -185,6 +185,16 @@ class TestFileRoundTrip:
         assert tr.horizon == 12
         assert len(tr) == 3
 
+    @pytest.mark.parametrize("text,users,horizon,masks", [
+        ("0,4,C,B+A\n4,9,S,A\n2,3,S,B\n", ("B", "A"), 9, [3, 2, 1]),
+        ("#users=A+B\n", ("A", "B"), 0, []),
+    ])
+    def test_headerless_order_and_horizon(self, text, users, horizon, masks):
+        tr = ChannelTrace.read(io.StringIO(text))
+        assert tr.users == users
+        assert tr.horizon == horizon
+        assert tr.masks.tolist() == masks
+
     def test_slots_per_unit_scales(self):
         text = "#slots_per_unit=3\n0,2,S,A\n2,4,S,B\n"
         tr = ChannelTrace.read(io.StringIO(text))

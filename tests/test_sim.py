@@ -469,6 +469,8 @@ class TestWindowing:
             SimConfig(seed=0, horizon=0)
         with pytest.raises(TraceError):
             SimConfig(seed=0, horizon=10, warmup=-1)
+        with pytest.raises(TraceError, match="seed must be non-negative"):
+            SimConfig(seed=-1, horizon=10)
 
 
 class TestAgainstClosedForms:

@@ -278,14 +278,17 @@ def csma_cct_fixed_window(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0) -> f
     form collapses to
 
         psi = [ 2(l_difs + l_rcts)/(CW + 1) + (CW + 1)/2 + C ] / (1 - p_ni0),
-        C = 2 l_difs + l_nav + l_rcts + l_tran + 1.
+        C = defer + attempt + payload + 1,
+
+    with the RTS/CTS terms of `CsmaParams.round_terms`, which `csma_cct`
+    also uses.
     """
     if params.beta != 0:
         raise DomainError("fixed-window form requires beta = 0")
     if not 0.0 < p_ni0 < 1.0:
         raise DomainError(f"p_ni0={p_ni0} outside (0, 1)")
-    const = (2 * params.l_difs + params.l_nav + params.l_rcts
-             + params.l_tran + 1)
+    defer, attempt, payload = params.round_terms(CsmaMode.RTS_CTS)
+    const = defer + attempt + payload + 1
     core = _cw_cost(params.cw_min, params.l_difs, params.l_rcts) + const
     return core / (1.0 - p_ni0)
 

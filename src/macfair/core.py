@@ -12,10 +12,9 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-Tick = int
-
 MICROS_PER_SLOT = 20   # physical duration of one slot, in microseconds
 _MAX_USERS = 63        # participant sets are stored as int64 bitmasks
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 class TraceError(ValueError):
@@ -286,9 +285,15 @@ class ChannelTrace:
                 raise TraceParseError(line_no, "expected start,end,kind,users")
             s_str, e_str, kind_str, who = parts
             try:
-                s, e = int(s_str), int(e_str)
+                s, e = int(s_str) * scale, int(e_str) * scale
             except ValueError:
                 raise TraceParseError(line_no, f"bad slot bounds {s_str!r},{e_str!r}")
+            # Scaled and range-checked per line: an int64 array scaled
+            # afterwards would wrap silently on overflow.
+            if not (_INT64_MIN <= s <= _INT64_MAX and _INT64_MIN <= e <= _INT64_MAX):
+                raise TraceParseError(
+                    line_no, f"slot bounds {s_str},{e_str} at slots_per_unit="
+                    f"{scale} do not fit in int64")
             code = _CHAR_TO_CODE.get(kind_str)
             if code is None:
                 raise TraceParseError(line_no, f"unknown event kind {kind_str!r}")
@@ -303,17 +308,17 @@ class ChannelTrace:
                             index[u] = len(index)
                         mask |= 1 << index[u]
                 mask_of[who] = mask
-            # Scaled per line: an int64 array scaled afterwards would wrap
-            # silently on overflow.
-            starts.append(s * scale)
-            ends.append(e * scale)
+            starts.append(s)
+            ends.append(e)
             kinds.append(code)
             masks.append(mask)
         if users is None:
             users = tuple(index)
         ends_arr = np.asarray(ends, np.int64)
-        if horizon is None:
-            horizon = int(ends_arr.max(initial=0))
+        # Headers precede events, so the scale is final here whichever of
+        # the two headers came first.
+        horizon = (int(ends_arr.max(initial=0)) if horizon is None
+                   else horizon * scale)
         return cls(users, np.asarray(starts, np.int64), ends_arr,
                    np.asarray(kinds, np.int8), np.asarray(masks, np.int64), horizon)
 

@@ -13,6 +13,9 @@ refresh position g of user u, let q be the latest among every other user's
 first success after g.  The cycle closes at u's first refresh position after
 q; if some other user never succeeds after g, or u has no refresh position
 after q, no cycle starts at g.
+
+Cycles, and the two parts of a two-user cycle, are positions in this
+success sequence; end times are gathered at those positions last.
 """
 from __future__ import annotations
 
@@ -61,12 +64,14 @@ def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
     """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2)."""
     i = trace.user_index(user)
     ends, uidx = _success_seq(trace)
-    return _cycle_intervals(ends, uidx, i, len(trace.users))
+    start, close = _cycle_positions(uidx, i, len(trace.users))
+    return np.column_stack([ends[start], ends[close]])
 
 
-def _cycle_intervals(ends: np.ndarray, uidx: np.ndarray, i: int,
-                     n_users: int) -> np.ndarray:
-    """User i's cycles by the next-occurrence rule of the module docstring."""
+def _cycle_positions(uidx: np.ndarray, i: int,
+                     n_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Success positions opening and closing user i's cycles, by the
+    next-occurrence rule of the module docstring."""
     pos = _refresh_positions(uidx, i)
     q = pos
     for v in range(n_users):
@@ -78,7 +83,7 @@ def _cycle_intervals(ends: np.ndarray, uidx: np.ndarray, i: int,
             q = np.maximum(q, occ[np.cumsum(is_v)[pos]])
     close = np.searchsorted(pos, q, "right")
     ok = close < len(pos)
-    return np.column_stack([ends[pos[ok]], ends[pos[close[ok]]]])
+    return pos[ok], pos[close[ok]]
 
 
 def cycle_times(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -136,8 +141,8 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     ends, uidx = _success_seq(trace)
     samples = {}
     for i, u in enumerate(trace.users):
-        iv = _cycle_intervals(ends, uidx, i, len(trace.users))
-        samples[u] = iv[:, 1] - iv[:, 0]
+        start, close = _cycle_positions(uidx, i, len(trace.users))
+        samples[u] = ends[close] - ends[start]
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
     if missing:
         return CycleTimeReport(trace.users, samples, None, True, missing)
@@ -209,25 +214,22 @@ class PartSplit:
 
 
 def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
-    """Split each of the user's cycles at the end of their first success inside it."""
+    """Split each of the user's cycles at the end of their first success inside it.
+
+    With two users every success between a cycle's start and the split is the
+    other user's, and every one after the split up to the close is the owner's.
+    """
     if len(trace.users) != 2:
         raise TooFewUsersError("the two-part split is defined for two-user traces")
     i = trace.user_index(user)
     ends, uidx = _success_seq(trace)
-    own = ends[uidx == i]
-    other = ends[uidx != i]
-    iv = _cycle_intervals(ends, uidx, i, 2)
-    if len(iv) == 0:
-        return []
-    t0, t1 = iv[:, 0], iv[:, 1]
-    first_idx = np.searchsorted(own, t0, side="right")
-    first_end = own[first_idx]
-    n_own = np.searchsorted(own, t1, side="right") - first_idx
-    n_a_prime = n_own - 1
-    n_b = (np.searchsorted(other, first_end, side="left")
-           - np.searchsorted(other, t0, side="right"))
-    part1 = first_end - t0
-    part2 = t1 - first_end
+    start, close = _cycle_positions(uidx, i, 2)
+    own = np.flatnonzero(uidx == i)
+    split = own[np.searchsorted(own, start, "right")]
+    n_b = split - start - 1
+    n_a_prime = close - split
+    part1 = ends[split] - ends[start]
+    part2 = ends[close] - ends[split]
     return [PartSplit(int(b), int(a), int(p1), int(p2))
             for b, a, p1, p2 in zip(n_b, n_a_prime, part1, part2)]
 

@@ -379,10 +379,6 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
     if len(trace.users) != 2:
         raise TraceError("part reconstruction is two-user")
     iv = metrics.cycle_intervals(trace, user)
-    n_cycles = len(iv)
-    empty = np.empty(0, np.int64)
-    if n_cycles == 0:
-        return PartReconstruction(empty, empty, empty, empty, empty, empty)
     t0 = iv[:, 0]
     t1 = iv[:, 1]
     # Locate each cycle's rounds.  Rounds tile the window, so the round
@@ -395,27 +391,15 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
     # Split index: first round the owner wins at or after i0.
     wins = np.flatnonzero(audit_rec.outcome == u)
     s = wins[np.searchsorted(wins, i0)]
-    # Prefix sums over rounds for vectorised per-cycle tallies.
-    coll = (audit_rec.outcome == COLLISION_OUTCOME).astype(np.int64)
-    other_win = (audit_rec.outcome == other).astype(np.int64)
-    own_win = (audit_rec.outcome == u).astype(np.int64)
-    fresh_u = audit_rec.fresh[:, u].astype(np.int64)
-    fresh_lam = fresh_u * audit_rec.counter[:, u]
-    p_coll = _prefix(coll)
-    p_other = _prefix(other_win)
-    p_own = _prefix(own_win)
-    p_fresh = _prefix(fresh_u)
-    p_lam = _prefix(fresh_lam)
-    # Part 1 spans rounds [i0, s]; part 2 spans [s+1, i1].
-    n_b = p_other[s] - p_other[i0]
-    rho1 = p_coll[s] - p_coll[i0]
-    lam1 = p_lam[s + 1] - p_lam[i0]
-    k1 = p_fresh[s + 1] - p_fresh[i0]
-    n_a = p_own[i1 + 1] - p_own[s + 1]
-    rho2 = p_coll[i1 + 1] - p_coll[s + 1]
-    lam2 = p_lam[i1 + 1] - p_lam[s + 1]
-    k2 = p_fresh[i1 + 1] - p_fresh[s + 1]
-    if np.any(p_other[i1 + 1] - p_other[s + 1] != 0):
+    # Per-round tallies, summed over rounds [i0, s] for part 1 and [s+1, i1]
+    # for part 2; round s is the owner's win, so it adds no n_b or rho1.
+    fresh = audit_rec.fresh[:, u]
+    tally = _prefix(np.column_stack([
+        audit_rec.outcome == COLLISION_OUTCOME, audit_rec.outcome == other,
+        audit_rec.outcome == u, fresh, fresh * audit_rec.counter[:, u]]))
+    rho1, n_b, _, k1, lam1 = (tally[s + 1] - tally[i0]).T
+    rho2, other2, n_a, k2, lam2 = (tally[i1 + 1] - tally[s + 1]).T
+    if np.any(other2 != 0):
         raise TraceError("other user's success inside part 2 of a cycle")
     if np.any(k1 != rho1 + 1) or np.any(k2 != rho2 + n_a):
         raise TraceError("fresh-draw counts do not match round outcomes")
@@ -428,6 +412,7 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(x) + 1, np.int64)
-    np.cumsum(x, out=out[1:])
+    """Running sums of x along its first axis, with a leading row of zeros."""
+    out = np.zeros((len(x) + 1,) + x.shape[1:], np.int64)
+    np.cumsum(x, axis=0, out=out[1:])
     return out

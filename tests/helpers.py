@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from macfair.core import ChannelEvent, ChannelTrace, EventKind, collision, idle, success
+from macfair.metrics import PartSplit
 
 
 def pattern_trace(pattern: str, lengths: dict[str, int] | None = None,
@@ -111,6 +112,20 @@ def brute_cycle_intervals(trace: ChannelTrace, user: str) -> list[tuple[int, int
                 if all(inner.get(u, 0) > 0 for u in others):
                     continue
             out.append((t0, t1))
+    return out
+
+
+def brute_part_splits(trace: ChannelTrace, user: str) -> list[PartSplit]:
+    """Two-user split of each cycle (t0, t1) at the end of the owner's first
+    success ending after t0: n_b counts the other user's successes ending
+    strictly inside (t0, split), n_a' the owner's ending in (split, t1]."""
+    seq = success_seq(trace)
+    out = []
+    for t0, t1 in brute_cycle_intervals(trace, user):
+        split = min(end for end, who in seq if who == user and end > t0)
+        n_b = sum(1 for end, who in seq if who != user and t0 < end < split)
+        n_a = sum(1 for end, who in seq if who == user and split < end <= t1)
+        out.append(PartSplit(n_b, n_a, split - t0, t1 - split))
     return out
 
 

@@ -225,6 +225,21 @@ class TestAnalyze:
         assert code == 1
         assert "line 2" in err
 
+    def test_bound_beyond_int64_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("0,99999999999999999999,S,A\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1: ")
+
+    def test_scaled_horizon_is_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "scaled.csv"
+        path.write_text("#slots_per_unit=2\n#horizon=10\n0,5,S,A\n5,8,S,B\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert "throughput=0.800000" in out  # 16 busy slots of a 20-slot horizon
+
     def test_invalid_trace_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "overlap.csv"
         path.write_text("0,5,S,A\n3,8,S,B\n")

@@ -201,6 +201,29 @@ class TestFileRoundTrip:
         assert tr.starts.tolist() == [0, 6]
         assert tr.ends.tolist() == [6, 12]
 
+    @pytest.mark.parametrize("headers", [
+        "#slots_per_unit=2\n#horizon=10\n",
+        "#horizon=10\n#slots_per_unit=2\n",
+    ], ids=["scale-first", "horizon-first"])
+    def test_slots_per_unit_scales_horizon(self, headers):
+        tr = ChannelTrace.read(io.StringIO(headers + "0,5,S,A\n5,8,S,B\n"))
+        assert tr.ends.tolist() == [10, 16]
+        assert tr.horizon == 20
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("0,99999999999999999999,S,A\n", 1),
+        ("#slots_per_unit=4\n0,4611686018427387904,S,A\n", 2),
+        ("0,1,S,A\n-9223372036854775809,2,S,B\n", 2),
+    ], ids=["raw", "scaled", "negative"])
+    def test_bounds_beyond_int64_rejected(self, text, line_no):
+        with pytest.raises(TraceParseError, match="int64") as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == line_no
+
+    def test_bounds_at_int64_edge_accepted(self):
+        text = "#slots_per_unit=2\n0,4611686018427387903,S,A\n"
+        assert ChannelTrace.read(io.StringIO(text)).ends.tolist() == [2**63 - 2]
+
     def test_parse_error_carries_line_number(self):
         bad = "0,5,S,A\nnot-a-line\n"
         with pytest.raises(TraceParseError) as err:

@@ -250,6 +250,7 @@ class TestPartDecomposition:
         for user in tr.users:
             samples = cycle_times(tr, user).tolist()
             parts = part_decomposition(tr, user)
+            assert parts == helpers.brute_part_splits(tr, user)
             assert len(parts) == len(samples)
             for p, c in zip(parts, samples):
                 assert p.t_part1 + p.t_part2 == c

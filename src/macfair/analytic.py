@@ -9,7 +9,7 @@ backoff spent per delivered packet, and the two-part cycle decomposition
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import AlohaParams, CsmaMode, CsmaParams
@@ -44,7 +44,12 @@ class CctMode(Enum):
 
 @dataclass(frozen=True)
 class CctComponents:
-    """Intermediate quantities behind a cycle-time prediction (None when unused)."""
+    """Intermediate quantities behind a cycle-time prediction (None when unused).
+
+    `p_c_residual` and `p_c_iterations` are the diagnostics of the contention
+    fixed point, set when `csma_cct` solved it rather than taking `p_c`; as
+    diagnostics, not model values, they stay out of the repr.
+    """
 
     part1_mean: float | None = None
     part2_mean: float | None = None
@@ -52,6 +57,8 @@ class CctComponents:
     p_c: float | None = None
     p_ni0: float | None = None
     e_ni: float | None = None
+    p_c_residual: float | None = field(default=None, repr=False)
+    p_c_iterations: int | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -252,8 +259,10 @@ def csma_cct(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0, e_ni: float = 1.0
         raise DomainError(f"p_ni0={p_ni0} outside (0, 1)")
     if e_ni <= 0.0:
         raise DomainError("e_ni must be positive")
+    residual = iterations = None
     if p_c is None:
-        p_c = solve_collision_probability(params.cw_min, params.beta).p_c
+        fixed = solve_collision_probability(params.cw_min, params.beta)
+        p_c, residual, iterations = fixed.p_c, fixed.residual, fixed.iterations
     mu = expected_backoff_sum(p_c, params.cw_min, params.beta)
     defer, attempt, payload = params.round_terms(mode)
     e_nb, e_na = part_count_means(p_ni0, e_ni)
@@ -262,7 +271,8 @@ def csma_cct(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0, e_ni: float = 1.0
     part1 = defer * e_nb + payload + tries
     part2 = e_na * (tries + payload)
     comps = CctComponents(part1_mean=part1, part2_mean=part2, mu=mu,
-                          p_c=p_c, p_ni0=p_ni0, e_ni=e_ni)
+                          p_c=p_c, p_ni0=p_ni0, e_ni=e_ni,
+                          p_c_residual=residual, p_c_iterations=iterations)
     return AnalyticCct(part1 + part2, _CCT_MODES[mode], comps)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -162,6 +163,9 @@ def cmd_analytic(args) -> int:
         value = getattr(c, name)
         if value is not None:
             print(f"{name}={value:.6f}")
+    if c.p_c_iterations is not None:  # the fixed point was solved here
+        print(f"p_c_residual={c.p_c_residual:.3e}")
+        print(f"p_c_iterations={c.p_c_iterations}")
     return 0
 
 
@@ -184,6 +188,46 @@ def _parse_range(text: str, integer: bool) -> list:
     if not values:
         raise TraceError(f"range {text!r} has no values")
     return values
+
+
+def _t_coverage(theta: float, df: int) -> float:
+    """P(|T| <= sqrt(df) tan(theta)) for Student's t with integer df >= 1:
+    the finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df)."""
+    if df == 1:
+        return 2.0 * theta / math.pi
+    c2 = math.cos(theta) ** 2
+    term = total = 1.0
+    if df % 2:
+        for k in range(1, (df - 1) // 2):
+            term *= c2 * (2 * k) / (2 * k + 1)
+            total += term
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    for k in range(1, df // 2):
+        term *= c2 * (2 * k - 1) / (2 * k)
+        total += term
+    return math.sin(theta) * total
+
+
+def _t_quantile(q: float, df: int) -> float:
+    """Quantile q in [0.5, 1) of Student's t with integer df >= 1.
+
+    Newton's method on theta = atan(t / sqrt(df)) over `_t_coverage`, whose
+    derivative is 2 Gamma((df+1)/2) / (sqrt(pi) Gamma(df/2)) cos(theta)^(df-1).
+    The coverage is concave in theta, so the iterates rise to the root from
+    theta = 0 without overshooting.
+    """
+    target = 2.0 * q - 1.0
+    scale = 2.0 * math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) \
+        / math.sqrt(math.pi)
+    theta = 0.0
+    for _ in range(200):
+        step = ((target - _t_coverage(theta, df))
+                / (scale * math.cos(theta) ** (df - 1)))
+        theta += step
+        if step <= 1e-15 * theta:
+            break
+    return math.sqrt(df) * math.tan(theta)
 
 
 def _run_seed(base: int, point: int, rep: int) -> int:
@@ -220,7 +264,8 @@ def cmd_sweep(args) -> int:
             raise TraceError("--cw-range sweeps apply to CSMA only")
         points = [(str(v), {"cw_min": v})
                   for v in _parse_range(args.cw_range, integer=True)]
-    rows = ["x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95"]
+    rows = ["x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95,"
+            "n_ok"]
     for pi, (label, flags) in enumerate(points):
         point_args = argparse.Namespace(**{**vars(args), **flags})
         for protocol in protocols:
@@ -235,13 +280,17 @@ def cmd_sweep(args) -> int:
                     _simulate(protocol, params, config)[0]).psi_slots
                 if psi is not None:
                     samples.append(psi)
+            n = len(samples)
             if samples:
                 mean = float(np.mean(samples))
-                ci = (1.96 * float(np.std(samples, ddof=1)) / len(samples) ** 0.5
-                      if len(samples) > 1 else 0.0)
-                rows.append(f"{label},{protocol},{psi_a:.6f},{mean:.6f},{ci:.6f}")
+                # Student-t half-width: the reps' own spread, n - 1 d.o.f.
+                ci = (_t_quantile(0.975, n - 1)
+                      * float(np.std(samples, ddof=1)) / math.sqrt(n)
+                      if n > 1 else 0.0)
+                rows.append(f"{label},{protocol},{psi_a:.6f},{mean:.6f},"
+                            f"{ci:.6f},{n}")
             else:
-                rows.append(f"{label},{protocol},{psi_a:.6f},nan,nan")
+                rows.append(f"{label},{protocol},{psi_a:.6f},nan,nan,0")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fp:

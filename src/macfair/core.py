@@ -6,6 +6,7 @@ at the presentation edge (CLI output, file headers), never inside the math.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
@@ -80,7 +81,6 @@ _KIND_TO_CODE = {EventKind.SUCCESS: SUCCESS_CODE,
                  EventKind.IDLE: IDLE_CODE}
 _CODE_TO_KIND = {c: k for k, c in _KIND_TO_CODE.items()}
 _CHAR_TO_CODE = {k.value: c for k, c in _KIND_TO_CODE.items()}
-_CODE_TO_CHAR = {c: k.value for k, c in _KIND_TO_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -227,16 +227,21 @@ class ChannelTrace:
         fp.write("#slots_per_unit=1\n")
         fp.write(f"#users={'+'.join(self.users)}\n")
         fp.write(f"#horizon={self.horizon}\n")
-        label_of: dict[int, str] = {}
-        rows = []
-        for s, e, k, m in zip(self.starts.tolist(), self.ends.tolist(),
-                              self.kinds.tolist(), self.masks.tolist()):
-            who = label_of.get(m)
-            if who is None:
-                who = "+".join(u for b, u in enumerate(self.users) if m >> b & 1)
-                label_of[m] = who
-            rows.append(f"{s},{e},{_CODE_TO_CHAR[k]},{who}\n")
-        fp.writelines(rows)
+        kinds = self.kinds
+        if len(kinds) and not 0 <= int(kinds.min()) <= int(kinds.max()) < 3:
+            raise TraceError("event kind codes must be 0, 1 or 2")
+        # A block's byte matrix is as wide as its longest line, so the block
+        # length follows from the widest line these users allow.
+        widest = _WIDEST_BOUNDS + len("+".join(self.users).encode(
+            "utf-8", "surrogatepass"))
+        step = max(1, _BLOCK_BYTES // widest)
+        labels: dict[int, bytes] = {}
+        for lo in range(0, len(self), step):
+            block = slice(lo, lo + step)
+            text = _render_events(self.starts[block], self.ends[block],
+                                  kinds[block], self.masks[block],
+                                  self.users, labels)
+            fp.write(text.decode("utf-8", "surrogatepass"))
 
     def to_file(self, path) -> None:
         with open(path, "w") as fp:
@@ -244,88 +249,307 @@ class ChannelTrace:
 
     @classmethod
     def read(cls, fp: TextIO) -> "ChannelTrace":
-        scale = 1
-        users: tuple[str, ...] | None = None
-        horizon: int | None = None
-        starts, ends, kinds, masks = [], [], [], []
-        index: dict[str, int] = {}
-        mask_of: dict[str, int] = {}  # users field -> its mask, once checked
-        headers: set[str] = set()
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if starts:
-                    raise TraceParseError(line_no, "header after the first event")
-                key, _, value = line[1:].partition("=")
-                if key in headers:
-                    raise TraceParseError(line_no, f"repeated header {key!r}")
-                headers.add(key)
-                if key == "slots_per_unit":
-                    try:
-                        scale = int(value)
-                    except ValueError:
-                        raise TraceParseError(line_no, f"bad slots_per_unit {value!r}")
-                    if scale <= 0:
-                        raise TraceParseError(line_no, "slots_per_unit must be positive")
-                elif key == "users":
-                    users = tuple(value.split("+")) if value else ()
-                    index = {u: i for i, u in enumerate(users)}
-                elif key == "horizon":
-                    try:
-                        horizon = int(value)
-                    except ValueError:
-                        raise TraceParseError(line_no, f"bad horizon {value!r}")
-                else:
-                    raise TraceParseError(line_no, f"unknown header {key!r}")
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise TraceParseError(line_no, "expected start,end,kind,users")
-            s_str, e_str, kind_str, who = parts
-            try:
-                s, e = int(s_str) * scale, int(e_str) * scale
-            except ValueError:
-                raise TraceParseError(line_no, f"bad slot bounds {s_str!r},{e_str!r}")
-            # Scaled and range-checked per line: an int64 array scaled
-            # afterwards would wrap silently on overflow.
-            if not (_INT64_MIN <= s <= _INT64_MAX and _INT64_MIN <= e <= _INT64_MAX):
-                raise TraceParseError(
-                    line_no, f"slot bounds {s_str},{e_str} at slots_per_unit="
-                    f"{scale} do not fit in int64")
-            code = _CHAR_TO_CODE.get(kind_str)
-            if code is None:
-                raise TraceParseError(line_no, f"unknown event kind {kind_str!r}")
-            mask = mask_of.get(who)
-            if mask is None:
-                mask = 0
-                if who:
-                    for u in who.split("+"):
-                        if u not in index:
-                            if users is not None:
-                                raise TraceParseError(line_no, f"unknown user {u!r}")
-                            index[u] = len(index)
-                        mask |= 1 << index[u]
-                mask_of[who] = mask
-            starts.append(s)
-            ends.append(e)
-            kinds.append(code)
-            masks.append(mask)
-        if users is None:
-            users = tuple(index)
-        ends_arr = np.asarray(ends, np.int64)
-        # Headers precede events, so the scale is final here whichever of
-        # the two headers came first.
-        horizon = (int(ends_arr.max(initial=0)) if horizon is None
-                   else horizon * scale)
-        return cls(users, np.asarray(starts, np.int64), ends_arr,
-                   np.asarray(kinds, np.int8), np.asarray(masks, np.int64), horizon)
+        """Parse a trace file.
+
+        Headers are read line by line.  A body in the plain form (ASCII
+        digits, one-letter kinds, no spaces, `\\n` endings) is parsed as byte
+        columns; anything else sends the whole file to the row parser, which
+        accepts the same inputs and gives every error its line number.
+        """
+        try:
+            origin = fp.tell()
+        except OSError:  # a pipe: keep the text so that it can be re-read
+            fp = io.StringIO(fp.read())
+            origin = 0
+        try:
+            return _read_columns(fp)
+        except (_NotPlain, TraceParseError):
+            fp.seek(origin)
+            return _read_rows(fp)
 
     @classmethod
     def from_file(cls, path) -> "ChannelTrace":
         with open(path) as fp:
             return cls.read(fp)
+
+
+class _FileState:
+    """Headers read so far, and the users-field masks they imply."""
+
+    def __init__(self):
+        self.scale = 1
+        self.users: tuple[str, ...] | None = None
+        self.horizon: int | None = None
+        self.headers: set[str] = set()
+        self.index: dict[str, int] = {}
+        self.mask_of: dict[str, int] = {}  # users field -> its mask, once checked
+
+    def header(self, line: str, line_no: int) -> None:
+        key, _, value = line[1:].partition("=")
+        if key in self.headers:
+            raise TraceParseError(line_no, f"repeated header {key!r}")
+        self.headers.add(key)
+        if key == "slots_per_unit":
+            try:
+                self.scale = int(value)
+            except ValueError:
+                raise TraceParseError(line_no, f"bad slots_per_unit {value!r}")
+            if self.scale <= 0:
+                raise TraceParseError(line_no, "slots_per_unit must be positive")
+        elif key == "users":
+            self.users = tuple(value.split("+")) if value else ()
+            if len(self.users) > _MAX_USERS:
+                raise TraceParseError(line_no, f"more than {_MAX_USERS} users")
+            self.index = {u: i for i, u in enumerate(self.users)}
+        elif key == "horizon":
+            try:
+                self.horizon = int(value)
+            except ValueError:
+                raise TraceParseError(line_no, f"bad horizon {value!r}")
+        else:
+            raise TraceParseError(line_no, f"unknown header {key!r}")
+
+    def mask(self, who: str, line_no: int) -> int:
+        """Bitmask of a users field; without a `#users` header each new
+        label takes the next bit, in order of first appearance."""
+        mask = self.mask_of.get(who)
+        if mask is None:
+            mask = 0
+            for u in who.split("+") if who else ():
+                bit = self.index.get(u)
+                if bit is None:
+                    if self.users is not None:
+                        raise TraceParseError(line_no, f"unknown user {u!r}")
+                    if len(self.index) == _MAX_USERS:
+                        raise TraceParseError(
+                            line_no, f"more than {_MAX_USERS} users")
+                    bit = self.index[u] = len(self.index)
+                if mask >> bit & 1:
+                    raise TraceParseError(line_no, f"user {u!r} named twice")
+                mask |= 1 << bit
+            self.mask_of[who] = mask
+        return mask
+
+    def trace(self, starts, ends, kinds, masks) -> ChannelTrace:
+        users = tuple(self.index) if self.users is None else self.users
+        ends = np.asarray(ends, np.int64)
+        # Headers precede events, so the scale is final here whichever of
+        # the two headers came first.
+        horizon = (int(ends.max(initial=0)) if self.horizon is None
+                   else self.horizon * self.scale)
+        return ChannelTrace(users, np.asarray(starts, np.int64), ends,
+                            np.asarray(kinds, np.int8),
+                            np.asarray(masks, np.int64), horizon)
+
+
+def _read_rows(fp: TextIO) -> ChannelTrace:
+    """The row parser: one line at a time, every error with its line number."""
+    state = _FileState()
+    starts, ends, kinds, masks = [], [], [], []
+    for line_no, raw in enumerate(fp, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if starts:
+                raise TraceParseError(line_no, "header after the first event")
+            state.header(line, line_no)
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise TraceParseError(line_no, "expected start,end,kind,users")
+        s_str, e_str, kind_str, who = parts
+        try:
+            s, e = int(s_str) * state.scale, int(e_str) * state.scale
+        except ValueError:
+            raise TraceParseError(line_no, f"bad slot bounds {s_str!r},{e_str!r}")
+        # Scaled and range-checked per line: an int64 array scaled
+        # afterwards would wrap silently on overflow.
+        if not (_INT64_MIN <= s <= _INT64_MAX and _INT64_MIN <= e <= _INT64_MAX):
+            raise TraceParseError(
+                line_no, f"slot bounds {s_str},{e_str} at slots_per_unit="
+                f"{state.scale} do not fit in int64")
+        code = _CHAR_TO_CODE.get(kind_str)
+        if code is None:
+            raise TraceParseError(line_no, f"unknown event kind {kind_str!r}")
+        starts.append(s)
+        ends.append(e)
+        kinds.append(code)
+        masks.append(state.mask(who, line_no))
+    return state.trace(starts, ends, kinds, masks)
+
+
+# -- trace file body as byte columns -------------------------------------------
+# Both directions work through the body in blocks of about _BLOCK_BYTES, so
+# that temporaries stay small whatever the file size.
+
+_BLOCK_BYTES = 1 << 18
+_MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
+_WIDEST_BOUNDS = 45       # two 20-byte bounds, ",K,", "," and "\n"
+
+_NL, _COMMA, _MINUS, _ZERO = (np.uint8(ord(c)) for c in "\n,-0")
+_POW10 = np.array([10**j for j in range(20)], np.uint64)
+_DIGIT_WEIGHT = _POW10[_MAX_DIGITS - 1::-1].astype(np.int64)  # 10**17 .. 1
+_KIND_BYTES = np.array([ord(_CODE_TO_KIND[c].value) for c in range(3)],
+                       np.uint8)
+_KIND_OF_BYTE = np.full(256, -1, np.int8)
+_KIND_OF_BYTE[_KIND_BYTES] = np.arange(3, dtype=np.int8)
+
+
+class _NotPlain(Exception):
+    """The body leaves the plain form; the row parser takes the file."""
+
+
+def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal text of int64 values, one column per value, right-aligned in
+    a (width, n) byte matrix, and the mask of the bytes each number uses."""
+    neg = values < 0
+    mag = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to 2**63
+    width = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1) + neg
+    w = int(width.max())
+    text = np.empty((w, len(values)), np.uint8)
+    for row in text[::-1]:
+        quot = mag // np.uint64(10)
+        row[:] = mag - quot * np.uint64(10)
+        mag = quot
+    text += _ZERO
+    first = w - width
+    text[first[neg], np.flatnonzero(neg)] = _MINUS
+    return text, np.arange(w)[:, None] >= first
+
+
+def _render_events(starts, ends, kinds, masks, users, labels) -> bytes:
+    """One block of event lines; `labels` caches each mask's users field."""
+    n = len(starts)
+    uniq, inv = np.unique(masks, return_inverse=True)
+    names = []
+    for m in uniq.tolist():
+        if m not in labels:
+            labels[m] = "+".join(u for b, u in enumerate(users)
+                                 if m >> b & 1).encode("utf-8", "surrogatepass")
+        names.append(labels[m])
+    lengths = np.array([len(x) for x in names], np.int64)
+    table = np.zeros((int(lengths.max()), len(names)), np.uint8)
+    for col, name in zip(table.T, names):
+        col[:len(name)] = np.frombuffer(name, np.uint8)
+    s_text, s_keep = _int_rows(starts)
+    e_text, e_keep = _int_rows(ends)
+    mid = np.empty((3, n), np.uint8)  # ",kind,"
+    mid[0] = mid[2] = _COMMA
+    mid[1] = _KIND_BYTES[kinds]
+    ones = np.ones((3, n), bool)
+    text = np.concatenate((s_text, np.full((1, n), _COMMA), e_text, mid,
+                           table[:, inv], np.full((1, n), _NL)))
+    keep = np.concatenate((s_keep, ones[:1], e_keep, ones,
+                           np.arange(len(table))[:, None] < lengths[inv],
+                           ones[:1]))
+    # Line by line: the transposes read each event's bytes in order.
+    return np.compress(keep.T.ravel(), text.T.ravel()).tobytes()
+
+
+def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Values of the fields b[lo:hi], each 1 to 18 ASCII digits."""
+    width = hi - lo
+    w = int(width.max())
+    if int(width.min()) < 1 or w > _MAX_DIGITS:
+        raise _NotPlain
+    rows = np.arange(w)[:, None]
+    # Row j holds each field's j-th digit from the left, right-aligned; the
+    # bytes before a shorter field are zeroed.
+    digit = (b.take(hi + (rows - w), mode="clip") - _ZERO) * (rows >= w - width)
+    if np.any(digit > np.uint8(9)):
+        raise _NotPlain
+    return _DIGIT_WEIGHT[-w:] @ digit
+
+
+def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 state: _FileState, first_line: int) -> np.ndarray:
+    """Masks of the users fields b[lo:hi]: each distinct field goes through
+    `state.mask` once, in order of first appearance."""
+    width = hi - lo
+    w = int(width.max())
+    if w * len(lo) > 8 * len(b):  # a field far longer than the block's lines
+        raise _NotPlain
+    rows = np.arange(w)[:, None]
+    keys = np.zeros((len(lo), max(w, 8)), np.uint8)
+    keys[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
+    keys = keys.view(np.uint64 if w <= 8 else f"S{w}").ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    table = np.empty(len(first), np.int64)
+    for i in np.sort(first).tolist():
+        who = b[lo[i]:hi[i]].tobytes().decode("ascii")
+        table[inv[i]] = state.mask(who, first_line + i)
+    return table[inv]
+
+
+def _parse_events(text: str, state: _FileState, first_line: int):
+    """(starts, ends, kinds, masks) of whole event lines in the plain form."""
+    if not text.isascii():
+        raise _NotPlain
+    if not text.endswith("\n"):
+        text += "\n"
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    nl = np.flatnonzero(b == _NL)
+    commas = np.flatnonzero(b == _COMMA)
+    n = len(nl)
+    # Plain: printable ASCII other than space, and "\n" (the one byte below "!").
+    if (b.max() > np.uint8(0x7E) or len(commas) != 3 * n
+            or np.count_nonzero(b < np.uint8(0x21)) != n):
+        raise _NotPlain
+    c0, c1, c2 = commas.reshape(n, 3).T
+    # With both bounds non-empty, c0 follows the previous newline, so each
+    # line holds exactly its own three commas.
+    if np.any(c2 >= nl) or np.any(c2 - c1 != 2):
+        raise _NotPlain
+    bounds = []
+    for lo, hi in ((np.concatenate(([0], nl[:-1] + 1)), c0), (c0 + 1, c1)):
+        values = _digit_field(b, lo, hi)
+        if state.scale != 1:
+            if int(values.max()) > _INT64_MAX // state.scale:
+                raise _NotPlain
+            values *= np.int64(state.scale)
+        bounds.append(values)
+    kinds = _KIND_OF_BYTE[b[c1 + 1]]
+    if np.any(kinds < 0):
+        raise _NotPlain
+    return (*bounds, kinds, _users_masks(b, c2 + 1, nl, state, first_line))
+
+
+def _read_columns(fp: TextIO) -> ChannelTrace:
+    """Headers row by row, then the body in blocks of whole lines; raises
+    `_NotPlain` where the row parser has to decide."""
+    state = _FileState()
+    line_no = 0
+    for raw in iter(fp.readline, ""):
+        line_no += 1
+        line = raw.strip()
+        if line.startswith("#"):
+            state.header(line, line_no)
+        elif line:
+            break
+    else:
+        return state.trace([], [], [], [])
+    if state.scale > _INT64_MAX:
+        raise _NotPlain
+    columns: tuple[list, ...] = ([], [], [], [])
+    pending = raw
+    while True:
+        chunk = fp.read(_BLOCK_BYTES)
+        text = pending + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        if cut:
+            for parts, values in zip(columns,
+                                     _parse_events(text[:cut], state, line_no)):
+                parts.append(values)
+            line_no += len(values)
+        pending = text[cut:]
+        if not chunk:
+            break
+    arrays = []
+    for parts in columns:  # one column at a time, freeing its blocks
+        arrays.append(np.concatenate(parts))
+        parts.clear()
+    return state.trace(*arrays)
 
 
 def validate_trace(trace: ChannelTrace) -> ChannelTrace:

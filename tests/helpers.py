@@ -8,7 +8,17 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from macfair.core import ChannelEvent, ChannelTrace, EventKind, collision, idle, success
+from macfair.core import (
+    COLLISION_CODE,
+    IDLE_CODE,
+    SUCCESS_CODE,
+    ChannelEvent,
+    ChannelTrace,
+    EventKind,
+    collision,
+    idle,
+    success,
+)
 from macfair.metrics import PartSplit
 
 
@@ -40,6 +50,25 @@ def fig_trace() -> ChannelTrace:
         events.append(success(t, t + 1, ch))
         t += 1
     return ChannelTrace.from_events(("A", "B", "C"), events, t)
+
+
+def write_rows(trace: ChannelTrace, fp) -> None:
+    """Trace file text from one f-string per event: the byte-for-byte
+    reference for `ChannelTrace.write`."""
+    char = {SUCCESS_CODE: "S", COLLISION_CODE: "C", IDLE_CODE: "I"}
+    fp.write("#slots_per_unit=1\n")
+    fp.write(f"#users={'+'.join(trace.users)}\n")
+    fp.write(f"#horizon={trace.horizon}\n")
+    label_of: dict[int, str] = {}
+    rows = []
+    for s, e, k, m in zip(trace.starts.tolist(), trace.ends.tolist(),
+                          trace.kinds.tolist(), trace.masks.tolist()):
+        who = label_of.get(m)
+        if who is None:
+            who = "+".join(u for b, u in enumerate(trace.users) if m >> b & 1)
+            label_of[m] = who
+        rows.append(f"{s},{e},{char[k]},{who}\n")
+    fp.writelines(rows)
 
 
 def success_seq(trace: ChannelTrace) -> list[tuple[int, str]]:
@@ -170,3 +199,26 @@ def traces(draw, max_users: int = 3, max_events: int = 40,
         t += dur
     horizon = t + draw(st.integers(0, 3))
     return ChannelTrace.from_events(users, events, horizon)
+
+
+_LABELS = st.text(st.characters(blacklist_characters=",+\n\r#"),
+                  min_size=1, max_size=4)
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def raw_traces(draw, max_events: int = 30) -> ChannelTrace:
+    """Traces built straight from arrays, not necessarily valid: any int64
+    bounds (often near 2**62), any kind code, any mask, labels from any
+    alphabet."""
+    users = tuple(draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True)))
+    n = draw(st.integers(0, max_events))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    bound = st.one_of(st.integers(0, 10**6), st.integers(2**62 - 99, 2**62 + 99),
+                      _INT64)
+    mask = st.one_of(st.integers(0, 2**len(users) - 1), _INT64)
+    return ChannelTrace(users, column(bound), column(bound),
+                        column(st.integers(0, 2)), column(mask), draw(_INT64))

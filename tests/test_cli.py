@@ -45,6 +45,18 @@ class TestAnalytic:
         assert float(values["p_c"]) == pytest.approx(0.0542, abs=5e-4)
         assert "mu" in values and "part1_mean" in values
 
+    def test_solver_diagnostics(self, capsys):
+        # Printed when the fixed point is solved, not when --p-c is given.
+        code, out, _ = run(capsys, "analytic", "csma", "--pkt", "30")
+        assert code == 0
+        values = kv(out)
+        assert 0.0 <= float(values["p_c_residual"]) < 1e-12
+        assert int(values["p_c_iterations"]) > 0
+        code, out, _ = run(capsys, "analytic", "csma", "--pkt", "30",
+                           "--p-c", "0.1")
+        assert code == 0
+        assert "p_c_residual" not in out and "p_c_iterations" not in out
+
     def test_microsecond_durations(self, capsys):
         code, out, _ = run(capsys, "analytic", "csma", "--pkt", "600us",
                            "--difs", "80us")
@@ -233,6 +245,17 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: line 1: ")
 
+    @pytest.mark.parametrize("text,line_no", [
+        ("#users=" + "+".join(f"U{i}" for i in range(64)) + "\n0,1,S,U63\n", 1),
+        ("".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)), 64),
+    ], ids=["header", "inferred"])
+    def test_64th_user_is_exit_1(self, tmp_path, capsys, text, line_no):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: line {line_no}: more than 63 users\n"
+
     def test_scaled_horizon_is_exit_0(self, tmp_path, capsys):
         path = tmp_path / "scaled.csv"
         path.write_text("#slots_per_unit=2\n#horizon=10\n0,5,S,A\n5,8,S,B\n")
@@ -258,12 +281,14 @@ class TestSweep:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         lines = a.read_text().splitlines()
-        assert lines[0] == "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95"
+        assert lines[0] == ("x,protocol,psi_analytic_slots,psi_sim_mean_slots,"
+                            "psi_sim_ci95,n_ok")
         assert len(lines) == 1 + 3 * 2
         row = lines[1].split(",")
         assert row[0] == "30" and row[1] == "tdma"
         assert float(row[2]) == 60.0
         assert float(row[3]) == 60.0
+        assert row[5] == "2"
 
     def test_single_point_agrees_with_analytic(self, capsys):
         code, out, _ = run(capsys, "sweep", "--protocols", "tdma",
@@ -273,6 +298,26 @@ class TestSweep:
         row = out.splitlines()[1].split(",")
         assert row[2] == row[3] == "80.000000"
         assert row[4] == "0.000000"
+
+    @pytest.mark.parametrize("slots,aloha_row", [
+        ("60", "10,aloha,80.000000,nan,nan,0"),
+        ("200", "10,aloha,80.000000,107.500000,158.827559,2"),
+    ])
+    def test_undefined_reps_are_counted(self, capsys, slots, aloha_row):
+        # Short horizons leave some Aloha reps without a cycle; n_ok shows
+        # how many of the 4 reps the mean and the t interval rest on.
+        code, out, _ = run(capsys, "sweep", "--protocols", "aloha,tdma",
+                           "--pkt-range", "10:10:1", "--slots", slots,
+                           "--reps", "4", "--seed", "1", "--warmup", "0")
+        assert code == 0
+        assert out.splitlines()[1:] == [aloha_row,
+                                        "10,tdma,20.000000,20.000000,0.000000,4"]
+
+    def test_t_quantile_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        dfs = range(1, 1001)
+        ours = [cli._t_quantile(0.975, df) for df in dfs]
+        assert ours == pytest.approx(stats.t.ppf(0.975, dfs), rel=1e-12)
 
     def test_p_range_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--protocols", "aloha",
@@ -347,21 +392,21 @@ class TestCharacterization:
         (["sweep", "--protocols", "csma-rtscts,csma-basic", "--cw-range",
           "8:40:16", "--pkt", "30", "--slots", "20000", "--reps", "2",
           "--seed", "5"],
-         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95\n"
-         "8,csma-rtscts,118.404887,119.029503,11.845222\n"
-         "8,csma-basic,120.412391,125.866932,14.283363\n"
-         "24,csma-rtscts,129.277188,130.863912,4.766903\n"
-         "24,csma-basic,126.562601,128.263276,3.191215\n"
-         "40,csma-rtscts,140.817774,140.965013,6.028426\n"
-         "40,csma-basic,136.921156,140.861426,1.966408\n"),
+         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95,n_ok\n"
+         "8,csma-rtscts,118.404887,119.029503,76.789701,2\n"
+         "8,csma-basic,120.412391,125.866932,92.595582,2\n"
+         "24,csma-rtscts,129.277188,130.863912,30.902676,2\n"
+         "24,csma-basic,126.562601,128.263276,20.687874,2\n"
+         "40,csma-rtscts,140.817774,140.965013,39.080823,2\n"
+         "40,csma-basic,136.921156,140.861426,12.747748,2\n"),
         (["--micros-per-slot", "10", "sweep", "--protocols", "tdma,csma-basic",
           "--pkt-range", "20:30:10", "--difs", "40us", "--slots", "20000",
           "--reps", "2", "--seed", "7"],
-         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95\n"
-         "20,tdma,40.000000,40.000000,0.000000\n"
-         "20,csma-basic,101.326883,102.653527,7.502206\n"
-         "30,tdma,60.000000,60.000000,0.000000\n"
-         "30,csma-basic,131.580361,129.340547,0.353615\n"),
+         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95,n_ok\n"
+         "20,tdma,40.000000,40.000000,0.000000,2\n"
+         "20,csma-basic,101.326883,102.653527,48.634982,2\n"
+         "30,tdma,60.000000,60.000000,0.000000,2\n"
+         "30,csma-basic,131.580361,129.340547,2.292400,2\n"),
         (["analytic", "csma", "--pkt", "30", "--p-c", "0.1"],
          "psi_slots=138.561046\n"
          "psi_us=2771.220915\n"

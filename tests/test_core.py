@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
+from macfair import core
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -267,6 +268,197 @@ class TestFileRoundTrip:
         path = tmp_path / "trace.csv"
         fig_trace.to_file(path)
         assert ChannelTrace.from_file(path) == fig_trace
+
+
+def _written(tr: ChannelTrace, writer) -> str:
+    buf = io.StringIO()
+    writer(tr, buf)
+    return buf.getvalue()
+
+
+def _block_trace(n: int, seed: int = 0) -> ChannelTrace:
+    """A valid trace over several write and read blocks, with masks whose
+    first appearances fall in different blocks."""
+    rng = np.random.default_rng(seed)
+    users = ("A", "B", "C", "D")
+    kinds = rng.choice(np.array([SUCCESS_CODE, COLLISION_CODE, IDLE_CODE],
+                                np.int8), n)
+    masks = np.where(kinds == SUCCESS_CODE, 1 << rng.integers(0, 3, n),
+                     np.where(kinds == COLLISION_CODE, 3, 0))
+    kinds[n - 5], masks[n - 5] = SUCCESS_CODE, 8  # D's only success
+    ends = np.cumsum(rng.integers(1, 10**9, n))
+    return ChannelTrace(users, ends - 1, ends, kinds, masks, int(ends[-1]) + 3)
+
+
+class TestColumnarWrite:
+    """`write` emits the bytes of the f-string writer in `helpers`."""
+
+    @given(helpers.raw_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_writer(self, tr):
+        assert _written(tr, ChannelTrace.write) == \
+            _written(tr, helpers.write_rows)
+
+    @pytest.mark.parametrize("tr", [
+        ChannelTrace(("A", "B"), [], [], [], [], 0),
+        ChannelTrace(("solo",), [0, 5], [5, 9], [SUCCESS_CODE, IDLE_CODE],
+                     [1, 0], 9),
+        ChannelTrace(("é", "日本", "A"), [0, 1, 2], [1, 2, 3],
+                     [SUCCESS_CODE, COLLISION_CODE, SUCCESS_CODE], [2, 7, 1], 3),
+        ChannelTrace(("A", "B"), [2**62 - 1, 2**62, -2**63],
+                     [2**62, 2**62 + 1, 2**63 - 1],
+                     [SUCCESS_CODE, SUCCESS_CODE, IDLE_CODE], [1, 2, 0], 2**63 - 1),
+        _block_trace(3 * core._BLOCK_BYTES // core._WIDEST_BOUNDS),
+        ChannelTrace(("L" * 300_000, "B"), np.arange(40), np.arange(1, 41),
+                     np.tile([SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE,
+                              IDLE_CODE], 10), np.tile([1, 2, 3, 0], 10), 40),
+    ], ids=["empty", "one-user", "non-ascii", "near-2**62", "many-blocks",
+            "long-label"])
+    def test_edge_cases(self, tr):
+        assert _written(tr, ChannelTrace.write) == \
+            _written(tr, helpers.write_rows)
+
+    def test_unknown_kind_code_rejected(self):
+        tr = ChannelTrace(("A", "B"), [0], [1], [3], [1], 1)
+        with pytest.raises(TraceError, match="kind codes"):
+            tr.write(io.StringIO())
+
+
+def _outcome(reader, text: str):
+    """The trace a reader returns, or its error's type, message and line."""
+    try:
+        return reader(io.StringIO(text))
+    except TraceError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+_USERS_64 = "+".join(f"U{i}" for i in range(64))
+
+
+class TestColumnarRead:
+    """`read` returns what the row parser returns, trace or error alike."""
+
+    @pytest.mark.parametrize("text", [
+        "0,5,S,\u00c5\n5,9,S,B\n",
+        "0,5,S,A\n5,9,S,B\x7f\n",
+        "0, 5,S,A\n",
+        "0,5,S,A \n5,9,S,B\n",
+        "0,5,S,A\r\n5,9,S,B\r\n",
+        "0,5,S,A\t\n",
+        "0,5,\tS,A\n",
+        "+0,5,S,A\n",
+        "0,-5,S,A\n",
+        "0,5,S,A\n-3,9,S,B\n",
+        ",5,S,A\n",
+        "0,,S,A\n",
+        "0,5,,A\n",
+        "0,1000000000000000000,S,A\n",
+        "0,9223372036854775807,S,A\n",
+        "0,99999999999999999999,S,A\n",
+        "0,1_000,S,A\n",
+        "0,5,S,A\n\n5,9,S,B\n",
+        "0,5,S,A\n   \n5,9,S,B\n",
+        "0,5,S,A\n\n",
+        "0,5,X,A\n",
+        "0,5,SS,A\n",
+        "0,5,s,A\n",
+        "#users=A+B\n0,5,S,A\n5,9,S,Z\n",
+        "#users=A+B\n0,5,C,A+Z\n",
+        "0,5,S\n",
+        "0,5,S,A,B\n",
+        "0,5,S,A\n#horizon=9\n",
+        "0,5,S,A\n5,9,S,B\n#users=A+B\n",
+        "#slots_per_unit=9223372036854775808\n0,0,S,A\n",
+        "#slots_per_unit=9223372036854775808\n0,0,S,A\n0,1,S,B\n",
+        "#slots_per_unit=4\n0,2305843009213693951,S,A\n",
+        "#slots_per_unit=4\n0,2305843009213693952,S,A\n",
+        "#slots_per_unit=10\n0,922337203685477580,S,A\n",
+        "#slots_per_unit=10\n0,5,S,A\n5,922337203685477581,S,B\n",
+        "0,5,S,A+A\n",
+        "0,5,C,A+B+A\n",
+        "0,5,C,A++B\n",
+        "0,5,S,A\n5,9,S,B",
+        "#users=" + _USERS_64 + "\n0,1,S,U0\n",
+        "".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)),
+        "".join(f"{i},{i + 1},S,U{i}\n" for i in range(63)),
+        "",
+        "\n\n#users=A+B\n\n",
+    ], ids=[
+        "non-ascii-label", "del-byte", "space-in-bound", "trailing-space",
+        "crlf", "tab", "tab-kind", "plus-sign", "minus-sign", "negative-start",
+        "empty-start", "empty-end", "empty-kind", "19-digits", "int64-max",
+        "20-digits", "underscore", "blank-line", "space-line",
+        "trailing-blank-line", "unknown-kind", "two-letter-kind",
+        "lower-case-kind", "unknown-user", "unknown-user-in-collision",
+        "three-fields", "five-fields", "header-after-event",
+        "users-header-last", "scale-beyond-int64-zero",
+        "scale-beyond-int64", "scaled-to-int64-edge", "scaled-past-int64",
+        "18-digits-scaled-to-edge", "18-digits-scaled-past-int64",
+        "repeated-user", "repeated-user-in-collision", "empty-label",
+        "no-final-newline", "64-users-header", "64-users-inferred",
+        "63-users-inferred", "empty-file", "headers-only",
+    ])
+    def test_matches_row_parser(self, text):
+        assert _outcome(ChannelTrace.read, text) == \
+            _outcome(core._read_rows, text)
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("0,5,S,A+A\n", 1, "user 'A' named twice"),
+        ("#users=A+B\n0,1,S,A\n1,5,C,A+B+A\n", 3, "user 'A' named twice"),
+        ("#users=" + _USERS_64 + "\n0,1,S,U63\n", 1, "more than 63 users"),
+        ("".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)), 64,
+         "more than 63 users"),
+    ], ids=["success", "collision", "64-users-header", "64-users-inferred"])
+    def test_users_field_errors(self, text, line_no, message):
+        with pytest.raises(TraceParseError, match=message) as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == line_no
+
+    def test_plain_body_skips_row_parser(self, monkeypatch):
+        tr = _block_trace(3 * core._BLOCK_BYTES // 30)
+        text = _written(tr, ChannelTrace.write)
+        assert len(text) > 2 * core._BLOCK_BYTES
+        headerless = text.split("\n", 3)[3]
+        long_line = "0,5,S," + "L" * (core._BLOCK_BYTES + 5) + "\n5,9,I,\n"
+        texts = [text, headerless, "#slots_per_unit=3\n" + headerless,
+                 long_line]
+        want = [core._read_rows(io.StringIO(t)) for t in texts]
+        assert want[0] == tr and want[1].users[-1] == "D"
+        assert np.array_equal(want[2].ends, 3 * tr.ends)
+
+        def no_rows(fp):
+            raise AssertionError("plain body sent to the row parser")
+
+        monkeypatch.setattr(core, "_read_rows", no_rows)
+        assert [ChannelTrace.read(io.StringIO(t)) for t in texts] == want
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_anomaly_in_any_block(self, first):
+        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+                         ChannelTrace.write).splitlines(keepends=True)
+        i = 3 if first else len(lines) - 1  # after the three headers
+        lines[i] = lines[i].replace(",", ",,", 1)
+        text = "".join(lines)
+        outcome = _outcome(ChannelTrace.read, text)
+        assert outcome == _outcome(core._read_rows, text)
+        assert outcome[2] == i + 1
+
+    def test_long_field_among_short_lines(self):
+        # Mixed into short lines, a long users field goes to the row parser
+        # rather than widening every line's key to its length.
+        text = "#users=" + "L" * 300_000 + "+B\n" + "".join(
+            f"{i},{i + 1},S,{'B' if i % 100 else 'L' * 300_000}\n"
+            for i in range(3000))
+        assert _outcome(ChannelTrace.read, text) == \
+            _outcome(core._read_rows, text)
+
+    def test_unseekable_stream(self):
+        class Pipe(io.StringIO):
+            def tell(self):
+                raise io.UnsupportedOperation("not seekable")
+
+        text = "#users=A+B\n0,5,S,A\n5,9,S,B \n"
+        assert ChannelTrace.read(Pipe(text)) == _outcome(core._read_rows, text)
 
 
 class TestParams:

@@ -519,9 +519,7 @@ def _read_columns(fp: TextIO) -> ChannelTrace:
     """Headers row by row, then the body in blocks of whole lines; raises
     `_NotPlain` where the row parser has to decide."""
     state = _FileState()
-    line_no = 0
-    for raw in iter(fp.readline, ""):
-        line_no += 1
+    for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
         line = raw.strip()
         if line.startswith("#"):
             state.header(line, line_no)

@@ -335,69 +335,65 @@ def _outcome(reader, text: str):
 _USERS_64 = "+".join(f"U{i}" for i in range(64))
 
 
+# Inputs on which `read` must give what the row parser gives: the ways out
+# of the plain form, the errors a plain body can hold, and edge cases.
+_READ_CASES = {
+    "non-ascii-label": "0,5,S,\u00c5\n5,9,S,B\n",
+    "del-byte": "0,5,S,A\n5,9,S,B\x7f\n",
+    "space-in-bound": "0, 5,S,A\n",
+    "trailing-space": "0,5,S,A \n5,9,S,B\n",
+    "crlf": "0,5,S,A\r\n5,9,S,B\r\n",
+    "tab": "0,5,S,A\t\n",
+    "tab-kind": "0,5,\tS,A\n",
+    "plus-sign": "+0,5,S,A\n",
+    "minus-sign": "0,-5,S,A\n",
+    "negative-start": "0,5,S,A\n-3,9,S,B\n",
+    "empty-start": ",5,S,A\n",
+    "empty-end": "0,,S,A\n",
+    "empty-kind": "0,5,,A\n",
+    "19-digits": "0,1000000000000000000,S,A\n",
+    "int64-max": "0,9223372036854775807,S,A\n",
+    "20-digits": "0,99999999999999999999,S,A\n",
+    "underscore": "0,1_000,S,A\n",
+    "blank-line": "0,5,S,A\n\n5,9,S,B\n",
+    "space-line": "0,5,S,A\n   \n5,9,S,B\n",
+    "trailing-blank-line": "0,5,S,A\n\n",
+    "unknown-kind": "0,5,X,A\n",
+    "two-letter-kind": "0,5,SS,A\n",
+    "lower-case-kind": "0,5,s,A\n",
+    "unknown-user": "#users=A+B\n0,5,S,A\n5,9,S,Z\n",
+    "unknown-user-in-collision": "#users=A+B\n0,5,C,A+Z\n",
+    "three-fields": "0,5,S\n",
+    "five-fields": "0,5,S,A,B\n",
+    "header-after-event": "0,5,S,A\n#horizon=9\n",
+    "users-header-last": "0,5,S,A\n5,9,S,B\n#users=A+B\n",
+    "scale-beyond-int64-zero":
+        "#slots_per_unit=9223372036854775808\n0,0,S,A\n",
+    "scale-beyond-int64":
+        "#slots_per_unit=9223372036854775808\n0,0,S,A\n0,1,S,B\n",
+    "scaled-to-int64-edge": "#slots_per_unit=4\n0,2305843009213693951,S,A\n",
+    "scaled-past-int64": "#slots_per_unit=4\n0,2305843009213693952,S,A\n",
+    "18-digits-scaled-to-edge":
+        "#slots_per_unit=10\n0,922337203685477580,S,A\n",
+    "18-digits-scaled-past-int64":
+        "#slots_per_unit=10\n0,5,S,A\n5,922337203685477581,S,B\n",
+    "repeated-user": "0,5,S,A+A\n",
+    "repeated-user-in-collision": "0,5,C,A+B+A\n",
+    "empty-label": "0,5,C,A++B\n",
+    "no-final-newline": "0,5,S,A\n5,9,S,B",
+    "64-users-header": "#users=" + _USERS_64 + "\n0,1,S,U0\n",
+    "64-users-inferred": "".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)),
+    "63-users-inferred": "".join(f"{i},{i + 1},S,U{i}\n" for i in range(63)),
+    "empty-file": "",
+    "headers-only": "\n\n#users=A+B\n\n",
+}
+
+
 class TestColumnarRead:
     """`read` returns what the row parser returns, trace or error alike."""
 
-    @pytest.mark.parametrize("text", [
-        "0,5,S,\u00c5\n5,9,S,B\n",
-        "0,5,S,A\n5,9,S,B\x7f\n",
-        "0, 5,S,A\n",
-        "0,5,S,A \n5,9,S,B\n",
-        "0,5,S,A\r\n5,9,S,B\r\n",
-        "0,5,S,A\t\n",
-        "0,5,\tS,A\n",
-        "+0,5,S,A\n",
-        "0,-5,S,A\n",
-        "0,5,S,A\n-3,9,S,B\n",
-        ",5,S,A\n",
-        "0,,S,A\n",
-        "0,5,,A\n",
-        "0,1000000000000000000,S,A\n",
-        "0,9223372036854775807,S,A\n",
-        "0,99999999999999999999,S,A\n",
-        "0,1_000,S,A\n",
-        "0,5,S,A\n\n5,9,S,B\n",
-        "0,5,S,A\n   \n5,9,S,B\n",
-        "0,5,S,A\n\n",
-        "0,5,X,A\n",
-        "0,5,SS,A\n",
-        "0,5,s,A\n",
-        "#users=A+B\n0,5,S,A\n5,9,S,Z\n",
-        "#users=A+B\n0,5,C,A+Z\n",
-        "0,5,S\n",
-        "0,5,S,A,B\n",
-        "0,5,S,A\n#horizon=9\n",
-        "0,5,S,A\n5,9,S,B\n#users=A+B\n",
-        "#slots_per_unit=9223372036854775808\n0,0,S,A\n",
-        "#slots_per_unit=9223372036854775808\n0,0,S,A\n0,1,S,B\n",
-        "#slots_per_unit=4\n0,2305843009213693951,S,A\n",
-        "#slots_per_unit=4\n0,2305843009213693952,S,A\n",
-        "#slots_per_unit=10\n0,922337203685477580,S,A\n",
-        "#slots_per_unit=10\n0,5,S,A\n5,922337203685477581,S,B\n",
-        "0,5,S,A+A\n",
-        "0,5,C,A+B+A\n",
-        "0,5,C,A++B\n",
-        "0,5,S,A\n5,9,S,B",
-        "#users=" + _USERS_64 + "\n0,1,S,U0\n",
-        "".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)),
-        "".join(f"{i},{i + 1},S,U{i}\n" for i in range(63)),
-        "",
-        "\n\n#users=A+B\n\n",
-    ], ids=[
-        "non-ascii-label", "del-byte", "space-in-bound", "trailing-space",
-        "crlf", "tab", "tab-kind", "plus-sign", "minus-sign", "negative-start",
-        "empty-start", "empty-end", "empty-kind", "19-digits", "int64-max",
-        "20-digits", "underscore", "blank-line", "space-line",
-        "trailing-blank-line", "unknown-kind", "two-letter-kind",
-        "lower-case-kind", "unknown-user", "unknown-user-in-collision",
-        "three-fields", "five-fields", "header-after-event",
-        "users-header-last", "scale-beyond-int64-zero",
-        "scale-beyond-int64", "scaled-to-int64-edge", "scaled-past-int64",
-        "18-digits-scaled-to-edge", "18-digits-scaled-past-int64",
-        "repeated-user", "repeated-user-in-collision", "empty-label",
-        "no-final-newline", "64-users-header", "64-users-inferred",
-        "63-users-inferred", "empty-file", "headers-only",
-    ])
+    @pytest.mark.parametrize("text", list(_READ_CASES.values()),
+                             ids=list(_READ_CASES))
     def test_matches_row_parser(self, text):
         assert _outcome(ChannelTrace.read, text) == \
             _outcome(core._read_rows, text)

@@ -5,10 +5,10 @@ the simulated psi difference changes sign, and prints the estimate next to the
 closed-form inflection point (2 - p_c)/p_c * l_rcts on the payload+ack axis.
 """
 import argparse
+import contextlib
 import csv
-import os
+import io
 import sys
-import tempfile
 
 import numpy as np
 
@@ -26,29 +26,27 @@ def main() -> int:
     ap.add_argument("--out", help="also keep the sweep CSV here")
     args = ap.parse_args()
 
-    if args.out:
-        out = args.out
-    else:
-        fd, out = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-    code = cli.main([
-        "sweep",
-        "--protocols", "csma-rtscts,csma-basic",
-        "--pkt-range", args.pkt_range,
-        "--slots", str(args.slots),
-        "--reps", str(args.reps),
-        "--seed", str(args.seed),
-        "--out", out,
-    ])
+    sweep = io.StringIO()
+    with contextlib.redirect_stdout(sweep):
+        code = cli.main([
+            "sweep",
+            "--protocols", "csma-rtscts,csma-basic",
+            "--pkt-range", args.pkt_range,
+            "--slots", str(args.slots),
+            "--reps", str(args.reps),
+            "--seed", str(args.seed),
+        ])
     if code:
         return code
+    if args.out:
+        with open(args.out, "w") as fp:
+            fp.write(sweep.getvalue())
 
     sim = {}
-    with open(out) as fp:
-        for row in csv.DictReader(fp):
-            pkt = int(row["x"])
-            sim.setdefault(pkt, {})[row["protocol"]] = \
-                float(row["psi_sim_mean_slots"])
+    for row in csv.DictReader(io.StringIO(sweep.getvalue())):
+        pkt = int(row["x"])
+        sim.setdefault(pkt, {})[row["protocol"]] = \
+            float(row["psi_sim_mean_slots"])
     pkts = np.array(sorted(sim), dtype=float)
     diff = np.array([sim[int(p)]["csma-rtscts"] - sim[int(p)]["csma-basic"]
                      for p in pkts])

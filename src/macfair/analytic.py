@@ -9,6 +9,7 @@ backoff spent per delivered packet, and the two-part cycle decomposition
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,8 +71,8 @@ class AnalyticCct:
     components: CctComponents
 
     def __post_init__(self):
-        if not self.psi_slots > 0:
-            raise AnalyticError("cycle time must be positive")
+        if not 0.0 < self.psi_slots < math.inf:
+            raise AnalyticError("cycle time must be positive and finite")
 
 
 # -- slotted Aloha -----------------------------------------------------------
@@ -149,6 +150,19 @@ class CollisionFixedPoint:
     iterations: int
 
 
+def _check_window(cw_min: int, beta: int) -> None:
+    """The window ladder cw_min .. 2**beta * cw_min must fit in a float."""
+    if cw_min < 1:
+        raise DomainError("cw_min must be at least 1")
+    if beta < 0:
+        raise DomainError("beta must be non-negative")
+    # Every beta >= 1024 fails (2**1024 > float max); testing it first spares
+    # an arbitrarily large shift.
+    if beta >= 1024 or cw_min << beta > sys.float_info.max:
+        raise DomainError(f"largest window 2**{beta} * cw_min does not fit "
+                          "in a float")
+
+
 def _fixed_point_rhs(p: float, cw_min: int, beta: int) -> float:
     denom = ((1.0 - 2.0 * p) * (cw_min + 3.0)
              + p * cw_min * (1.0 - (2.0 * p) ** beta))
@@ -162,10 +176,7 @@ def solve_collision_probability(cw_min: int, beta: int) -> CollisionFixedPoint:
     and the root is unique, so plain bisection suffices.  With beta = 0 the
     equation collapses to p = 2 / (cw_min + 3).
     """
-    if cw_min < 1:
-        raise DomainError("cw_min must be at least 1")
-    if beta < 0:
-        raise DomainError("beta must be non-negative")
+    _check_window(cw_min, beta)
 
     def f(p: float) -> float:
         return p - _fixed_point_rhs(p, cw_min, beta)
@@ -202,10 +213,7 @@ def expected_backoff_sum(p_c: float, cw_min: int, beta: int) -> float:
     """
     if not 0.0 <= p_c < 1.0:
         raise DomainError(f"p_c={p_c} outside [0, 1)")
-    if cw_min < 1:
-        raise DomainError("cw_min must be at least 1")
-    if beta < 0:
-        raise DomainError("beta must be non-negative")
+    _check_window(cw_min, beta)
     total = 0.0
     for i in range(beta):
         total += p_c ** i * (1.0 + (1 << i) * cw_min) / 2.0
@@ -223,8 +231,8 @@ def part_count_means(p_ni0: float, e_ni: float = 1.0) -> tuple[float, float]:
     """
     if not 0.0 <= p_ni0 < 1.0:
         raise DomainError(f"p_ni0={p_ni0} outside [0, 1)")
-    if e_ni < 0.0:
-        raise DomainError("e_ni must be non-negative")
+    if not 0.0 <= e_ni < math.inf:
+        raise DomainError(f"e_ni={e_ni} outside [0, inf)")
     return e_ni / (1.0 - p_ni0), p_ni0 / (1.0 - p_ni0)
 
 
@@ -257,8 +265,8 @@ def csma_cct(params: CsmaParams, p_ni0: float = DEFAULT_P_NI0, e_ni: float = 1.0
     """
     if not 0.0 < p_ni0 < 1.0:
         raise DomainError(f"p_ni0={p_ni0} outside (0, 1)")
-    if e_ni <= 0.0:
-        raise DomainError("e_ni must be positive")
+    if not 0.0 < e_ni < math.inf:
+        raise DomainError(f"e_ni={e_ni} outside (0, inf)")
     residual = iterations = None
     if p_c is None:
         fixed = solve_collision_probability(params.cw_min, params.beta)

@@ -286,7 +286,7 @@ def cmd_sweep(args) -> int:
                 # Student-t half-width: the reps' own spread, n - 1 d.o.f.
                 ci = (_t_quantile(0.975, n - 1)
                       * float(np.std(samples, ddof=1)) / math.sqrt(n)
-                      if n > 1 else 0.0)
+                      if n > 1 else math.nan)
                 rows.append(f"{label},{protocol},{psi_a:.6f},{mean:.6f},"
                             f"{ci:.6f},{n}")
             else:

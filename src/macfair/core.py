@@ -6,7 +6,6 @@ at the presentation edge (CLI output, file headers), never inside the math.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
@@ -249,23 +248,48 @@ class ChannelTrace:
 
     @classmethod
     def read(cls, fp: TextIO) -> "ChannelTrace":
-        """Parse a trace file.
+        """Parse a trace file in one pass.
 
-        Headers are read line by line.  A body in the plain form (ASCII
-        digits, one-letter kinds, no spaces, `\\n` endings) is parsed as byte
-        columns; anything else sends the whole file to the row parser, which
+        Headers are read line by line, then the body in blocks of whole lines:
+        a block in the plain form (ASCII digits, one-letter kinds, no spaces,
+        `\\n` endings) as byte columns, any other by the row parser, which
         accepts the same inputs and gives every error its line number.
         """
-        try:
-            origin = fp.tell()
-        except OSError:  # a pipe: keep the text so that it can be re-read
-            fp = io.StringIO(fp.read())
-            origin = 0
-        try:
-            return _read_columns(fp)
-        except (_NotPlain, TraceParseError):
-            fp.seek(origin)
-            return _read_rows(fp)
+        state = _FileState()
+        for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                state.header(line, line_no)
+            elif line:
+                break
+        else:
+            return state.trace([], [], [], [])
+        columns: tuple[list, ...] = ([], [], [], [])
+        pending = raw
+        while True:
+            chunk = fp.read(_BLOCK_BYTES)
+            text = pending + chunk
+            cut = text.rfind("\n") + 1 if chunk else len(text)
+            if cut:
+                block = text[:cut]
+                try:
+                    values = _parse_events(block, state, line_no)
+                    lines = len(values[0])
+                except _NotPlain:
+                    values = _parse_rows(block, state, line_no,
+                                         after_event=bool(columns[0]))
+                    lines = block.count("\n")
+                for parts, v in zip(columns, values):
+                    parts.append(v)
+                line_no += lines
+            pending = text[cut:]
+            if not chunk:
+                break
+        arrays = []
+        for parts in columns:  # one column at a time, freeing its blocks
+            arrays.append(np.concatenate(parts))
+            parts.clear()
+        return state.trace(*arrays)
 
     @classmethod
     def from_file(cls, path) -> "ChannelTrace":
@@ -342,16 +366,17 @@ class _FileState:
                             np.asarray(masks, np.int64), horizon)
 
 
-def _read_rows(fp: TextIO) -> ChannelTrace:
-    """The row parser: one line at a time, every error with its line number."""
-    state = _FileState()
+def _parse_rows(text: str, state: _FileState, first_line: int,
+                after_event: bool) -> tuple[np.ndarray, ...]:
+    """The row parser over lines numbered from `first_line`, every error with
+    its line number; `after_event` says an event line came before them."""
     starts, ends, kinds, masks = [], [], [], []
-    for line_no, raw in enumerate(fp, start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if starts:
+            if after_event or starts:
                 raise TraceParseError(line_no, "header after the first event")
             state.header(line, line_no)
             continue
@@ -376,7 +401,14 @@ def _read_rows(fp: TextIO) -> ChannelTrace:
         ends.append(e)
         kinds.append(code)
         masks.append(state.mask(who, line_no))
-    return state.trace(starts, ends, kinds, masks)
+    return (np.array(starts, np.int64), np.array(ends, np.int64),
+            np.array(kinds, np.int8), np.array(masks, np.int64))
+
+
+def _read_rows(fp: TextIO) -> ChannelTrace:
+    """A whole file through the row parser: the reference for `read`."""
+    state = _FileState()
+    return state.trace(*_parse_rows(fp.read(), state, 1, after_event=False))
 
 
 # -- trace file body as byte columns -------------------------------------------
@@ -397,7 +429,7 @@ _KIND_OF_BYTE[_KIND_BYTES] = np.arange(3, dtype=np.int8)
 
 
 class _NotPlain(Exception):
-    """The body leaves the plain form; the row parser takes the file."""
+    """A block leaves the plain form; the row parser takes the block."""
 
 
 def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +537,7 @@ def _parse_events(text: str, state: _FileState, first_line: int):
     for lo, hi in ((np.concatenate(([0], nl[:-1] + 1)), c0), (c0 + 1, c1)):
         values = _digit_field(b, lo, hi)
         if state.scale != 1:
-            if int(values.max()) > _INT64_MAX // state.scale:
+            if state.scale > _INT64_MAX // max(int(values.max()), 1):
                 raise _NotPlain
             values *= np.int64(state.scale)
         bounds.append(values)
@@ -513,41 +545,6 @@ def _parse_events(text: str, state: _FileState, first_line: int):
     if np.any(kinds < 0):
         raise _NotPlain
     return (*bounds, kinds, _users_masks(b, c2 + 1, nl, state, first_line))
-
-
-def _read_columns(fp: TextIO) -> ChannelTrace:
-    """Headers row by row, then the body in blocks of whole lines; raises
-    `_NotPlain` where the row parser has to decide."""
-    state = _FileState()
-    for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            state.header(line, line_no)
-        elif line:
-            break
-    else:
-        return state.trace([], [], [], [])
-    if state.scale > _INT64_MAX:
-        raise _NotPlain
-    columns: tuple[list, ...] = ([], [], [], [])
-    pending = raw
-    while True:
-        chunk = fp.read(_BLOCK_BYTES)
-        text = pending + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        if cut:
-            for parts, values in zip(columns,
-                                     _parse_events(text[:cut], state, line_no)):
-                parts.append(values)
-            line_no += len(values)
-        pending = text[cut:]
-        if not chunk:
-            break
-    arrays = []
-    for parts in columns:  # one column at a time, freeing its blocks
-        arrays.append(np.concatenate(parts))
-        parts.clear()
-    return state.trace(*arrays)
 
 
 def validate_trace(trace: ChannelTrace) -> ChannelTrace:

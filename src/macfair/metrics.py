@@ -129,7 +129,7 @@ class CycleTimeReport:
         lines.append(f"psi_slots={psi}")
         lines.append(f"psi_undefined={'true' if self.psi_undefined else 'false'}")
         for u in self.users:
-            samples = ",".join(str(int(x)) for x in self.per_user_samples[u])
+            samples = ",".join(map(str, self.per_user_samples[u].tolist()))
             lines.append(f"user={u} cycle_samples={samples}")
         return "\n".join(lines) + "\n"
 

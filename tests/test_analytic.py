@@ -173,6 +173,19 @@ class TestCollisionFixedPoint:
                   for cw in (2, 4, 8, 16, 32, 64, 128)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("cw,beta", [(32, 1019), (1, 1024), (1, 10**20),
+                                         (10**400, 0)])
+    def test_window_beyond_float_rejected(self, cw, beta):
+        with pytest.raises(DomainError, match="does not fit in a float"):
+            solve_collision_probability(cw, beta)
+        with pytest.raises(DomainError, match="does not fit in a float"):
+            expected_backoff_sum(0.1, cw, beta)
+
+    def test_largest_float_window_accepted(self):
+        # 32 * 2**1018 = 2**1023 is the largest power of two a float holds.
+        assert 0.0 < solve_collision_probability(32, 1018).p_c < 0.5
+        assert math.isfinite(expected_backoff_sum(0.0, 32, 1018))
+
     def test_uniqueness_by_sign_scan(self):
         cw, beta = 32, 5
         grid = np.linspace(1e-6, 0.5 - 1e-6, 10_000)
@@ -227,6 +240,9 @@ class TestPartCountMeans:
             part_count_means(1.0)
         with pytest.raises(DomainError):
             part_count_means(-0.01)
+        for e_ni in (math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError, match="e_ni"):
+                part_count_means(0.32, e_ni)
 
     def test_geometric_mean_identity(self):
         # E[n_a'] = sum k p^k (1-p) = p/(1-p)
@@ -283,8 +299,9 @@ class TestCsmaCct:
             csma_cct(table_params(30), p_ni0=0.0)
         with pytest.raises(DomainError):
             csma_cct(table_params(30), p_ni0=1.0)
-        with pytest.raises(DomainError):
-            csma_cct(table_params(30), e_ni=0.0)
+        for e_ni in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="e_ni"):
+                csma_cct(table_params(30), e_ni=e_ni)
         with pytest.raises(DomainError):
             csma_cct(table_params(30), p_c=1.0)
 
@@ -409,6 +426,12 @@ class TestAnalyticCctType:
             assert getattr(c, field) is not None
         a = aloha_cct(AlohaParams(0.5, 0.5)).components
         assert a.p_c is None and a.mu is None
+
+    @pytest.mark.parametrize("psi", [0.0, -1.0, math.inf, math.nan])
+    def test_psi_positive_and_finite(self, psi):
+        with pytest.raises(analytic.AnalyticError, match="and finite"):
+            analytic.AnalyticCct(psi, CctMode.TDMA_ROUND_ROBIN,
+                                 analytic.CctComponents())
 
 
 def _pinned_lines():

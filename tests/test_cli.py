@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,18 @@ class TestAnalytic:
         code, _, err = run(capsys, "analytic", "csma", "--pkt", "30",
                            "--p-ni0", "1.0")
         assert code == 1
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--beta", "2000"), "does not fit in a float"),
+        (("--cw-min", "1" + "0" * 400), "does not fit in a float"),
+        (("--e-ni", "inf"), "e_ni=inf"),
+        (("--e-ni", "nan"), "e_ni=nan"),
+    ], ids=["beta-2000", "cw-min-1e400", "e-ni-inf", "e-ni-nan"])
+    def test_unrepresentable_input_is_exit_1(self, capsys, flags, message):
+        code, out, err = run(capsys, "analytic", "csma", "--pkt", "30", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_usage_error_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -297,7 +310,15 @@ class TestSweep:
         assert code == 0
         row = out.splitlines()[1].split(",")
         assert row[2] == row[3] == "80.000000"
-        assert row[4] == "0.000000"
+        assert row[4] == "nan"  # one sample leaves the interval undefined
+
+    def test_window_beyond_float_is_exit_1(self, capsys):
+        cw = "1" + "0" * 400
+        code, out, err = run(capsys, "sweep", "--protocols", "csma-rtscts",
+                             "--cw-range", f"{cw}:{cw}:1", "--pkt", "30",
+                             "--slots", "2000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "does not fit in a float" in err
 
     @pytest.mark.parametrize("slots,aloha_row", [
         ("60", "10,aloha,80.000000,nan,nan,0"),
@@ -453,15 +474,20 @@ class TestDurationParsing:
             cli.parse_duration("30ms", 20)
 
 
+def _crossover_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "rtscts_crossover.py"
+    spec = importlib.util.spec_from_file_location("rtscts_crossover", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCrossoverScript:
     """scripts/rtscts_crossover.py runs its sweep through cli.main."""
 
     @pytest.fixture
     def script(self, monkeypatch):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "rtscts_crossover.py"
-        spec = importlib.util.spec_from_file_location("rtscts_crossover", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _crossover_script()
         sweeps = []
 
         def fake_main(argv):
@@ -493,3 +519,26 @@ class TestCrossoverScript:
         assert len(sweeps) == 1
         i = sweeps[0].index("--slots")
         assert sweeps[0][i + 1] == "20000"
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "failed"])
+    def test_leaves_no_temp_file(self, monkeypatch, tmp_path, capsys, fails):
+        module = _crossover_script()
+        if fails:
+            monkeypatch.setattr(module.cli, "main", lambda argv: 1)
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        out = tmp_path / "sweep.csv"
+        argv = ["rtscts_crossover.py", "--slots", "20000", "--pkt-range",
+                "48:56:8", "--reps", "1"]
+        for extra in ([], ["--out", str(out)]):
+            monkeypatch.setattr(sys, "argv", argv + extra)
+            code = module.main()
+            assert list(temp.iterdir()) == []
+        printed = capsys.readouterr().out
+        if fails:
+            assert code == 1 and not out.exists()
+        else:
+            assert printed.count("pkt=48 rtscts_minus_basic=") == 2
+            lines = out.read_text().splitlines()
+            assert lines[0].startswith("x,protocol,") and len(lines) == 5

@@ -1,9 +1,11 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from macfair import core
@@ -334,6 +336,21 @@ def _outcome(reader, text: str):
 
 _USERS_64 = "+".join(f"U{i}" for i in range(64))
 
+# Edits that take one event line out of the plain form or make it an error.
+_EDITS = {
+    "space": lambda line: line.replace(",", ", ", 1),
+    "trailing-space": lambda line: line[:-1] + " \n",
+    "cr": lambda line: line[:-1] + "\r\n",
+    "plus": lambda line: "+" + line,
+    "minus": lambda line: line.replace(",", ",-", 1),
+    "header-before": lambda line: "#horizon=5\n" + line,
+    "blank-before": lambda line: "\n" + line,
+    "unknown-user": lambda line: line[:-1] + "+Z\n",
+    "repeated-user": lambda line: line[:-1] + "+A\n",
+    "19-digit-start": lambda line: "1" + "0" * 18 + line[line.index(","):],
+    "20-digit-start": lambda line: "9" * 20 + line[line.index(","):],
+}
+
 
 # Inputs on which `read` must give what the row parser gives: the ways out
 # of the plain form, the errors a plain body can hold, and edge cases.
@@ -422,11 +439,31 @@ class TestColumnarRead:
         assert want[0] == tr and want[1].users[-1] == "D"
         assert np.array_equal(want[2].ends, 3 * tr.ends)
 
-        def no_rows(fp):
-            raise AssertionError("plain body sent to the row parser")
+        def no_rows(*args):
+            raise AssertionError("plain block sent to the row parser")
 
-        monkeypatch.setattr(core, "_read_rows", no_rows)
+        monkeypatch.setattr(core, "_parse_rows", no_rows)
         assert [ChannelTrace.read(io.StringIO(t)) for t in texts] == want
+
+    def test_anomaly_sends_only_its_block_to_row_parser(self, monkeypatch):
+        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+                         ChannelTrace.write).splitlines(keepends=True)
+        i = len(lines) // 2
+        lines[i] = lines[i].replace("\n", " \n")
+        text = "".join(lines)
+        want = core._read_rows(io.StringIO(text))
+        calls = []
+        rows = core._parse_rows
+
+        def spy(block, state, first_line, after_event):
+            calls.append((first_line, block.count("\n"), after_event))
+            return rows(block, state, first_line, after_event)
+
+        monkeypatch.setattr(core, "_parse_rows", spy)
+        assert ChannelTrace.read(io.StringIO(text)) == want
+        [(first_line, n_lines, after_event)] = calls
+        assert first_line <= i + 1 < first_line + n_lines
+        assert after_event and n_lines < len(lines) // 2
 
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     def test_anomaly_in_any_block(self, first):
@@ -438,6 +475,30 @@ class TestColumnarRead:
         outcome = _outcome(ChannelTrace.read, text)
         assert outcome == _outcome(core._read_rows, text)
         assert outcome[2] == i + 1
+
+    @given(helpers.traces(max_events=40),
+           st.sampled_from(["keep", "drop", "scale"]),
+           st.lists(st.tuples(st.integers(0, 99),
+                              st.sampled_from(list(_EDITS))), max_size=4),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_small_blocks_match_row_parser(self, tr, headers, edits, cut_end):
+        # Blocks of a few lines each, so that edited and plain blocks mix.
+        lines = _written(tr, ChannelTrace.write).splitlines(keepends=True)
+        head, body = lines[:3], lines[3:]
+        if headers == "drop":
+            head = []
+        elif headers == "scale":
+            head[0] = "#slots_per_unit=3\n"
+        for pos, edit in edits:
+            if body:
+                body[pos % len(body)] = _EDITS[edit](body[pos % len(body)])
+        text = "".join(head + body)
+        if cut_end:
+            text = text.removesuffix("\n")
+        with mock.patch.object(core, "_BLOCK_BYTES", 48):
+            got = _outcome(ChannelTrace.read, text)
+        assert got == _outcome(core._read_rows, text)
 
     def test_long_field_among_short_lines(self):
         # Mixed into short lines, a long users field goes to the row parser
@@ -453,8 +514,15 @@ class TestColumnarRead:
             def tell(self):
                 raise io.UnsupportedOperation("not seekable")
 
-        text = "#users=A+B\n0,5,S,A\n5,9,S,B \n"
-        assert ChannelTrace.read(Pipe(text)) == _outcome(core._read_rows, text)
+            def seek(self, *args):
+                raise io.UnsupportedOperation("not seekable")
+
+        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+                         ChannelTrace.write).splitlines(keepends=True)
+        lines[-1] = lines[-1].replace("\n", " \n")
+        for text in ("".join(lines), "#users=A+B\n0,5,S,A\n5,9,S,B \n"):
+            assert ChannelTrace.read(Pipe(text)) == \
+                _outcome(core._read_rows, text)
 
 
 class TestParams:

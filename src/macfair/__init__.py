@@ -4,6 +4,8 @@ Measures channel cycle times from transmission traces, evaluates closed-form
 predictions for slotted Aloha and CSMA/CA, and cross-validates the two with
 slot-level simulators (Aloha, CSMA/CA basic and RTS/CTS, round-robin TDMA).
 """
+from types import ModuleType as _ModuleType
+
 from .core import (
     AlohaParams,
     ChannelEvent,
@@ -75,5 +77,6 @@ from .sim import (
     write_audit,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ at the presentation edge (CLI output, file headers), never inside the math.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
@@ -130,10 +131,25 @@ def idle(start: int, end: int) -> ChannelEvent:
     return ChannelEvent(start, end, EventKind.IDLE)
 
 
-def _check_label(label: str) -> str:
+def _check_label(label: str, line_no: int | None = None) -> str:
+    """The label, if it can stand in a trace file's users field; a file's
+    labels are checked with the number of the line they are on."""
     if not label or any(ch in label for ch in ",+\n\r") or label.startswith("#"):
-        raise TraceError(f"invalid user label {label!r}")
+        message = f"invalid user label {label!r}"
+        raise (TraceError(message) if line_no is None
+               else TraceParseError(line_no, message))
     return label
+
+
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*\Z", re.ASCII)
+
+
+def _decimal(text: str) -> int:
+    """int(text) for ASCII decimal text only: ValueError also for the digit
+    group underscores and non-ASCII digits that int() accepts."""
+    if not _DECIMAL.match(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,19 +331,22 @@ class _FileState:
         self.headers.add(key)
         if key == "slots_per_unit":
             try:
-                self.scale = int(value)
+                self.scale = _decimal(value)
             except ValueError:
                 raise TraceParseError(line_no, f"bad slots_per_unit {value!r}")
             if self.scale <= 0:
                 raise TraceParseError(line_no, "slots_per_unit must be positive")
         elif key == "users":
-            self.users = tuple(value.split("+")) if value else ()
+            self.users = tuple(_check_label(u, line_no)
+                               for u in value.split("+")) if value else ()
             if len(self.users) > _MAX_USERS:
                 raise TraceParseError(line_no, f"more than {_MAX_USERS} users")
+            if len(set(self.users)) != len(self.users):
+                raise TraceParseError(line_no, "duplicate user labels")
             self.index = {u: i for i, u in enumerate(self.users)}
         elif key == "horizon":
             try:
-                self.horizon = int(value)
+                self.horizon = _decimal(value)
             except ValueError:
                 raise TraceParseError(line_no, f"bad horizon {value!r}")
         else:
@@ -342,6 +361,7 @@ class _FileState:
             for u in who.split("+") if who else ():
                 bit = self.index.get(u)
                 if bit is None:
+                    _check_label(u, line_no)
                     if self.users is not None:
                         raise TraceParseError(line_no, f"unknown user {u!r}")
                     if len(self.index) == _MAX_USERS:
@@ -385,7 +405,7 @@ def _parse_rows(text: str, state: _FileState, first_line: int,
             raise TraceParseError(line_no, "expected start,end,kind,users")
         s_str, e_str, kind_str, who = parts
         try:
-            s, e = int(s_str) * state.scale, int(e_str) * state.scale
+            s, e = _decimal(s_str) * state.scale, _decimal(e_str) * state.scale
         except ValueError:
             raise TraceParseError(line_no, f"bad slot bounds {s_str!r},{e_str!r}")
         # Scaled and range-checked per line: an int64 array scaled
@@ -563,24 +583,27 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
     if np.any(e <= s):
         i = int(np.flatnonzero(e <= s)[0])
         raise TraceError(f"event {i} is empty or reversed")
-    if np.any(s[1:] < s[:-1]):
-        i = int(np.flatnonzero(s[1:] < s[:-1])[0])
-        raise OrderError(f"event {i + 1} starts before event {i}")
+    # Non-empty events that do not overlap are sorted, so the order pass
+    # runs only to name an order fault ahead of the overlap it causes.
     if np.any(s[1:] < e[:-1]):
+        if np.any(s[1:] < s[:-1]):
+            i = int(np.flatnonzero(s[1:] < s[:-1])[0])
+            raise OrderError(f"event {i + 1} starts before event {i}")
         i = int(np.flatnonzero(s[1:] < e[:-1])[0])
         raise OverlapError(f"events {i} and {i + 1} overlap")
     if int(e[-1]) > trace.horizon:
         raise TraceError("event extends past the horizon")
-    if np.any(m >> len(trace.users)):
+    if int(m.min()) < 0 or int(m.max()) >> len(trace.users):
         raise UnknownUserError("event mask uses bits beyond the user set")
-    # Masks are non-negative here, so m & (m - 1) clears the lowest set bit
-    # and is non-zero exactly when two or more users take part.
-    multi = (m & (m - 1)) != 0
-    if np.any((k == SUCCESS_CODE) & ((m == 0) | multi)):
+    if not 0 <= int(k.min()) <= int(k.max()) < 3:
+        raise TraceError("event kind codes must be 0, 1 or 2")
+    # Masks are non-negative here, so their bit counts are user counts.
+    n_users = np.bitwise_count(m)
+    if np.any((k == SUCCESS_CODE) & (n_users != 1)):
         raise TraceError("Success events must name exactly one user")
-    if np.any((k == COLLISION_CODE) & ~multi):
+    if np.any((k == COLLISION_CODE) & (n_users < 2)):
         raise TraceError("Collision events must name at least two users")
-    if np.any((k == IDLE_CODE) & (m != 0)):
+    if np.any((k == IDLE_CODE) & (n_users != 0)):
         raise TraceError("Idle events must name no users")
     return trace
 

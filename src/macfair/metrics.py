@@ -7,15 +7,21 @@ Averaging per-user mean cycle times over the user set gives the channel cycle
 time, a single figure for how long the channel takes to serve everybody once
 more.
 
-Cycles are found by the next-occurrence rule, one vectorized search for any
-number of users.  Number the successes of the trace in order.  From each
-refresh position g of user u, let q be the latest among every other user's
-first success after g.  The cycle closes at u's first refresh position after
-q; if some other user never succeeds after g, or u has no refresh position
-after q, no cycle starts at g.
+Cycles are found over success runs, by one vectorized search for any number
+of users.  Collapse the trace's successes into runs of one user's successes,
+numbered in order.  The last success of every run but the final one is a
+refresh moment of the run's owner, and these are all the refresh moments.
+From refresh run k, let m be the latest first appearance over all users: the
+latest among every user's first run after k, the owner's included.  The cycle
+closes at the owner's first run at or after m.  If some user has no run after
+k, or the owner's run at or after m is the final run or does not exist, no
+cycle starts at k.  When the owner comes back last, m is that return itself;
+otherwise the close is the owner's first refresh run after every other user
+has succeeded.
 
-Cycles, and the two parts of a two-user cycle, are positions in this
-success sequence; end times are gathered at those positions last.
+Cycles, and the two parts of a two-user cycle, are found as run numbers and
+mapped back to positions in the success sequence; end times are gathered at
+those positions last.
 """
 from __future__ import annotations
 
@@ -35,17 +41,59 @@ class TooFewUsersError(TraceError):
 
 
 def _success_seq(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
-    """End times and user indices of all Success events, in trace order."""
+    """Trace indices and user indices of all Success events, in trace order."""
     hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
-    ends = trace.ends.take(hit)
-    # Success masks are single-bit, so log2 recovers the user index exactly.
-    uidx = np.log2(trace.masks.take(hit).astype(np.float64)).astype(np.int64)
-    return ends, uidx
+    below = trace.masks.take(hit)
+    below -= 1
+    # Success masks are single-bit, so mask - 1 has exactly `index` bits set.
+    return hit, np.bitwise_count(below)
 
 
-def _refresh_positions(uidx: np.ndarray, i: int) -> np.ndarray:
-    """Success positions of user i whose next success belongs to someone else."""
-    return np.flatnonzero((uidx[:-1] == i) & (uidx[1:] != i))
+def _success_runs(trace: ChannelTrace) -> tuple[np.ndarray, ...]:
+    """Trace indices of the successes, the success position ending each run
+    of one user's successes, and each run's user index."""
+    hit, uidx = _success_seq(trace)
+    edge = np.ones(len(uidx), bool)
+    np.not_equal(uidx[1:], uidx[:-1], out=edge[:-1])
+    last = np.flatnonzero(edge)
+    return hit, last, uidx.take(last)
+
+
+def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's user index, and the end time of the run's last success."""
+    hit, last, label = _success_runs(trace)
+    return label, trace.ends.take(hit.take(last))
+
+
+def _latest_first_runs(label: np.ndarray, n_users: int) -> np.ndarray:
+    """For every run k but the final one, the latest among every user's
+    first run after k; len(label) when some user has none."""
+    n = len(label)
+    latest = np.zeros(max(n - 1, 0), np.int64)
+    for v in range(n_users):
+        is_v = label == v
+        # v's runs, then the sentinel n; the count of v's runs up to k
+        # indexes v's first run after k.
+        first = np.append(np.flatnonzero(is_v), n)
+        np.maximum(latest, first.take(np.cumsum(is_v[:-1])), out=latest)
+    return latest
+
+
+def _cycle_runs(label: np.ndarray, latest: np.ndarray,
+                i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs opening and closing user i's cycles, by the rule of the module
+    docstring; `latest` is `_latest_first_runs` of the same runs."""
+    n = len(label)
+    is_i = label == i
+    runs = np.append(np.flatnonzero(is_i), n)
+    start = runs[:np.count_nonzero(is_i[:-1])]  # every run of i but the final
+    # latest >= k + 1, and the count of i's runs before latest indexes i's
+    # first run at or after it.
+    close = runs.take(np.cumsum(is_i).take(latest.take(start) - 1))
+    # latest never decreases, so neither does close: the cycles that close
+    # before the final run are a prefix.
+    k = np.count_nonzero(close < n - 1)
+    return start[:k], close[:k]
 
 
 def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -56,34 +104,17 @@ def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
     to hand the channel to).
     """
     i = trace.user_index(user)
-    ends, uidx = _success_seq(trace)
-    return ends[_refresh_positions(uidx, i)]
+    label, t = _run_ends(trace)
+    return t[:-1][label[:-1] == i]
 
 
 def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
     """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2)."""
     i = trace.user_index(user)
-    ends, uidx = _success_seq(trace)
-    start, close = _cycle_positions(uidx, i, len(trace.users))
-    return np.column_stack([ends[start], ends[close]])
-
-
-def _cycle_positions(uidx: np.ndarray, i: int,
-                     n_users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Success positions opening and closing user i's cycles, by the
-    next-occurrence rule of the module docstring."""
-    pos = _refresh_positions(uidx, i)
-    q = pos
-    for v in range(n_users):
-        if v != i:
-            is_v = uidx == v
-            # Position of v's first success after each refresh position; the
-            # sentinel len(uidx) marks "none", which no refresh position passes.
-            occ = np.append(np.flatnonzero(is_v), len(uidx))
-            q = np.maximum(q, occ[np.cumsum(is_v)[pos]])
-    close = np.searchsorted(pos, q, "right")
-    ok = close < len(pos)
-    return pos[ok], pos[close[ok]]
+    label, t = _run_ends(trace)
+    start, close = _cycle_runs(
+        label, _latest_first_runs(label, len(trace.users)), i)
+    return np.column_stack([t.take(start), t.take(close)])
 
 
 def cycle_times(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -138,11 +169,12 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     """Average the per-user mean cycle times into one channel-wide figure."""
     if len(trace.users) < 2:
         raise TooFewUsersError("channel cycle time needs at least two users")
-    ends, uidx = _success_seq(trace)
+    label, t = _run_ends(trace)
+    latest = _latest_first_runs(label, len(trace.users))
     samples = {}
     for i, u in enumerate(trace.users):
-        start, close = _cycle_positions(uidx, i, len(trace.users))
-        samples[u] = ends[close] - ends[start]
+        start, close = _cycle_runs(label, latest, i)
+        samples[u] = t.take(close) - t.take(start)
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
     if missing:
         return CycleTimeReport(trace.users, samples, None, True, missing)
@@ -222,14 +254,18 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
     if len(trace.users) != 2:
         raise TooFewUsersError("the two-part split is defined for two-user traces")
     i = trace.user_index(user)
-    ends, uidx = _success_seq(trace)
-    start, close = _cycle_positions(uidx, i, 2)
-    own = np.flatnonzero(uidx == i)
-    split = own[np.searchsorted(own, start, "right")]
+    hit, last, label = _success_runs(trace)
+    runs = _cycle_runs(label, _latest_first_runs(label, 2), i)
+    start, close = (last.take(r) for r in runs)
+    # Runs alternate between the two users: the run after the start is the
+    # other user's turn, and the success right after it is the split.
+    split = last.take(runs[0] + 1) + 1
+    t0, t_split, t1 = (trace.ends.take(hit.take(p))
+                       for p in (start, split, close))
     n_b = split - start - 1
     n_a_prime = close - split
-    part1 = ends[split] - ends[start]
-    part2 = ends[close] - ends[split]
+    part1 = t_split - t0
+    part2 = t1 - t_split
     return [PartSplit(int(b), int(a), int(p1), int(p2))
             for b, a, p1, p2 in zip(n_b, n_a_prime, part1, part2)]
 

@@ -71,6 +71,58 @@ def write_rows(trace: ChannelTrace, fp) -> None:
     fp.writelines(rows)
 
 
+def position_cycle_samples(trace: ChannelTrace) -> dict[str, np.ndarray]:
+    """Per-user cycle samples by the search over single successes that the
+    run search replaced: the bit-for-bit reference for `channel_cycle_time`.
+
+    From each refresh position g of user u, q is the latest among every
+    other user's first success after g (len(successes) when some user has
+    none), and the cycle closes at u's first refresh position after q.
+    """
+    hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
+    ends = trace.ends[hit]
+    uidx = np.log2(trace.masks[hit].astype(np.float64)).astype(np.int64)
+    samples = {}
+    for i, user in enumerate(trace.users):
+        pos = np.flatnonzero((uidx[:-1] == i) & (uidx[1:] != i))
+        q = pos
+        for v in range(len(trace.users)):
+            if v != i:
+                is_v = uidx == v
+                occ = np.append(np.flatnonzero(is_v), len(uidx))
+                q = np.maximum(q, occ[np.cumsum(is_v)[pos]])
+        close = np.searchsorted(pos, q, "right")
+        ok = close < len(pos)
+        samples[user] = ends[pos[close[ok]]] - ends[pos[ok]]
+    return samples
+
+
+def handover_ends(trace: ChannelTrace, user: str) -> np.ndarray:
+    """End times of the user's successes whose next success is another
+    user's, straight from the trace's masks."""
+    hit = trace.kinds == SUCCESS_CODE
+    mine = trace.masks[hit] == 1 << trace.user_index(user)
+    return trace.ends[hit][:-1][mine[:-1] & ~mine[1:]]
+
+
+def nuser_trace(seed: int, n_events: int, n_users: int) -> ChannelTrace:
+    """Seeded back-to-back success, collision and idle events with unequal
+    success shares, so frequent users' cycles skip refresh moments."""
+    rng = np.random.default_rng(seed)
+    share = 0.6 ** np.arange(n_users)
+    kinds = rng.choice(np.array([SUCCESS_CODE, COLLISION_CODE, IDLE_CODE],
+                                np.int8), n_events, p=[0.6, 0.1, 0.3])
+    winner = rng.choice(n_users, n_events, p=share / share.sum())
+    one = rng.integers(0, n_users, n_events)
+    other = (one + rng.integers(1, n_users, n_events)) % n_users
+    masks = np.select([kinds == SUCCESS_CODE, kinds == COLLISION_CODE],
+                      [1 << winner, (1 << one) | (1 << other)], 0)
+    ends = np.cumsum(rng.integers(1, 40, n_events))
+    starts = np.append(0, ends[:-1])
+    return ChannelTrace(tuple(f"U{i}" for i in range(n_users)), starts, ends,
+                        kinds, masks, int(ends[-1]))
+
+
 def success_seq(trace: ChannelTrace) -> list[tuple[int, str]]:
     """(end, user) pairs of Success events, in trace order."""
     out = []

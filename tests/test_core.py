@@ -1,5 +1,6 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
 import io
+import types
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import macfair
 from macfair import core
 from macfair.core import (
     COLLISION_CODE,
@@ -112,6 +114,20 @@ class TestValidateTrace:
         tr = ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE, kind],
                           [1, mask], 2)
         with pytest.raises(error, match=message):
+            validate_trace(tr)
+
+    @pytest.mark.parametrize("code", [7, 3, -1])
+    def test_unknown_kind_code(self, code):
+        tr = ChannelTrace(("A", "B"), [0], [5], np.array([code], np.int8),
+                          [0], 10)
+        with pytest.raises(TraceError, match="kind codes must be 0, 1 or 2"):
+            validate_trace(tr)
+
+    def test_order_fault_named_before_earlier_overlap(self):
+        tr = ChannelTrace.from_events(
+            ("A", "B"), [success(0, 5, "A"), success(3, 8, "B"),
+                         success(10, 12, "A"), success(9, 10, "B")], 12)
+        with pytest.raises(OrderError, match="event 3 starts before event 2"):
             validate_trace(tr)
 
     def test_horizon_violation(self):
@@ -401,6 +417,14 @@ _READ_CASES = {
     "64-users-header": "#users=" + _USERS_64 + "\n0,1,S,U0\n",
     "64-users-inferred": "".join(f"{i},{i + 1},S,U{i}\n" for i in range(64)),
     "63-users-inferred": "".join(f"{i},{i + 1},S,U{i}\n" for i in range(63)),
+    "arabic-indic-digit": "0,\u0665,S,A\n",
+    "underscore-start": "1_0,20,S,A\n",
+    "underscore-horizon": "#horizon=1_0\n0,5,S,A\n",
+    "non-ascii-scale": "#slots_per_unit=\u0662\n0,5,S,A\n",
+    "trailing-plus-label": "0,5,S,A\n5,9,C,A+\n",
+    "trailing-plus-users-header": "#users=A+\n0,5,S,A\n",
+    "hash-label": "0,5,S,A\n5,9,S,#B\n",
+    "repeated-user-header": "#users=A+A\n0,5,S,A\n",
     "empty-file": "",
     "headers-only": "\n\n#users=A+B\n\n",
 }
@@ -426,6 +450,27 @@ class TestColumnarRead:
         with pytest.raises(TraceParseError, match=message) as err:
             ChannelTrace.read(io.StringIO(text))
         assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("text,line_no,message", [
+        ("0,1_000,S,A\n", 1, "bad slot bounds '0','1_000'"),
+        ("0,5,S,A\n5,\u0665,S,B\n", 2, "bad slot bounds '5','\u0665'"),
+        ("#horizon=1_0\n0,5,S,A\n", 1, "bad horizon '1_0'"),
+        ("#slots_per_unit=\u0662\n", 1, "bad slots_per_unit"),
+        ("0,5,S,A\n5,9,C,A+\n", 2, "invalid user label ''"),
+        ("#users=A+\n", 1, "invalid user label ''"),
+        ("0,5,S,A\n5,9,S,#B\n", 2, "invalid user label '#B'"),
+        ("#users=A+A\n", 1, "duplicate user labels"),
+    ], ids=["underscore", "arabic-indic-digit", "underscore-horizon",
+            "non-ascii-scale", "trailing-plus-label", "trailing-plus-header",
+            "hash-label", "repeated-user-header"])
+    def test_value_errors_name_their_line(self, text, line_no, message):
+        with pytest.raises(TraceParseError, match=message) as err:
+            ChannelTrace.read(io.StringIO(text))
+        assert err.value.line_no == line_no
+
+    def test_signed_and_spaced_bounds_accepted(self):
+        tr = ChannelTrace.read(io.StringIO("+0, 5 ,S,A\n5,\t9,S,B\n"))
+        assert tr.starts.tolist() == [0, 5] and tr.ends.tolist() == [5, 9]
 
     def test_plain_body_skips_row_parser(self, monkeypatch):
         tr = _block_trace(3 * core._BLOCK_BYTES // 30)
@@ -553,3 +598,11 @@ class TestParams:
             CsmaParams(cw_min=32, beta=-1, l_difs=4, l_pkt=30)
         with pytest.raises(TraceError):
             CsmaParams(cw_min=32, beta=5, l_difs=0, l_pkt=30)
+
+
+def test_package_exports_no_modules():
+    assert macfair.__all__
+    for name in macfair.__all__:
+        assert not isinstance(getattr(macfair, name), types.ModuleType), name
+    assert {"ChannelTrace", "channel_cycle_time", "simulate_csma"} <= \
+        set(macfair.__all__)

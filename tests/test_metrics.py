@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from macfair.core import ChannelTrace, UnknownUserError, idle, success
+from macfair.core import (
+    AlohaParams,
+    ChannelTrace,
+    CsmaMode,
+    CsmaParams,
+    UnknownUserError,
+    idle,
+    success,
+)
 from macfair.metrics import (
     TooFewUsersError,
     channel_cycle_time,
@@ -17,6 +25,7 @@ from macfair.metrics import (
     refresh_moments,
     throughput,
 )
+from macfair.sim import SimConfig, simulate_aloha, simulate_csma, simulate_tdma
 
 
 class TestRefreshMoments:
@@ -270,3 +279,86 @@ class TestThroughput:
             [success(0, 2, "A"), idle(2, 6), success(6, 8, "B")],
             10)
         assert throughput(tr) == pytest.approx(0.4)
+
+
+def _never_again_trace() -> ChannelTrace:
+    """A 4-user trace whose last user's successes stop halfway through."""
+    tr = helpers.nuser_trace(7, 20_000, 4)
+    masks = tr.masks.copy()
+    late = masks[len(masks) // 2:]
+    late[late == 8] = 1  # U3's late successes become U0's
+    return ChannelTrace(tr.users, tr.starts, tr.ends, tr.kinds, masks,
+                        tr.horizon)
+
+
+_CSMA = CsmaParams(cw_min=32, beta=5, l_difs=4, l_pkt=30)
+_SEARCH_CASES = {
+    "aloha-1e6": lambda: simulate_aloha(
+        AlohaParams(0.5, 0.5), SimConfig(seed=3, horizon=1_000_000)),
+    "aloha-skewed": lambda: simulate_aloha(
+        AlohaParams(0.15, 0.6), SimConfig(seed=4, horizon=300_000)),
+    "csma-rtscts": lambda: simulate_csma(
+        _CSMA, SimConfig(seed=5, horizon=1_000_000), CsmaMode.RTS_CTS),
+    "csma-basic": lambda: simulate_csma(
+        _CSMA, SimConfig(seed=5, horizon=1_000_000), CsmaMode.BASIC),
+    "tdma-7": lambda: simulate_tdma(
+        [3, 1, 4, 1, 5, 9, 2], SimConfig(seed=0, horizon=50_000,
+                                         users=tuple("ABCDEFG"))),
+    "nuser-5-seed-1": lambda: helpers.nuser_trace(1, 100_000, 5),
+    "nuser-5-seed-2": lambda: helpers.nuser_trace(2, 100_000, 5),
+    "nuser-3": lambda: helpers.nuser_trace(3, 100_000, 3),
+    "one-user-stops": _never_again_trace,
+}
+
+
+class TestRunSearch:
+    """The search over success runs against the search over single
+    successes it replaced, and against the two-user hand-over identity."""
+
+    @pytest.mark.parametrize("make", list(_SEARCH_CASES.values()),
+                             ids=list(_SEARCH_CASES))
+    def test_matches_position_search(self, make):
+        tr = make()
+        want = helpers.position_cycle_samples(tr)
+        rep = channel_cycle_time(tr)
+        for user in tr.users:
+            got = rep.per_user_samples[user]
+            assert got.dtype == want[user].dtype
+            assert np.array_equal(got, want[user])
+            assert np.array_equal(cycle_times(tr, user), want[user])
+
+    @pytest.mark.parametrize("make", [
+        lambda: simulate_aloha(AlohaParams(0.5, 0.5),
+                               SimConfig(seed=8, horizon=200_000)),
+        lambda: simulate_aloha(AlohaParams(0.2, 0.7, slot=3),
+                               SimConfig(seed=9, horizon=200_000)),
+        lambda: simulate_csma(_CSMA, SimConfig(seed=10, horizon=500_000),
+                              CsmaMode.RTS_CTS),
+        lambda: simulate_csma(_CSMA, SimConfig(seed=11, horizon=500_000),
+                              CsmaMode.BASIC),
+        lambda: simulate_tdma([30, 50], SimConfig(seed=0, horizon=10_000)),
+    ], ids=["aloha", "aloha-skewed-slot3", "csma-rtscts", "csma-basic",
+            "tdma"])
+    def test_two_user_cycles_join_handovers(self, make):
+        # With two users a cycle runs from one hand-over of its owner to
+        # the next, so its samples are the gaps between hand-over ends.
+        tr = make()
+        rep = channel_cycle_time(tr)
+        for user in tr.users:
+            want = np.diff(helpers.handover_ends(tr, user))
+            assert len(want) > 0
+            assert np.array_equal(rep.per_user_samples[user], want)
+
+    @given(helpers.traces(max_users=6, max_events=60))
+    @settings(max_examples=150, deadline=None)
+    def test_intervals_and_parts_match_literal_scans(self, tr):
+        for user in tr.users:
+            got = cycle_intervals(tr, user).tolist()
+            assert got == [list(p)
+                           for p in helpers.brute_cycle_intervals(tr, user)]
+            if len(tr.users) == 2:
+                assert part_decomposition(tr, user) == \
+                    helpers.brute_part_splits(tr, user)
+            else:
+                with pytest.raises(TooFewUsersError):
+                    part_decomposition(tr, user)

@@ -136,18 +136,20 @@ def cmd_analyze(args) -> int:
     validate_trace(trace)
     cycles = metrics.channel_cycle_time(trace)
     intertx = metrics.inter_transmission_report(trace)
+    # Every figure before any output, so that an error leaves stdout empty.
+    busy = metrics.throughput(trace)
     if args.json:
         blob = cycles.as_dict()
         inter = intertx.as_dict()
         blob["intertx_pmf"] = inter["intertx_pmf"]
         blob["intertx_mean"] = inter["intertx_mean"]
         blob["intertx_users"] = inter["users"]
-        blob["throughput"] = metrics.throughput(trace)
+        blob["throughput"] = busy
         print(json.dumps(blob, indent=2, sort_keys=True))
         return 0
     sys.stdout.write(cycles.to_text())
     sys.stdout.write(intertx.to_text())
-    print(f"throughput={metrics.throughput(trace):.6f}")
+    print(f"throughput={busy:.6f}")
     return 0
 
 

@@ -6,6 +6,7 @@ at the presentation edge (CLI output, file headers), never inside the math.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -134,7 +135,9 @@ def idle(start: int, end: int) -> ChannelEvent:
 def _check_label(label: str, line_no: int | None = None) -> str:
     """The label, if it can stand in a trace file's users field; a file's
     labels are checked with the number of the line they are on."""
-    if not label or any(ch in label for ch in ",+\n\r") or label.startswith("#"):
+    # The reader strips each line, so trailing whitespace would not survive.
+    if (not label or any(ch in label for ch in ",+\n\r")
+            or label.startswith("#") or label != label.rstrip()):
         message = f"invalid user label {label!r}"
         raise (TraceError(message) if line_no is None
                else TraceParseError(line_no, message))
@@ -224,6 +227,19 @@ class ChannelTrace:
         except ValueError:
             raise UnknownUserError(f"unknown user {user!r}") from None
 
+    @functools.cached_property
+    def success_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Trace positions of the Success events and each one's user index,
+        in trace order: decoded once per trace, both arrays read-only."""
+        hit = np.flatnonzero(self.kinds == SUCCESS_CODE)
+        below = self.masks.take(hit)
+        below -= 1
+        # Success masks are single-bit, so mask - 1 has exactly `index` bits set.
+        uidx = np.bitwise_count(below)
+        hit.setflags(write=False)
+        uidx.setflags(write=False)
+        return hit, uidx
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChannelTrace):
             return NotImplemented
@@ -292,8 +308,7 @@ class ChannelTrace:
                     values = _parse_events(block, state, line_no)
                     lines = len(values[0])
                 except _NotPlain:
-                    values = _parse_rows(block, state, line_no,
-                                         after_event=bool(columns[0]))
+                    values = _parse_rows(block, state, line_no)
                     lines = block.count("\n")
                 for parts, v in zip(columns, values):
                     parts.append(v)
@@ -386,20 +401,17 @@ class _FileState:
                             np.asarray(masks, np.int64), horizon)
 
 
-def _parse_rows(text: str, state: _FileState, first_line: int,
-                after_event: bool) -> tuple[np.ndarray, ...]:
-    """The row parser over lines numbered from `first_line`, every error with
-    its line number; `after_event` says an event line came before them."""
+def _parse_rows(text: str, state: _FileState,
+                first_line: int) -> tuple[np.ndarray, ...]:
+    """The row parser over body lines numbered from `first_line`, every error
+    with its line number; the headers were read before the first event."""
     starts, ends, kinds, masks = [], [], [], []
     for line_no, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if after_event or starts:
-                raise TraceParseError(line_no, "header after the first event")
-            state.header(line, line_no)
-            continue
+            raise TraceParseError(line_no, "header after the first event")
         parts = line.split(",")
         if len(parts) != 4:
             raise TraceParseError(line_no, "expected start,end,kind,users")
@@ -423,12 +435,6 @@ def _parse_rows(text: str, state: _FileState, first_line: int,
         masks.append(state.mask(who, line_no))
     return (np.array(starts, np.int64), np.array(ends, np.int64),
             np.array(kinds, np.int8), np.array(masks, np.int64))
-
-
-def _read_rows(fp: TextIO) -> ChannelTrace:
-    """A whole file through the row parser: the reference for `read`."""
-    state = _FileState()
-    return state.trace(*_parse_rows(fp.read(), state, 1, after_event=False))
 
 
 # -- trace file body as byte columns -------------------------------------------
@@ -611,8 +617,8 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:
     """Ordered Success events of one user."""
     bit = 1 << trace.user_index(user)
-    hit = np.flatnonzero((trace.kinds == SUCCESS_CODE) & (trace.masks & bit != 0))
-    return [trace[int(i)] for i in hit]
+    hit = trace.success_index[0]
+    return [trace[int(i)] for i in hit[trace.masks[hit] & bit != 0]]
 
 
 @dataclass(frozen=True)

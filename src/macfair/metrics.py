@@ -19,9 +19,10 @@ cycle starts at k.  When the owner comes back last, m is that return itself;
 otherwise the close is the owner's first refresh run after every other user
 has succeeded.
 
-Cycles, and the two parts of a two-user cycle, are found as run numbers and
-mapped back to positions in the success sequence; end times are gathered at
-those positions last.
+Every metric reads the success sequence from `ChannelTrace.success_index`,
+decoded once per trace.  Cycles, and the two parts of a two-user cycle, are
+found as run numbers and mapped back to positions in the success sequence;
+end times are gathered at those positions last.
 """
 from __future__ import annotations
 
@@ -29,30 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SUCCESS_CODE,
-    ChannelTrace,
-    TraceError,
-)
+from .core import ChannelTrace, TraceError
 
 
 class TooFewUsersError(TraceError):
     """The metric needs more users than the trace provides."""
 
 
-def _success_seq(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Trace indices and user indices of all Success events, in trace order."""
-    hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
-    below = trace.masks.take(hit)
-    below -= 1
-    # Success masks are single-bit, so mask - 1 has exactly `index` bits set.
-    return hit, np.bitwise_count(below)
-
-
 def _success_runs(trace: ChannelTrace) -> tuple[np.ndarray, ...]:
     """Trace indices of the successes, the success position ending each run
     of one user's successes, and each run's user index."""
-    hit, uidx = _success_seq(trace)
+    hit, uidx = trace.success_index
     edge = np.ones(len(uidx), bool)
     np.not_equal(uidx[1:], uidx[:-1], out=edge[:-1])
     last = np.flatnonzero(edge)
@@ -185,7 +173,7 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
 def inter_transmissions(trace: ChannelTrace, user: str) -> np.ndarray:
     """Counts of other users' successes between the user's consecutive successes."""
     i = trace.user_index(user)
-    return _gaps(_success_seq(trace)[1], i)
+    return _gaps(trace.success_index[1], i)
 
 
 def _gaps(uidx: np.ndarray, i: int) -> np.ndarray:
@@ -220,7 +208,7 @@ def inter_transmission_report(trace: ChannelTrace) -> InterTxReport:
     """Pool every user's inter-transmission counts into one empirical pmf."""
     if len(trace.users) < 2:
         raise TooFewUsersError("inter-transmission counts need at least two users")
-    _, uidx = _success_seq(trace)
+    _, uidx = trace.success_index
     counts = {u: _gaps(uidx, i) for i, u in enumerate(trace.users)}
     pooled = np.concatenate(list(counts.values()))
     if len(pooled) == 0:
@@ -274,6 +262,8 @@ def throughput(trace: ChannelTrace) -> float:
     """Fraction of the horizon spent in successful transmissions."""
     if trace.horizon <= 0:
         raise TraceError("throughput needs a positive horizon")
-    hit = np.flatnonzero(trace.kinds == SUCCESS_CODE)
-    busy = int((trace.ends.take(hit) - trace.starts.take(hit)).sum())
-    return busy / trace.horizon
+    hit = trace.success_index[0]
+    # Indexing, not take: take copies a read-only index array first.
+    busy = trace.ends[hit]
+    busy -= trace.starts[hit]
+    return int(busy.sum()) / trace.horizon

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from macfair import core
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -69,6 +70,21 @@ def write_rows(trace: ChannelTrace, fp) -> None:
             label_of[m] = who
         rows.append(f"{s},{e},{char[k]},{who}\n")
     fp.writelines(rows)
+
+
+def read_rows(fp) -> ChannelTrace:
+    """A whole file through the row parser, after a header pass of its own:
+    the reference for `ChannelTrace.read`."""
+    state = core._FileState()
+    lines = fp.read().split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            state.header(line, line_no)
+        elif line:
+            body = "\n".join(lines[line_no - 1:])
+            return state.trace(*core._parse_rows(body, state, line_no))
+    return state.trace([], [], [], [])
 
 
 def position_cycle_samples(trace: ChannelTrace) -> dict[str, np.ndarray]:
@@ -253,8 +269,10 @@ def traces(draw, max_users: int = 3, max_events: int = 40,
     return ChannelTrace.from_events(users, events, horizon)
 
 
+# Labels `_check_label` accepts: a file's lines are stripped on reading, so a
+# label may not end in whitespace.
 _LABELS = st.text(st.characters(blacklist_characters=",+\n\r#"),
-                  min_size=1, max_size=4)
+                  min_size=1, max_size=4).filter(lambda s: s == s.rstrip())
 _INT64 = st.integers(-2**63, 2**63 - 1)
 
 

@@ -141,6 +141,16 @@ class TestSimulate:
         assert code == 0
         assert float(kv(out)["psi_slots"]) == 60.0
 
+    def test_label_ending_in_space_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "simulate", "--protocol", "tdma",
+                             "--users", "A,B ", "--lengths", "3,3",
+                             "--slots", "30", "--warmup", "0",
+                             "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: invalid user label 'B '\n"
+        assert not path.exists()
+
     def test_bad_probability_is_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--protocol", "aloha",
                            "--pa", "1.5", "--slots", "1000")
@@ -281,6 +291,16 @@ class TestAnalyze:
         path.write_text("0,5,S,A\n3,8,S,B\n")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_failing_figure_leaves_stdout_empty(self, tmp_path, capsys, flags):
+        # No events: the cycle and inter-transmission reports exist, but
+        # throughput has no positive horizon.
+        path = tmp_path / "headers.csv"
+        path.write_text("#users=A+B\n")
+        code, out, err = run(capsys, "analyze", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: throughput needs a positive horizon\n"
 
 
 class TestSweep:

@@ -149,6 +149,28 @@ class TestValidateTrace:
         assert validate_trace(tr) is tr
 
 
+class TestSuccessIndex:
+    @given(helpers.traces(max_users=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_event_scan(self, tr):
+        hit, uidx = tr.success_index
+        events = list(tr.events())
+        assert hit.tolist() == [k for k, ev in enumerate(events)
+                                if ev.kind is EventKind.SUCCESS]
+        assert uidx.tolist() == [int(tr.masks[k]).bit_length() - 1
+                                 for k in hit.tolist()]
+
+    def test_read_only_and_decoded_once(self, fig_trace):
+        index = fig_trace.success_index
+        assert fig_trace.success_index is index
+        for arr in index:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        assert index[0].tolist() == [0] + list(range(2, 13))
+        assert index[1].tolist() == [0, 1, 1, 2, 2, 1, 0, 2, 1, 2, 0, 1]
+
+
 class TestSuccessesOf:
     def test_ordered_and_filtered(self, fig_trace):
         ends = [ev.end for ev in successes_of(fig_trace, "B")]
@@ -167,6 +189,18 @@ class TestSuccessesOf:
             got = successes_of(tr, user)
             assert [(e.start, e.end) for e in got] == \
                    [(e.start, e.end) for e in want]
+
+    @given(helpers.raw_traces())
+    @settings(max_examples=100, deadline=None)
+    def test_invalid_masks_filter_as_before(self, tr):
+        # Masks need not be single-bit here, and may be negative.  Events
+        # stand in as their positions, since bad bounds fail to build one.
+        with mock.patch.object(ChannelTrace, "__getitem__", lambda _, k: k):
+            for user in tr.users:
+                bit = 1 << tr.user_index(user)
+                want = np.flatnonzero((tr.kinds == SUCCESS_CODE)
+                                      & (tr.masks & bit != 0))
+                assert successes_of(tr, user) == want.tolist()
 
 
 class TestFileRoundTrip:
@@ -252,6 +286,12 @@ class TestFileRoundTrip:
     def test_bad_kind_rejected(self):
         with pytest.raises(TraceParseError):
             ChannelTrace.read(io.StringIO("0,5,X,A\n"))
+
+    @pytest.mark.parametrize("label", ["B ", "B\t", "\u00a0", "B\u2028"])
+    def test_label_ending_in_whitespace_rejected(self, label):
+        # The reader strips each line, so such a label would not read back.
+        with pytest.raises(TraceError, match="invalid user label"):
+            ChannelTrace(("A", label), [], [], [], [], 0)
 
     def test_unknown_user_against_header(self):
         text = "#users=A+B\n0,5,S,Z\n"
@@ -437,7 +477,7 @@ class TestColumnarRead:
                              ids=list(_READ_CASES))
     def test_matches_row_parser(self, text):
         assert _outcome(ChannelTrace.read, text) == \
-            _outcome(core._read_rows, text)
+            _outcome(helpers.read_rows, text)
 
     @pytest.mark.parametrize("text,line_no,message", [
         ("0,5,S,A+A\n", 1, "user 'A' named twice"),
@@ -460,9 +500,12 @@ class TestColumnarRead:
         ("#users=A+\n", 1, "invalid user label ''"),
         ("0,5,S,A\n5,9,S,#B\n", 2, "invalid user label '#B'"),
         ("#users=A+A\n", 1, "duplicate user labels"),
+        ("#horizon=9\n#users=A +B\n0,5,S,A\n", 2, "invalid user label 'A '"),
+        ("0,5,S,A\n5,9,C,A +B\n", 2, "invalid user label 'A '"),
     ], ids=["underscore", "arabic-indic-digit", "underscore-horizon",
             "non-ascii-scale", "trailing-plus-label", "trailing-plus-header",
-            "hash-label", "repeated-user-header"])
+            "hash-label", "repeated-user-header", "space-before-plus-header",
+            "space-before-plus-label"])
     def test_value_errors_name_their_line(self, text, line_no, message):
         with pytest.raises(TraceParseError, match=message) as err:
             ChannelTrace.read(io.StringIO(text))
@@ -480,7 +523,7 @@ class TestColumnarRead:
         long_line = "0,5,S," + "L" * (core._BLOCK_BYTES + 5) + "\n5,9,I,\n"
         texts = [text, headerless, "#slots_per_unit=3\n" + headerless,
                  long_line]
-        want = [core._read_rows(io.StringIO(t)) for t in texts]
+        want = [helpers.read_rows(io.StringIO(t)) for t in texts]
         assert want[0] == tr and want[1].users[-1] == "D"
         assert np.array_equal(want[2].ends, 3 * tr.ends)
 
@@ -496,19 +539,19 @@ class TestColumnarRead:
         i = len(lines) // 2
         lines[i] = lines[i].replace("\n", " \n")
         text = "".join(lines)
-        want = core._read_rows(io.StringIO(text))
+        want = helpers.read_rows(io.StringIO(text))
         calls = []
         rows = core._parse_rows
 
-        def spy(block, state, first_line, after_event):
-            calls.append((first_line, block.count("\n"), after_event))
-            return rows(block, state, first_line, after_event)
+        def spy(block, state, first_line):
+            calls.append((first_line, block.count("\n")))
+            return rows(block, state, first_line)
 
         monkeypatch.setattr(core, "_parse_rows", spy)
         assert ChannelTrace.read(io.StringIO(text)) == want
-        [(first_line, n_lines, after_event)] = calls
+        [(first_line, n_lines)] = calls
         assert first_line <= i + 1 < first_line + n_lines
-        assert after_event and n_lines < len(lines) // 2
+        assert 4 < first_line and n_lines < len(lines) // 2
 
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     def test_anomaly_in_any_block(self, first):
@@ -518,7 +561,7 @@ class TestColumnarRead:
         lines[i] = lines[i].replace(",", ",,", 1)
         text = "".join(lines)
         outcome = _outcome(ChannelTrace.read, text)
-        assert outcome == _outcome(core._read_rows, text)
+        assert outcome == _outcome(helpers.read_rows, text)
         assert outcome[2] == i + 1
 
     @given(helpers.traces(max_events=40),
@@ -543,7 +586,7 @@ class TestColumnarRead:
             text = text.removesuffix("\n")
         with mock.patch.object(core, "_BLOCK_BYTES", 48):
             got = _outcome(ChannelTrace.read, text)
-        assert got == _outcome(core._read_rows, text)
+        assert got == _outcome(helpers.read_rows, text)
 
     def test_long_field_among_short_lines(self):
         # Mixed into short lines, a long users field goes to the row parser
@@ -552,7 +595,7 @@ class TestColumnarRead:
             f"{i},{i + 1},S,{'B' if i % 100 else 'L' * 300_000}\n"
             for i in range(3000))
         assert _outcome(ChannelTrace.read, text) == \
-            _outcome(core._read_rows, text)
+            _outcome(helpers.read_rows, text)
 
     def test_unseekable_stream(self):
         class Pipe(io.StringIO):
@@ -567,7 +610,7 @@ class TestColumnarRead:
         lines[-1] = lines[-1].replace("\n", " \n")
         for text in ("".join(lines), "#users=A+B\n0,5,S,A\n5,9,S,B \n"):
             assert ChannelTrace.read(Pipe(text)) == \
-                _outcome(core._read_rows, text)
+                _outcome(helpers.read_rows, text)
 
 
 class TestParams:

@@ -285,7 +285,9 @@ class ChannelTrace:
         Headers are read line by line, then the body in blocks of whole lines:
         a block in the plain form (ASCII digits, one-letter kinds, no spaces,
         `\\n` endings) as byte columns, any other by the row parser, which
-        accepts the same inputs and gives every error its line number.
+        accepts the same inputs and gives every error its line number.  Each
+        block's values go straight into output columns that double in size
+        when full, so no file size is needed and a pipe reads the same way.
         """
         state = _FileState()
         for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
@@ -296,7 +298,8 @@ class ChannelTrace:
                 break
         else:
             return state.trace([], [], [], [])
-        columns: tuple[list, ...] = ([], [], [], [])
+        columns = [np.empty(0, dtype) for dtype in _COLUMN_DTYPES]
+        n = 0  # events so far
         pending = raw
         while True:
             chunk = fp.read(_BLOCK_BYTES)
@@ -310,22 +313,38 @@ class ChannelTrace:
                 except _NotPlain:
                     values = _parse_rows(block, state, line_no)
                     lines = block.count("\n")
-                for parts, v in zip(columns, values):
-                    parts.append(v)
+                k = len(values[0])
+                if n + k > len(columns[0]):
+                    size = max(2 * len(columns[0]), n + k)
+                    for i in range(len(columns)):  # one old column at a time
+                        columns[i] = _grown(columns[i], n, size)
+                for c, v in zip(columns, values):
+                    c[n:n + k] = v
+                n += k
                 line_no += lines
             pending = text[cut:]
             if not chunk:
                 break
-        arrays = []
-        for parts in columns:  # one column at a time, freeing its blocks
-            arrays.append(np.concatenate(parts))
-            parts.clear()
-        return state.trace(*arrays)
+        return state.trace(*(c[:n] for c in columns))
 
     @classmethod
     def from_file(cls, path) -> "ChannelTrace":
         with open(path) as fp:
             return cls.read(fp)
+
+
+_COLUMN_DTYPES = (np.int64, np.int64, np.int8, np.int64)  # starts .. masks
+
+
+def _grown(column: np.ndarray, n: int, size: int) -> np.ndarray:
+    """A column of `size` slots holding the first n values of `column`.
+
+    The slots past n are never written here, so the pages they span stay
+    unused until filled.
+    """
+    out = np.empty(size, column.dtype)
+    out[:n] = column[:n]
+    return out
 
 
 class _FileState:
@@ -474,6 +493,19 @@ def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = w - width
     text[first[neg], np.flatnonzero(neg)] = _MINUS
     return text, np.arange(w)[:, None] >= first
+
+
+def _int_list(values: np.ndarray) -> str:
+    """int64 values in decimal joined by commas, as
+    `",".join(map(str, values.tolist()))` writes them."""
+    n = len(values)
+    if n == 0:
+        return ""
+    text, keep = _int_rows(values)
+    text = np.concatenate((text, np.full((1, n), _COMMA)))
+    keep = np.concatenate((keep, np.ones((1, n), bool)))
+    # Value by value, each followed by a comma; the last comma is dropped.
+    return np.compress(keep.T.ravel(), text.T.ravel())[:-1].tobytes().decode()
 
 
 def _render_events(starts, ends, kinds, masks, users, labels) -> bytes:

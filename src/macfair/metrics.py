@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelTrace, TraceError
+from .core import ChannelTrace, TraceError, _int_list
 
 
 class TooFewUsersError(TraceError):
@@ -148,7 +148,7 @@ class CycleTimeReport:
         lines.append(f"psi_slots={psi}")
         lines.append(f"psi_undefined={'true' if self.psi_undefined else 'false'}")
         for u in self.users:
-            samples = ",".join(map(str, self.per_user_samples[u].tolist()))
+            samples = _int_list(self.per_user_samples[u])
             lines.append(f"user={u} cycle_samples={samples}")
         return "\n".join(lines) + "\n"
 

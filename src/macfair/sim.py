@@ -5,7 +5,10 @@ Determinism contract: identical parameters and SimConfig produce bit-identical
 traces.  Each user draws from its own child stream of the run seed, so one
 user's consumption never perturbs another's.  CSMA/CA backoffs are taken from
 blocks of raw 32-bit words and mapped exactly as `Generator.integers(1, cw + 1)`
-maps them, so every backoff equals the value of one such call per draw.  A
+maps them, so every backoff equals the value of one such call per draw.  The
+map works by block and window: the first draw of a window from a block maps
+all of the block's words for that window with numpy, a word numpy would reject
+reading 0, and the simulator reads stage-0 draws from that row inline.  A
 CSMA/CA user draws its next backoff as soon as a round ends in its win or in a
 collision, not when the next round starts; as no other user reads its stream,
 it draws the same values in the same order, and what it draws after the last
@@ -47,33 +50,64 @@ _ALOHA_KIND = np.array([IDLE_CODE, SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE],
                        np.int8)
 
 
-def _backoff_draw(rng: np.random.Generator):
-    """Return draw(cw), giving what `rng.integers(1, cw + 1)` would, call by call.
+def _window_row(words: np.ndarray, cw: int) -> list[int]:
+    """The draws of window cw from each word of a block, 0 where numpy would
+    reject the word, plus a trailing 0 that marks the block's end.
 
     numpy draws a window of cw <= 2**32 from 32-bit words with Lemire's
     multiply-shift map, `1 + (x * cw >> 32)`, rejecting a word whose low half
-    falls below `(2**32 - cw) % cw`, and spends no word when cw is 1.  That
-    call and the block fill `integers(0, 2**32, BLOCK, dtype=np.uint64)` read
-    the same buffered 32-bit stream, so taking words in blocks changes no value
-    drawn.  This leans on numpy's bounded-integer algorithm, which
+    falls below `(2**32 - cw) % cw`; a window of 1 rejects none.
+    """
+    m = words * np.uint64(cw)
+    row = (m >> np.uint64(32)) + np.uint64(1)
+    reject = (_WORD - cw) % cw
+    if reject:
+        row[(m & np.uint64(0xFFFFFFFF)) < reject] = 0
+    row = row.tolist()
+    row.append(0)
+    return row
+
+
+# A block's row before its window is mapped: every read finds 0.
+_UNMAPPED = (0,) * (BLOCK + 1)
+
+
+def _backoff_stream(rng: np.random.Generator, cws: list[int]):
+    """Return draw(stage, pos), giving what `rng.integers(1, cws[stage] + 1)`
+    would, call by call.
+
+    Words come in blocks of BLOCK from `integers(0, 2**32, BLOCK,
+    dtype=np.uint64)`, which reads the same buffered 32-bit stream as the
+    bounded call, so taking words in blocks changes no value drawn.  The first
+    draw of a window from a block maps the whole block for that window
+    (`_window_row`).  `pos` is the index of the caller's next word in the
+    block, BLOCK before the first draw.  draw returns the backoff, the index
+    of the next word, and the block's stage-0 row, which the caller may read
+    itself: a non-zero `row[pos]` is the next stage-0 backoff, after which the
+    next word is pos + 1, or pos for a window of 1, which spends no word; a 0
+    (a rejected word, the block's end or an unmapped row) means calling
+    draw(0, pos) instead.  A window of 1 drawn at a block's end takes the next
+    block early, which changes no value, as no one else reads the stream.
+    This leans on numpy's bounded-integer algorithm, which
     tests/test_sim.py::TestBackoffDraw checks against the numpy in use.
     """
-    words: list[int] = []
-    pos = 0
+    words = None
+    rows = [_UNMAPPED] * len(cws)
 
-    def draw(cw: int) -> int:
-        nonlocal words, pos
-        if cw == 1:
-            return 1
-        reject = (_WORD - cw) % cw
+    def draw(stage: int, pos: int):
+        nonlocal words, rows
         while True:
-            if pos == len(words):
-                words = rng.integers(0, _WORD, BLOCK, dtype=np.uint64).tolist()
+            if pos == BLOCK:
+                words = rng.integers(0, _WORD, BLOCK, dtype=np.uint64)
+                rows = [_UNMAPPED] * len(cws)
                 pos = 0
-            m = words[pos] * cw
+            row = rows[stage]
+            if row is _UNMAPPED:
+                row = rows[stage] = _window_row(words, cws[stage])
+            c = row[pos]
+            if c:
+                return c, pos + (cws[stage] > 1), rows[0]
             pos += 1
-            if m & 0xFFFFFFFF >= reject:
-                return 1 + (m >> 32)
 
     return draw
 
@@ -205,18 +239,24 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     and its counter ticks down exactly once during it.  A success and a
     collision hold the channel for `params.busy_slots(mode)`.
 
+    Backoffs come from `_backoff_stream`, which maps each block of a user's
+    words once per window drawn from it, a rejected word reading 0.  A win's
+    stage-0 redraw reads that row inline; the stream is called when the read
+    finds 0 (a block's end, a rejected word, a row not yet mapped) and for a
+    collision's redraws.
+
     Returns the trace, or (trace, CsmaAudit) when `audit` is true.
     """
     if len(config.users) != 2:
         raise TraceError("CSMA/CA simulation is two-user")
     if params.cw_max > _WORD:
-        # numpy draws wider windows from 64-bit words, which _backoff_draw
+        # numpy draws wider windows from 64-bit words, which _backoff_stream
         # does not reproduce.
         raise TraceError(f"cw_max={params.cw_max} above 2**32 is not "
                          "supported by the CSMA/CA simulator")
     succ_len, coll_len = params.busy_slots(mode)
-    draw0, draw1 = (_backoff_draw(rng) for rng in _user_streams(config))
     cws = [params.cw(s) for s in range(params.beta + 1)]
+    draw0, draw1 = (_backoff_stream(rng, cws) for rng in _user_streams(config))
     beta = params.beta
     succ_round = params.l_difs + succ_len
     coll_round = params.l_difs + coll_len
@@ -224,30 +264,45 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     # Both counters at every round start; all else follows from them.
     rec0: list[int] = []
     rec1: list[int] = []
+    push0, push1 = rec0.append, rec1.append
     s0 = s1 = 0
-    c0, c1 = draw0(cws[0]), draw1(cws[0])
+    # Each user's next word in its block and the block's stage-0 row; a
+    # stage-0 draw spends a word unless the window is 1.
+    step = int(cws[0] > 1)
+    c0, p0, row0 = draw0(0, BLOCK)
+    c1, p1, row1 = draw1(0, BLOCK)
     t = 0
     while t < cutoff:
-        rec0.append(c0)
-        rec1.append(c1)
+        push0(c0)
+        push1(c1)
         if c0 < c1:
             # The loser defers for the exchange; its counter expires one slot
             # of backoff while the channel is held.
             t += succ_round + c0
             c1 -= c0 + 1
             s0 = 0
-            c0 = draw0(cws[0])
+            c0 = row0[p0]
+            if c0:
+                p0 += step
+            else:
+                c0, p0, row0 = draw0(0, p0)
         elif c1 < c0:
             t += succ_round + c1
             c0 -= c1 + 1
             s1 = 0
-            c1 = draw1(cws[0])
+            c1 = row1[p1]
+            if c1:
+                p1 += step
+            else:
+                c1, p1, row1 = draw1(0, p1)
         else:
             t += coll_round + c0
-            s0 = min(s0 + 1, beta)
-            s1 = min(s1 + 1, beta)
-            c0 = draw0(cws[s0])
-            c1 = draw1(cws[s1])
+            if s0 < beta:
+                s0 += 1
+            if s1 < beta:
+                s1 += 1
+            c0, p0, row0 = draw0(s0, p0)
+            c1, p1, row1 = draw1(s1, p1)
     counter = np.array((rec0, rec1), np.int64)
     outcome = (counter[1] < counter[0]).astype(np.int64)
     coll = counter[0] == counter[1]

@@ -139,6 +139,37 @@ def nuser_trace(seed: int, n_events: int, n_users: int) -> ChannelTrace:
                         kinds, masks, int(ends[-1]))
 
 
+def reference_csma_counters(params, config, mode) -> np.ndarray:
+    """Both users' backoff counters at the start of every round of a two-user
+    CSMA/CA run, from tick 0 until a round starts at or past warmup +
+    horizon, as an (n, 2) array: the definitional loop for
+    `sim.simulate_csma`.  Each backoff is one `rng.integers(1, cw + 1)` call
+    on the user's own child stream of the run seed."""
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(2)]
+    succ, coll = params.busy_slots(mode)
+    stage = [0, 0]
+    counter = [int(rng.integers(1, params.cw(0) + 1)) for rng in rngs]
+    rows = []
+    t = 0
+    while t < config.warmup + config.horizon:
+        rows.append(list(counter))
+        low = min(counter)
+        if counter[0] == counter[1]:
+            t += params.l_difs + low + coll
+            redraw = (0, 1)
+            stage = [min(s + 1, params.beta) for s in stage]
+        else:
+            winner = counter.index(low)
+            t += params.l_difs + low + succ
+            counter[1 - winner] -= low + 1
+            redraw = (winner,)
+            stage[winner] = 0
+        for u in redraw:
+            counter[u] = int(rngs[u].integers(1, params.cw(stage[u]) + 1))
+    return np.array(rows, np.int64)
+
+
 def success_seq(trace: ChannelTrace) -> list[tuple[int, str]]:
     """(end, user) pairs of Success events, in trace order."""
     out = []

@@ -3,6 +3,7 @@ and the two-part cycle split, checked against literal-definition oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from macfair.core import (
@@ -15,6 +16,7 @@ from macfair.core import (
     success,
 )
 from macfair.metrics import (
+    CycleTimeReport,
     TooFewUsersError,
     channel_cycle_time,
     cycle_intervals,
@@ -180,6 +182,16 @@ class TestChannelCycleTime:
         assert "psi_slots=" in text
         assert "psi_undefined=false" in text
         assert "user=A cycle_samples=7,4" in text
+
+    @given(st.lists(st.lists(st.integers(-2**63, 2**63 - 1), max_size=30),
+                    min_size=2, max_size=3))
+    def test_report_text_matches_str_join(self, per_user):
+        users = tuple("ABC"[:len(per_user)])
+        rep = CycleTimeReport(users, {u: np.array(v, np.int64) for u, v
+                                      in zip(users, per_user)}, 1.5, False, ())
+        assert rep.to_text() == "psi_slots=1.500000\npsi_undefined=false\n" + \
+            "".join(f"user={u} cycle_samples={','.join(map(str, v))}\n"
+                    for u, v in zip(users, per_user))
 
 
 class TestInterTransmissions:

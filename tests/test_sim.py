@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from helpers import reference_csma_counters
 from macfair import analytic, metrics
 from macfair.core import (
     AlohaParams,
@@ -15,13 +16,16 @@ from macfair.core import (
     CsmaParams,
     EventKind,
     TraceError,
+    collision,
+    idle,
+    success,
     validate_trace,
 )
 from macfair.sim import (
     BLOCK,
     COLLISION_OUTCOME,
     SimConfig,
-    _backoff_draw,
+    _backoff_stream,
     empirical_collision_probability,
     reconstruct_parts,
     simulate_aloha,
@@ -202,24 +206,35 @@ class TestBackoffDraw:
     release that changes its bounded-integer stream fails here first."""
 
     @staticmethod
-    def _both(seed, cws):
-        draw = _backoff_draw(np.random.default_rng(seed))
+    def _both(seed, windows, stages):
+        """Draws at the given stages, reading stage 0 from the returned row
+        as simulate_csma does, next to one Generator.integers call each."""
+        draw = _backoff_stream(np.random.default_rng(seed), windows)
         ref = np.random.default_rng(seed)
-        return ([draw(cw) for cw in cws],
-                [int(ref.integers(1, cw + 1)) for cw in cws])
+        got = []
+        c, pos, row0 = draw(stages[0], BLOCK)
+        got.append(c)
+        for stage in stages[1:]:
+            c = row0[pos] if stage == 0 else 0
+            if c:
+                pos += windows[0] > 1
+            else:
+                c, pos, row0 = draw(stage, pos)
+            got.append(c)
+        return got, [int(ref.integers(1, windows[s] + 1)) for s in stages]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_windows(self, seed):
         windows = [1, 2, 3, 24, 32, 1024, 12345, 2**31 + 1, 2**32]
         pick = np.random.default_rng(1000 + seed)
-        cws = [windows[i] for i in pick.integers(0, len(windows), 3 * BLOCK + 5)]
-        got, want = self._both(seed, cws)
+        stages = pick.integers(0, len(windows), 3 * BLOCK + 5).tolist()
+        got, want = self._both(seed, windows, stages)
         assert got == want
 
     @pytest.mark.parametrize("cw", [3, 12345, 2**31 + 1, 3 * 2**30,
                                     2**32 - 1, 2**32])
     def test_rejection_heavy_windows(self, cw):
-        got, want = self._both(7, [cw] * (2 * BLOCK + 3))
+        got, want = self._both(7, [cw], [0] * (2 * BLOCK + 3))
         assert got == want
         assert min(got) >= 1 and max(got) <= cw
 
@@ -252,6 +267,66 @@ class TestCsmaPinned:
         # A pending counter never goes negative; a fresh draw is at least 1.
         assert np.all(audit.counter >= 0)
         assert np.all(audit.counter[audit.fresh] >= 1)
+
+
+class TestCsmaReference:
+    """simulate_csma against tests/helpers.py::reference_csma_counters, which
+    makes one Generator.integers call per backoff: the same counters, and so
+    the same trace, whatever the windows and the rejection rate."""
+
+    SETTINGS = [(cw_min, beta) for cw_min in (1, 3, 24, 32) for beta in (0, 5)]
+    SETTINGS += [(1, 10),
+                 (3 * 2**29, 1),  # rejects a quarter of the words at each stage
+                 (2**27, 5)]      # top window 2**32
+
+    @pytest.mark.parametrize("mode", list(CsmaMode))
+    @pytest.mark.parametrize("cw_min,beta", SETTINGS)
+    def test_counters_and_trace(self, cw_min, beta, mode):
+        params = CsmaParams(cw_min=cw_min, beta=beta, l_difs=2, l_pkt=5)
+        succ, coll = params.busy_slots(mode)
+        # About 8 * BLOCK rounds, half of them won by each user.
+        horizon = 8 * BLOCK * (params.l_difs + succ + cw_min // 3 + 1)
+        config = SimConfig(seed=11, horizon=horizon)
+        counters = reference_csma_counters(params, config, mode)
+        trace, audit = simulate_csma(params, config, mode, audit=True)
+        # Each round is an idle event then a busy one; the window keeps the
+        # events, and the audit the rounds, lying wholly inside it.
+        users = config.users
+        events, kept, t = [], [], -config.warmup
+        for k, (a, b) in enumerate(counters.tolist()):
+            busy = t + params.l_difs + min(a, b)
+            end = busy + (coll if a == b else succ)
+            if t >= 0 and busy <= horizon:
+                events.append(idle(t, busy))
+            if busy >= 0 and end <= horizon:
+                events.append(collision(busy, end, users) if a == b
+                              else success(busy, end, users[int(b < a)]))
+            if t >= 0 and end <= horizon:
+                kept.append(k)
+            t = end
+        want = ChannelTrace.from_events(users, events, horizon)
+        assert _sim_digest(trace) == _sim_digest(want)
+        np.testing.assert_array_equal(audit.counter, counters[kept])
+        # A draw from a window above 1 spends at least one word.  A window of
+        # 1 spends none, and from cw_min 1 the users settle into rounds that
+        # draw only from it, so those settings cross no block.
+        if cw_min > 1:
+            windows = np.array([params.cw(s) for s in range(beta + 1)])
+            spent = np.sum(audit.fresh & (windows[audit.stage] > 1), axis=0)
+            assert spent.min() >= 3 * BLOCK
+
+    @pytest.mark.parametrize("beta", [5, 10])
+    def test_unit_window_many_seeds(self, beta):
+        """From cw_min 1 words are spent only until the users settle, and a
+        collision right after a draw from the window of 1 comes in about one
+        seed in twenty: many short runs from tick 0."""
+        params = CsmaParams(cw_min=1, beta=beta, l_difs=2, l_pkt=5)
+        for seed in range(60):
+            config = SimConfig(seed=seed, horizon=3000, warmup=0)
+            counters = reference_csma_counters(params, config, CsmaMode.BASIC)
+            _, audit = simulate_csma(params, config, CsmaMode.BASIC, audit=True)
+            np.testing.assert_array_equal(audit.counter,
+                                          counters[:len(audit)])
 
 
 class TestAlohaPinned:

@@ -110,19 +110,21 @@ def cmd_simulate(args) -> int:
     trace, audit_rec = _simulate(args.protocol, params, config,
                                  audit=bool(args.audit_out))
     validate_trace(trace)
+    # Every figure before any file or output, so that an error leaves none.
+    report = metrics.channel_cycle_time(trace)
+    busy = metrics.throughput(trace)
     if args.out:
         trace.to_file(args.out)
     if audit_rec is not None:
         with open(args.audit_out, "w") as fp:
             write_audit(audit_rec, fp)
-    report = metrics.channel_cycle_time(trace)
     psi = "nan" if report.psi_slots is None else f"{report.psi_slots:.6f}"
     psi_us = "nan" if report.psi_slots is None \
         else f"{report.psi_slots * mps:.6f}"
     print(f"psi_slots={psi}")
     print(f"psi_undefined={'true' if report.psi_undefined else 'false'}")
     print(f"psi_us={psi_us}")
-    print(f"throughput={metrics.throughput(trace):.6f}")
+    print(f"throughput={busy:.6f}")
     print(f"events={len(trace)}")
     if args.out:
         print(f"trace={args.out}")
@@ -283,16 +285,14 @@ def cmd_sweep(args) -> int:
                 if psi is not None:
                     samples.append(psi)
             n = len(samples)
-            if samples:
-                mean = float(np.mean(samples))
-                # Student-t half-width: the reps' own spread, n - 1 d.o.f.
-                ci = (_t_quantile(0.975, n - 1)
-                      * float(np.std(samples, ddof=1)) / math.sqrt(n)
-                      if n > 1 else math.nan)
-                rows.append(f"{label},{protocol},{psi_a:.6f},{mean:.6f},"
-                            f"{ci:.6f},{n}")
-            else:
-                rows.append(f"{label},{protocol},{psi_a:.6f},nan,nan,0")
+            # np.mean of no samples warns, so nan is set here instead.
+            mean = float(np.mean(samples)) if n else math.nan
+            # Student-t half-width: the reps' own spread, n - 1 d.o.f.
+            ci = (_t_quantile(0.975, n - 1)
+                  * float(np.std(samples, ddof=1)) / math.sqrt(n)
+                  if n > 1 else math.nan)
+            rows.append(f"{label},{protocol},{psi_a:.6f},{mean:.6f},"
+                        f"{ci:.6f},{n}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fp:

@@ -135,9 +135,11 @@ def idle(start: int, end: int) -> ChannelEvent:
 def _check_label(label: str, line_no: int | None = None) -> str:
     """The label, if it can stand in a trace file's users field; a file's
     labels are checked with the number of the line they are on."""
-    # The reader strips each line, so trailing whitespace would not survive.
+    # The reader strips each line, so trailing whitespace would not survive;
+    # files are UTF-8, so a label must encode (a lone surrogate does not).
     if (not label or any(ch in label for ch in ",+\n\r")
-            or label.startswith("#") or label != label.rstrip()):
+            or label.startswith("#") or label != label.rstrip()
+            or re.search("[\ud800-\udfff]", label)):
         message = f"invalid user label {label!r}"
         raise (TraceError(message) if line_no is None
                else TraceParseError(line_no, message))
@@ -230,12 +232,22 @@ class ChannelTrace:
     @functools.cached_property
     def success_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Trace positions of the Success events and each one's user index,
-        in trace order: decoded once per trace, both arrays read-only."""
+        in trace order: decoded once per trace, both arrays read-only.  A
+        Success mask that is not one bit of the user set raises TraceError."""
+        n = len(self.users)
         hit = np.flatnonzero(self.kinds == SUCCESS_CODE)
         below = self.masks.take(hit)
         below -= 1
-        # Success masks are single-bit, so mask - 1 has exactly `index` bits set.
+        # mask - 1 of a mask 1 << i has exactly its i lowest bits set: its bit
+        # count is the user index, and shifting it right by that leaves 0.
         uidx = np.bitwise_count(below)
+        if len(hit) and (int(below.min()) < 0 or int(uidx.max()) >= n
+                         or np.right_shift(below, uidx, out=below).any()):
+            m = self.masks.take(hit)
+            bad = (m <= 0) | (m & (m - 1) != 0) | (m >> n != 0)
+            k = int(hit[bad.argmax()])
+            raise TraceError(f"event {k}: Success mask {int(self.masks[k])} "
+                             f"is not one user of {n}")
         hit.setflags(write=False)
         uidx.setflags(write=False)
         return hit, uidx
@@ -263,8 +275,7 @@ class ChannelTrace:
             raise TraceError("event kind codes must be 0, 1 or 2")
         # A block's byte matrix is as wide as its longest line, so the block
         # length follows from the widest line these users allow.
-        widest = _WIDEST_BOUNDS + len("+".join(self.users).encode(
-            "utf-8", "surrogatepass"))
+        widest = _WIDEST_BOUNDS + len("+".join(self.users).encode())
         step = max(1, _BLOCK_BYTES // widest)
         labels: dict[int, bytes] = {}
         for lo in range(0, len(self), step):
@@ -272,10 +283,10 @@ class ChannelTrace:
             text = _render_events(self.starts[block], self.ends[block],
                                   kinds[block], self.masks[block],
                                   self.users, labels)
-            fp.write(text.decode("utf-8", "surrogatepass"))
+            fp.write(text.decode())
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fp:
+        with open(path, "w", encoding="utf-8") as fp:
             self.write(fp)
 
     @classmethod
@@ -329,7 +340,8 @@ class ChannelTrace:
 
     @classmethod
     def from_file(cls, path) -> "ChannelTrace":
-        with open(path) as fp:
+        """Read a UTF-8 trace file; a byte that is not UTF-8 fails its line."""
+        with open(path, encoding="utf-8", errors="surrogateescape") as fp:
             return cls.read(fp)
 
 
@@ -516,7 +528,7 @@ def _render_events(starts, ends, kinds, masks, users, labels) -> bytes:
     for m in uniq.tolist():
         if m not in labels:
             labels[m] = "+".join(u for b, u in enumerate(users)
-                                 if m >> b & 1).encode("utf-8", "surrogatepass")
+                                 if m >> b & 1).encode()
         names.append(labels[m])
     lengths = np.array([len(x) for x in names], np.int64)
     table = np.zeros((int(lengths.max()), len(names)), np.uint8)
@@ -649,8 +661,9 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:
     """Ordered Success events of one user."""
     bit = 1 << trace.user_index(user)
-    hit = trace.success_index[0]
-    return [trace[int(i)] for i in hit[trace.masks[hit] & bit != 0]]
+    hit = np.flatnonzero((trace.kinds == SUCCESS_CODE)
+                         & (trace.masks & bit != 0))
+    return [trace[i] for i in hit.tolist()]
 
 
 @dataclass(frozen=True)

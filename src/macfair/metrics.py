@@ -130,14 +130,14 @@ class CycleTimeReport:
                 if len(s)}
 
     def as_dict(self) -> dict:
+        means = self.per_user_mean()
         return {
             "psi_slots": self.psi_slots,
             "psi_undefined": self.psi_undefined,
             "users": [
                 {"user": u,
                  "cycle_samples": self.per_user_samples[u].tolist(),
-                 "mean_slots": (float(self.per_user_samples[u].mean())
-                                if len(self.per_user_samples[u]) else None)}
+                 "mean_slots": means.get(u)}
                 for u in self.users
             ],
         }
@@ -254,8 +254,8 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
     n_a_prime = close - split
     part1 = t_split - t0
     part2 = t1 - t_split
-    return [PartSplit(int(b), int(a), int(p1), int(p2))
-            for b, a, p1, p2 in zip(n_b, n_a_prime, part1, part2)]
+    return [PartSplit(*split) for split in zip(
+        n_b.tolist(), n_a_prime.tolist(), part1.tolist(), part2.tolist())]
 
 
 def throughput(trace: ChannelTrace) -> float:

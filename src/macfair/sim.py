@@ -395,39 +395,25 @@ def empirical_collision_probability(audit_rec: CsmaAudit) -> float:
     return 2.0 * n_coll / attempts
 
 
-@dataclass(frozen=True)
-class PartReconstruction:
-    """Audit-based replay of each cycle's two parts next to the trace-measured truth.
-
-    All arrays align with metrics.part_decomposition(trace, user): recon_*
-    rebuild the durations from round outcomes and fresh backoff draws alone,
-    measured_* read them off the trace timestamps.
-    """
-
-    recon_part1: np.ndarray
-    recon_part2: np.ndarray
-    measured_part1: np.ndarray
-    measured_part2: np.ndarray
-    n_b: np.ndarray
-    n_a_prime: np.ndarray
-
-
 def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
                       params: CsmaParams, mode: CsmaMode,
-                      user: str) -> PartReconstruction:
-    """Rebuild every cycle's part durations from the audit log.
+                      user: str) -> list[metrics.PartSplit]:
+    """Rebuild every cycle's two parts from the audit log alone.
 
-    Part 1 of a cycle (refresh moment to the end of the owner's first success)
-    must equal n_b deferrals plus the owner's own attempts; part 2 is the
-    owner's run of further successes.  With the terms of
-    `params.round_terms(mode)`, which `csma_cct` also uses,
+    The cycles are those of `metrics.cycle_intervals`; each is split at the
+    owner's first win in the audit rounds.  n_b counts the other user's wins
+    before the split and n_a' the owner's wins after it.  Part 1 (refresh
+    moment to the end of the owner's first success) is n_b deferrals plus the
+    owner's own attempts; part 2 is the owner's run of further successes.
+    With the terms of `params.round_terms(mode)`, which `csma_cct` also uses,
 
         part1 = n_b defer + payload + (rho1 + 1) attempt + sum of fresh lambdas
         part2 = n_a' payload + (rho2 + n_a') attempt + sum of fresh lambdas
 
     where rho counts collisions inside the part and the lambda sums range over
-    the owner's fresh draws in it.  Slot-exact equality with the trace-measured
-    durations is the conservation check on the whole chain.
+    the owner's fresh draws in it.  No round time enters the durations, so
+    equality with `metrics.part_decomposition(trace, user)`, which reads the
+    split off the trace, is the conservation check on the whole chain.
     """
     u = trace.user_index(user)
     other = 1 - u
@@ -459,11 +445,10 @@ def reconstruct_parts(trace: ChannelTrace, audit_rec: CsmaAudit,
     if np.any(k1 != rho1 + 1) or np.any(k2 != rho2 + n_a):
         raise TraceError("fresh-draw counts do not match round outcomes")
     defer, attempt, payload = params.round_terms(mode)
-    recon1 = n_b * defer + payload + (rho1 + 1) * attempt + lam1
-    recon2 = n_a * payload + (rho2 + n_a) * attempt + lam2
-    measured1 = audit_rec.end[s] - t0
-    measured2 = t1 - audit_rec.end[s]
-    return PartReconstruction(recon1, recon2, measured1, measured2, n_b, n_a)
+    part1 = n_b * defer + payload + (rho1 + 1) * attempt + lam1
+    part2 = n_a * payload + (rho2 + n_a) * attempt + lam2
+    return [metrics.PartSplit(*split) for split in zip(
+        n_b.tolist(), n_a.tolist(), part1.tolist(), part2.tolist())]
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:

@@ -301,8 +301,10 @@ def traces(draw, max_users: int = 3, max_events: int = 40,
 
 
 # Labels `_check_label` accepts: a file's lines are stripped on reading, so a
-# label may not end in whitespace.
-_LABELS = st.text(st.characters(blacklist_characters=",+\n\r#"),
+# label may not end in whitespace, and files are UTF-8, so a label may hold no
+# lone surrogate (category Cs).
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters=",+\n\r#"),
                   min_size=1, max_size=4).filter(lambda s: s == s.rstrip())
 _INT64 = st.integers(-2**63, 2**63 - 1)
 

@@ -25,6 +25,7 @@ from macfair.metrics import (
     channel_cycle_time,
     cycle_intervals,
     inter_transmission_report,
+    part_decomposition,
     refresh_moments,
 )
 from macfair.sim import (
@@ -187,11 +188,10 @@ def test_criterion_08_audit_reconstruction_exact(capsys):
                 params, SimConfig(seed=400 + pkt, horizon=10_000_000),
                 CsmaMode.RTS_CTS, audit=True)
             for user in ("A", "B"):
-                rec = reconstruct_parts(trace, audit, params,
-                                        CsmaMode.RTS_CTS, user)
-                assert np.array_equal(rec.recon_part1, rec.measured_part1)
-                assert np.array_equal(rec.recon_part2, rec.measured_part2)
-                total += len(rec.recon_part1)
+                parts = reconstruct_parts(trace, audit, params,
+                                          CsmaMode.RTS_CTS, user)
+                assert parts == part_decomposition(trace, user)
+                total += len(parts)
         assert total >= 100_000
 
 

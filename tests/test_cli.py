@@ -151,6 +151,27 @@ class TestSimulate:
         assert err == "error: invalid user label 'B '\n"
         assert not path.exists()
 
+    def test_label_utf8_cannot_encode_is_exit_1(self, tmp_path, capsys):
+        # Python decodes a command-line byte that is not UTF-8, here 0xFF,
+        # to a lone surrogate.
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "simulate", "--protocol", "tdma",
+                             "--users", "A\udcff,B", "--lengths", "3,3",
+                             "--slots", "30", "--warmup", "0",
+                             "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: invalid user label 'A\\udcff'\n"
+        assert not path.exists()
+
+    def test_failing_figure_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "simulate", "--protocol", "tdma",
+                             "--lengths", "30", "--users", "A",
+                             "--slots", "1000", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: channel cycle time needs at least two users\n"
+        assert not path.exists()
+
     def test_bad_probability_is_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--protocol", "aloha",
                            "--pa", "1.5", "--slots", "1000")
@@ -285,6 +306,22 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert "throughput=0.800000" in out  # 16 busy slots of a 20-slot horizon
+
+    @pytest.mark.parametrize("body,message", [
+        (b"#users=A+\xff\n0,5,S,A\n", "line 1: invalid user label '\\udcff'"),
+        (b"0,5,S,A\n5,9,S,B\n9,12,S,\xff\n",
+         "line 3: invalid user label '\\udcff'"),
+        (b"0,5,S,A\n5,9,S,B\n9\xff,12,S,A\n",
+         "line 3: bad slot bounds '9\\udcff','12'"),
+        (b"0,5,S,A\n5,9,S,B\n9,12,\xff,A\n",
+         "line 3: unknown event kind '\\udcff'"),
+    ], ids=["header", "users", "bounds", "kind"])
+    def test_byte_not_utf8_is_exit_1(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_invalid_trace_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "overlap.csv"

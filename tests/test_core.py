@@ -1,5 +1,8 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
 import io
+import os
+import subprocess
+import sys
 import types
 from unittest import mock
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 import macfair
-from macfair import core
+from macfair import core, metrics
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -170,6 +173,37 @@ class TestSuccessIndex:
         assert index[0].tolist() == [0] + list(range(2, 13))
         assert index[1].tolist() == [0, 1, 1, 2, 2, 1, 0, 2, 1, 2, 0, 1]
 
+    @pytest.mark.parametrize("mask", [3, 0, 4, -1, -2**63],
+                             ids=["two-bits", "zero", "beyond", "minus-1",
+                                  "int64-min"])
+    def test_bad_success_mask_raises(self, mask):
+        tr = ChannelTrace(("A", "B"), [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+                          [SUCCESS_CODE] * 5, [1, mask, 1, 2, 1], 5)
+        message = f"event 1: Success mask {mask} is not one user of 2"
+        with pytest.raises(TraceError, match=message):
+            tr.success_index
+        with pytest.raises(TraceError, match=message):
+            metrics.channel_cycle_time(tr)
+
+    @given(helpers.raw_traces(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_on_bad_masks(self, tr, one_bit):
+        if one_bit:  # few raw traces have only good Success masks
+            tr = ChannelTrace(tr.users, tr.starts, tr.ends, tr.kinds,
+                              1 << tr.masks % len(tr.users), tr.horizon)
+        kinds, masks = tr.kinds.tolist(), tr.masks.tolist()
+        hit = [k for k, kind in enumerate(kinds) if kind == SUCCESS_CODE]
+        bad = [k for k in hit
+               if masks[k] <= 0 or masks[k] & (masks[k] - 1)
+               or masks[k] >> len(tr.users)]
+        if bad:
+            with pytest.raises(TraceError, match=f"event {bad[0]}: "):
+                tr.success_index
+        else:
+            assert tr.success_index[0].tolist() == hit
+            assert tr.success_index[1].tolist() == \
+                [masks[k].bit_length() - 1 for k in hit]
+
 
 class TestSuccessesOf:
     def test_ordered_and_filtered(self, fig_trace):
@@ -326,6 +360,27 @@ class TestFileRoundTrip:
         path = tmp_path / "trace.csv"
         fig_trace.to_file(path)
         assert ChannelTrace.from_file(path) == fig_trace
+
+    def test_file_is_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale, with UTF-8 mode and locale coercion off,
+        # Python's default file encoding is ASCII.
+        path = tmp_path / "trace.csv"
+        code = ("import locale, sys\n"
+                "from macfair.core import ChannelTrace\n"
+                # The label as an escape: the C locale cannot pass an "é".
+                "tr = ChannelTrace(('\\u00e9', 'B'), [0, 3], [3, 5], [0, 0],"
+                " [1, 2], 5)\n"
+                "tr.to_file(sys.argv[1])\n"
+                "assert ChannelTrace.from_file(sys.argv[1]) == tr\n"
+                "print(locale.getpreferredencoding(False))\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() in ("ANSI_X3.4-1968", "ascii", "US-ASCII")
+        assert path.read_bytes().splitlines()[1] == "#users=\u00e9+B".encode()
 
 
 def _written(tr: ChannelTrace, writer) -> str:

@@ -415,21 +415,9 @@ class TestCsmaAudit:
         tr, audit = simulate_csma(TABLE, SimConfig(seed=5, horizon=1_000_000),
                                   mode, audit=True)
         for user in tr.users:
-            rec = reconstruct_parts(tr, audit, TABLE, mode, user)
-            assert len(rec.recon_part1) > 1000
-            assert np.array_equal(rec.recon_part1, rec.measured_part1)
-            assert np.array_equal(rec.recon_part2, rec.measured_part2)
-
-    def test_conservation_matches_part_decomposition(self):
-        tr, audit = simulate_csma(TABLE, SimConfig(seed=5, horizon=500_000),
-                                  audit=True)
-        for user in tr.users:
-            rec = reconstruct_parts(tr, audit, TABLE, CsmaMode.RTS_CTS, user)
-            parts = metrics.part_decomposition(tr, user)
-            assert rec.n_b.tolist() == [p.n_b for p in parts]
-            assert rec.n_a_prime.tolist() == [p.n_a_prime for p in parts]
-            assert rec.measured_part1.tolist() == [p.t_part1 for p in parts]
-            assert rec.measured_part2.tolist() == [p.t_part2 for p in parts]
+            parts = reconstruct_parts(tr, audit, TABLE, mode, user)
+            assert len(parts) > 1000
+            assert parts == metrics.part_decomposition(tr, user)
 
     def test_audit_file_format(self):
         _, audit = simulate_csma(TABLE, SimConfig(seed=3, horizon=20_000),

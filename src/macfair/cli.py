@@ -25,7 +25,6 @@ from .core import (
     UnitError,
     slots_to_us,
     us_to_slots,
-    validate_trace,
 )
 from .sim import SimConfig, simulate_aloha, simulate_csma, simulate_tdma, write_audit
 
@@ -109,7 +108,6 @@ def cmd_simulate(args) -> int:
     params = _build_params(args.protocol, args)
     trace, audit_rec = _simulate(args.protocol, params, config,
                                  audit=bool(args.audit_out))
-    validate_trace(trace)
     # Every figure before any file or output, so that an error leaves none.
     report = metrics.channel_cycle_time(trace)
     busy = metrics.throughput(trace)
@@ -135,7 +133,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = ChannelTrace.from_file(args.trace)
-    validate_trace(trace)
     cycles = metrics.channel_cycle_time(trace)
     intertx = metrics.inter_transmission_report(trace)
     # Every figure before any output, so that an error leaves stdout empty.
@@ -149,9 +146,10 @@ def cmd_analyze(args) -> int:
         blob["throughput"] = busy
         print(json.dumps(blob, indent=2, sort_keys=True))
         return 0
-    sys.stdout.write(cycles.to_text())
-    sys.stdout.write(intertx.to_text())
-    print(f"throughput={busy:.6f}")
+    # One write: stdout encodes the whole text before it writes any of it,
+    # so a label its encoding cannot hold leaves stdout empty.
+    sys.stdout.write(f"{cycles.to_text()}{intertx.to_text()}"
+                     f"throughput={busy:.6f}\n")
     return 0
 
 
@@ -393,6 +391,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except UnicodeEncodeError as exc:
+        print(f"error: stdout encoding {sys.stdout.encoding!r} cannot write "
+              f"the output: {exc}", file=sys.stderr)
+        return 1
     except (TraceError, analytic.AnalyticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -163,7 +163,8 @@ class ChannelTrace:
 
     Events are stored as parallel numpy arrays so that ten-million-slot runs
     stay cheap to scan.  `masks` holds per-event participant sets as bitmasks
-    over `users` (bit i set means users[i] took part).
+    over `users` (bit i set means users[i] took part).  Construction runs
+    `validate_trace`, so every ChannelTrace is valid.
     """
 
     users: tuple[str, ...]
@@ -189,6 +190,7 @@ class ChannelTrace:
         if not (len(self.ends) == len(self.kinds) == len(self.masks) == n):
             raise TraceError("event arrays have mismatched lengths")
         object.__setattr__(self, "horizon", int(self.horizon))
+        validate_trace(self)
 
     @classmethod
     def from_events(cls, users: Iterable[str], events: Iterable[ChannelEvent],
@@ -206,9 +208,7 @@ class ChannelTrace:
             ends.append(ev.end)
             kinds.append(_KIND_TO_CODE[ev.kind])
             masks.append(mask)
-        return cls(users, np.asarray(starts, np.int64), np.asarray(ends, np.int64),
-                   np.asarray(kinds, np.int8), np.asarray(masks, np.int64),
-                   horizon)
+        return cls(users, starts, ends, kinds, masks, horizon)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -232,22 +232,13 @@ class ChannelTrace:
     @functools.cached_property
     def success_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Trace positions of the Success events and each one's user index,
-        in trace order: decoded once per trace, both arrays read-only.  A
-        Success mask that is not one bit of the user set raises TraceError."""
-        n = len(self.users)
+        in trace order: decoded once per trace, both arrays read-only."""
         hit = np.flatnonzero(self.kinds == SUCCESS_CODE)
+        # A Success mask is 1 << i, and mask - 1 has exactly its i lowest
+        # bits set: its bit count is the user index.
         below = self.masks.take(hit)
         below -= 1
-        # mask - 1 of a mask 1 << i has exactly its i lowest bits set: its bit
-        # count is the user index, and shifting it right by that leaves 0.
         uidx = np.bitwise_count(below)
-        if len(hit) and (int(below.min()) < 0 or int(uidx.max()) >= n
-                         or np.right_shift(below, uidx, out=below).any()):
-            m = self.masks.take(hit)
-            bad = (m <= 0) | (m & (m - 1) != 0) | (m >> n != 0)
-            k = int(hit[bad.argmax()])
-            raise TraceError(f"event {k}: Success mask {int(self.masks[k])} "
-                             f"is not one user of {n}")
         hit.setflags(write=False)
         uidx.setflags(write=False)
         return hit, uidx
@@ -270,9 +261,6 @@ class ChannelTrace:
         fp.write("#slots_per_unit=1\n")
         fp.write(f"#users={'+'.join(self.users)}\n")
         fp.write(f"#horizon={self.horizon}\n")
-        kinds = self.kinds
-        if len(kinds) and not 0 <= int(kinds.min()) <= int(kinds.max()) < 3:
-            raise TraceError("event kind codes must be 0, 1 or 2")
         # A block's byte matrix is as wide as its longest line, so the block
         # length follows from the widest line these users allow.
         widest = _WIDEST_BOUNDS + len("+".join(self.users).encode())
@@ -281,7 +269,7 @@ class ChannelTrace:
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
             text = _render_events(self.starts[block], self.ends[block],
-                                  kinds[block], self.masks[block],
+                                  self.kinds[block], self.masks[block],
                                   self.users, labels)
             fp.write(text.decode())
 
@@ -427,9 +415,7 @@ class _FileState:
         # the two headers came first.
         horizon = (int(ends.max(initial=0)) if self.horizon is None
                    else self.horizon * self.scale)
-        return ChannelTrace(users, np.asarray(starts, np.int64), ends,
-                            np.asarray(kinds, np.int8),
-                            np.asarray(masks, np.int64), horizon)
+        return ChannelTrace(users, starts, ends, kinds, masks, horizon)
 
 
 def _parse_rows(text: str, state: _FileState,
@@ -621,7 +607,9 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
     """Check structural invariants; returns the trace unchanged when sound.
 
     Events must be sorted by start, non-overlapping, zero-length free, inside
-    [0, horizon], and each event's participant set must match its kind.
+    [0, horizon], and each event's participant set must match its kind.  A
+    fault names the first event that shows it.  `ChannelTrace` construction
+    runs this check, so every trace has passed it.
     """
     s, e, k, m = trace.starts, trace.ends, trace.kinds, trace.masks
     if len(s) == 0:
@@ -629,7 +617,7 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
             raise TraceError("negative horizon")
         return trace
     if int(s[0]) < 0:
-        raise TraceError("event starts before slot 0")
+        raise TraceError("event 0: event starts before slot 0")
     if np.any(e <= s):
         i = int(np.flatnonzero(e <= s)[0])
         raise TraceError(f"event {i} is empty or reversed")
@@ -642,28 +630,35 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
         i = int(np.flatnonzero(s[1:] < e[:-1])[0])
         raise OverlapError(f"events {i} and {i + 1} overlap")
     if int(e[-1]) > trace.horizon:
-        raise TraceError("event extends past the horizon")
-    if int(m.min()) < 0 or int(m.max()) >> len(trace.users):
-        raise UnknownUserError("event mask uses bits beyond the user set")
+        i = int(np.flatnonzero(e > trace.horizon)[0])
+        raise TraceError(f"event {i}: event extends past the horizon")
+    n = len(trace.users)
+    if int(m.min()) < 0 or int(m.max()) >> n:
+        i = int(np.flatnonzero((m < 0) | (m >> n != 0))[0])
+        raise UnknownUserError(
+            f"event {i}: event mask uses bits beyond the user set")
     if not 0 <= int(k.min()) <= int(k.max()) < 3:
-        raise TraceError("event kind codes must be 0, 1 or 2")
+        i = int(np.flatnonzero((k < 0) | (k > 2))[0])
+        raise TraceError(f"event {i}: event kind codes must be 0, 1 or 2")
     # Masks are non-negative here, so their bit counts are user counts.
     n_users = np.bitwise_count(m)
-    if np.any((k == SUCCESS_CODE) & (n_users != 1)):
-        raise TraceError("Success events must name exactly one user")
-    if np.any((k == COLLISION_CODE) & (n_users < 2)):
-        raise TraceError("Collision events must name at least two users")
-    if np.any((k == IDLE_CODE) & (n_users != 0)):
-        raise TraceError("Idle events must name no users")
+    for code, bad, message in (
+            (SUCCESS_CODE, n_users != 1,
+             "Success events must name exactly one user"),
+            (COLLISION_CODE, n_users < 2,
+             "Collision events must name at least two users"),
+            (IDLE_CODE, n_users != 0, "Idle events must name no users")):
+        fault = (k == code) & bad
+        if fault.any():
+            raise TraceError(f"event {int(fault.argmax())}: {message}")
     return trace
 
 
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:
     """Ordered Success events of one user."""
-    bit = 1 << trace.user_index(user)
-    hit = np.flatnonzero((trace.kinds == SUCCESS_CODE)
-                         & (trace.masks & bit != 0))
-    return [trace[i] for i in hit.tolist()]
+    i = trace.user_index(user)
+    hit, uidx = trace.success_index
+    return [trace[k] for k in hit[uidx == i].tolist()]
 
 
 @dataclass(frozen=True)

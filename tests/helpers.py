@@ -16,6 +16,10 @@ from macfair.core import (
     ChannelEvent,
     ChannelTrace,
     EventKind,
+    OrderError,
+    OverlapError,
+    TraceError,
+    UnknownUserError,
     collision,
     idle,
     success,
@@ -310,18 +314,109 @@ _INT64 = st.integers(-2**63, 2**63 - 1)
 
 
 @st.composite
-def raw_traces(draw, max_events: int = 30) -> ChannelTrace:
-    """Traces built straight from arrays, not necessarily valid: any int64
-    bounds (often near 2**62), any kind code, any mask, labels from any
+def raw_traces(draw, max_events: int = 30) -> tuple:
+    """`ChannelTrace` arguments straight from arrays, not necessarily valid:
+    any int64 bounds (often near 2**62), any int8 kind code, any mask,
+    labels from any alphabet.  Two draws in three are instead a valid
+    trace's arguments after up to three small edits, each aimed at one of
+    the checks `validate_trace` makes, so that every check meets faults and
+    valid traces occur too."""
+    kind = st.one_of(st.integers(0, 2), st.integers(-128, 127))
+    if draw(st.integers(0, 2)) == 0:
+        users = tuple(draw(st.lists(_LABELS, min_size=1, max_size=5,
+                                    unique=True)))
+        n = draw(st.integers(0, max_events))
+
+        def column(values):
+            return draw(st.lists(values, min_size=n, max_size=n))
+
+        bound = st.one_of(st.integers(0, 10**6),
+                          st.integers(2**62 - 99, 2**62 + 99), _INT64)
+        mask = st.one_of(st.integers(0, 2**len(users) - 1), _INT64)
+        return (users, column(bound), column(bound), column(kind),
+                column(mask), draw(_INT64))
+    tr = draw(traces(max_users=5, max_events=max_events))
+    starts, ends, kinds, masks = (a.tolist() for a in
+                                  (tr.starts, tr.ends, tr.kinds, tr.masks))
+    horizon = tr.horizon
+    mask = st.one_of(st.integers(0, 2**len(tr.users) - 1), _INT64)
+    for _ in range(draw(st.integers(0, 3)) if len(tr) else 0):
+        i = draw(st.integers(0, len(tr) - 1))
+        edit = draw(st.sampled_from(["start", "end", "swap", "horizon",
+                                     "kind", "mask"]))
+        if edit == "start":  # before slot 0, or into the previous event
+            starts[i] -= draw(st.integers(1, 4))
+        elif edit == "end":  # empty, or into the next event or past the horizon
+            ends[i] += draw(st.integers(-4, 4))
+        elif edit == "swap" and i:  # out of order
+            for col in (starts, ends, kinds, masks):
+                col[i - 1], col[i] = col[i], col[i - 1]
+        elif edit == "horizon":
+            horizon += draw(st.integers(-3, 3))
+        elif edit == "kind":
+            kinds[i] = draw(kind)
+        elif edit == "mask":
+            masks[i] = draw(mask)
+    return tr.users, starts, ends, kinds, masks, horizon
+
+
+@st.composite
+def wide_traces(draw, max_events: int = 30) -> ChannelTrace:
+    """Valid traces whose bounds reach 2**63 - 1 (often near 2**62 or the
+    top of int64), with any legal participant sets and labels from any
     alphabet."""
     users = tuple(draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True)))
     n = draw(st.integers(0, max_events))
-
-    def column(values):
-        return draw(st.lists(values, min_size=n, max_size=n))
-
     bound = st.one_of(st.integers(0, 10**6), st.integers(2**62 - 99, 2**62 + 99),
-                      _INT64)
-    mask = st.one_of(st.integers(0, 2**len(users) - 1), _INT64)
-    return ChannelTrace(users, column(bound), column(bound),
-                        column(st.integers(0, 2)), column(mask), draw(_INT64))
+                      st.integers(2**63 - 99, 2**63 - 1),
+                      st.integers(0, 2**63 - 1))
+    # 2n distinct values in order: event i spans the i-th pair.
+    edges = sorted(draw(st.lists(bound, min_size=2 * n, max_size=2 * n,
+                                 unique=True)))
+    who = st.integers(0, len(users) - 1)
+    kinds, masks = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(
+            [SUCCESS_CODE, IDLE_CODE] + [COLLISION_CODE] * (len(users) > 1)))
+        if kind == SUCCESS_CODE:
+            mask = 1 << draw(who)
+        elif kind == COLLISION_CODE:
+            mask = sum(1 << b for b in draw(st.sets(who, min_size=2)))
+        else:
+            mask = 0
+        kinds.append(kind)
+        masks.append(mask)
+    horizon = draw(st.integers(edges[-1] if n else 0, 2**63 - 1))
+    return ChannelTrace(users, edges[0::2], edges[1::2], kinds, masks, horizon)
+
+
+def validity_fault(users, starts, ends, kinds, masks, horizon):
+    """(exception class, event) of the fault `validate_trace` reports on
+    these `ChannelTrace` arguments, or None when they are valid: one scan
+    over the events per check, the checks in `validate_trace`'s order.  The
+    event is the one its message names first, None for a negative horizon
+    with no events."""
+    n = len(starts)
+    if n == 0:
+        return (TraceError, None) if horizon < 0 else None
+    if starts[0] < 0:
+        return TraceError, 0
+    n_users = [bin(m).count("1") for m in masks]
+    checks = [
+        (TraceError, lambda i: ends[i] <= starts[i]),
+        # Every event is non-empty here, so an order fault is also an overlap
+        # fault, and is the one reported.
+        (OrderError, lambda i: i > 0 and starts[i] < starts[i - 1]),
+        (OverlapError, lambda i: i + 1 < n and starts[i + 1] < ends[i]),
+        (TraceError, lambda i: ends[i] > horizon),
+        (UnknownUserError, lambda i: masks[i] < 0 or masks[i] >> len(users)),
+        (TraceError, lambda i: kinds[i] not in (0, 1, 2)),
+        (TraceError, lambda i: kinds[i] == SUCCESS_CODE and n_users[i] != 1),
+        (TraceError, lambda i: kinds[i] == COLLISION_CODE and n_users[i] < 2),
+        (TraceError, lambda i: kinds[i] == IDLE_CODE and n_users[i] != 0),
+    ]
+    for error, fault in checks:
+        for i in range(n):
+            if fault(i):
+                return error, i
+    return None

@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -326,8 +328,34 @@ class TestAnalyze:
     def test_invalid_trace_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "overlap.csv"
         path.write_text("0,5,S,A\n3,8,S,B\n")
-        code, _, err = run(capsys, "analyze", str(path))
-        assert code == 1
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: events 0 and 1 overlap\n"
+
+    def test_label_stdout_cannot_encode_is_exit_1(self, tmp_path):
+        # Under the C locale, with UTF-8 mode and locale coercion off,
+        # stdout is ASCII, so the text report cannot hold the label.
+        path = tmp_path / "trace.csv"
+        ChannelTrace(("\u00e9", "B"), [0, 3], [3, 5], [0, 0], [1, 2],
+                     5).to_file(path)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PYTHONIOENCODING", None)
+
+        def analyze(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "macfair", "analyze", str(path),
+                 *flags], env=env, capture_output=True, text=True)
+
+        text = analyze()
+        assert (text.returncode, text.stdout) == (1, "")
+        assert "Traceback" not in text.stderr
+        assert re.match("error: stdout encoding "
+                        "'(ascii|ANSI_X3.4-1968|US-ASCII)' ", text.stderr)
+        blob = analyze("--json")
+        assert blob.returncode == 0, blob.stderr
+        assert json.loads(blob.stdout)["users"][0]["user"] == "\u00e9"
 
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
     def test_failing_figure_leaves_stdout_empty(self, tmp_path, capsys, flags):

@@ -1,6 +1,8 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
 import io
+import itertools
 import os
+import re
 import subprocess
 import sys
 import types
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import helpers
 import macfair
-from macfair import core, metrics
+from macfair import core
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -80,30 +82,48 @@ class TestChannelEvent:
             collision(200, 206, ("A", "B")).user
 
 
+def _assert_matches_oracle(raw):
+    """Construction raises the oracle's fault, naming its event, or builds a
+    trace whose success index is the one an event scan gives."""
+    fault = helpers.validity_fault(*raw)
+    if fault is not None:
+        error, event = fault
+        with pytest.raises(TraceError) as err:
+            ChannelTrace(*raw)
+        assert type(err.value) is error
+        if event is not None:
+            assert re.match(rf"events? {event}\b", str(err.value))
+        return
+    tr = ChannelTrace(*raw)
+    kinds, masks = raw[3], raw[4]
+    hit = [k for k, kind in enumerate(kinds) if kind == SUCCESS_CODE]
+    assert tr.success_index[0].tolist() == hit
+    assert tr.success_index[1].tolist() == \
+        [masks[k].bit_length() - 1 for k in hit]
+
+
 class TestValidateTrace:
     def test_valid_trace_passes(self, fig_trace):
         assert validate_trace(fig_trace) is fig_trace
 
     def test_overlap_detected(self):
-        tr = ChannelTrace.from_events(
-            ("A", "B"), [success(0, 5, "A"), success(3, 8, "B")], 10)
-        with pytest.raises(OverlapError):
-            validate_trace(tr)
+        with pytest.raises(OverlapError, match="events 0 and 1 overlap"):
+            ChannelTrace.from_events(
+                ("A", "B"), [success(0, 5, "A"), success(3, 8, "B")], 10)
 
     def test_order_detected(self):
-        tr = ChannelTrace.from_events(
-            ("A", "B"), [success(5, 8, "A"), success(0, 3, "B")], 10)
-        with pytest.raises(OrderError):
-            validate_trace(tr)
+        with pytest.raises(OrderError, match="event 1 starts before event 0"):
+            ChannelTrace.from_events(
+                ("A", "B"), [success(5, 8, "A"), success(0, 3, "B")], 10)
 
     def test_unknown_user_in_event(self):
         with pytest.raises(UnknownUserError):
             ChannelTrace.from_events(("A", "B"), [success(0, 1, "Z")], 2)
 
     def test_mask_bits_beyond_user_set(self):
-        tr = ChannelTrace(("A", "B"), [0], [1], [0], [4], 2)
-        with pytest.raises(UnknownUserError):
-            validate_trace(tr)
+        with pytest.raises(UnknownUserError,
+                           match="event 0: event mask uses bits beyond"):
+            ChannelTrace(("A", "B"), [0], [1], [0], [4], 2)
 
     @pytest.mark.parametrize("kind,mask,error,message", [
         (SUCCESS_CODE, 0, TraceError, "Success events must name exactly one"),
@@ -114,29 +134,35 @@ class TestValidateTrace:
     ], ids=["success-empty", "success-two", "collision-one", "idle-one",
             "negative-mask"])
     def test_kind_mask_mismatch(self, kind, mask, error, message):
-        tr = ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE, kind],
-                          [1, mask], 2)
-        with pytest.raises(error, match=message):
-            validate_trace(tr)
+        with pytest.raises(error, match=f"event 1: .*{message}"):
+            ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE, kind],
+                         [1, mask], 2)
 
     @pytest.mark.parametrize("code", [7, 3, -1])
     def test_unknown_kind_code(self, code):
-        tr = ChannelTrace(("A", "B"), [0], [5], np.array([code], np.int8),
-                          [0], 10)
-        with pytest.raises(TraceError, match="kind codes must be 0, 1 or 2"):
-            validate_trace(tr)
+        with pytest.raises(TraceError,
+                           match="event 1: event kind codes must be 0, 1 or 2"):
+            ChannelTrace(("A", "B"), [0, 5], [5, 7],
+                         np.array([IDLE_CODE, code], np.int8), [0, 0], 10)
 
     def test_order_fault_named_before_earlier_overlap(self):
-        tr = ChannelTrace.from_events(
-            ("A", "B"), [success(0, 5, "A"), success(3, 8, "B"),
-                         success(10, 12, "A"), success(9, 10, "B")], 12)
         with pytest.raises(OrderError, match="event 3 starts before event 2"):
-            validate_trace(tr)
+            ChannelTrace.from_events(
+                ("A", "B"), [success(0, 5, "A"), success(3, 8, "B"),
+                             success(10, 12, "A"), success(9, 10, "B")], 12)
 
     def test_horizon_violation(self):
-        tr = ChannelTrace.from_events(("A", "B"), [success(0, 5, "A")], 3)
-        with pytest.raises(TraceError):
-            validate_trace(tr)
+        with pytest.raises(TraceError,
+                           match="event 1: event extends past the horizon"):
+            ChannelTrace.from_events(
+                ("A", "B"), [success(0, 2, "A"), success(2, 5, "B")], 3)
+
+    def test_start_before_slot_0_and_negative_horizon(self):
+        with pytest.raises(TraceError,
+                           match="event 0: event starts before slot 0"):
+            ChannelTrace(("A",), [-1], [1], [SUCCESS_CODE], [1], 2)
+        with pytest.raises(TraceError, match="negative horizon"):
+            ChannelTrace(("A",), [], [], [], [], -1)
 
     def test_back_to_back_is_legal(self):
         tr = helpers.pattern_trace("ABAB")
@@ -150,6 +176,32 @@ class TestValidateTrace:
     @settings(max_examples=60, deadline=None)
     def test_generated_traces_are_valid(self, tr):
         assert validate_trace(tr) is tr
+
+    def test_construction_calls_the_module_global(self):
+        # Code that wraps `core.validate_trace` sees every construction.
+        with mock.patch.object(core, "validate_trace",
+                               wraps=validate_trace) as check:
+            tr = helpers.pattern_trace("ABAB")
+        check.assert_called_once_with(tr)
+
+    @given(helpers.raw_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_construction_matches_oracle(self, raw):
+        _assert_matches_oracle(raw)
+
+    def test_construction_matches_oracle_on_small_traces(self):
+        # Every one- and two-event trace over a few values, so that each
+        # check meets faults, alone and behind another one.
+        users = ("A", "B")
+        for s, e, k, m, h in itertools.product(
+                [-1, 0, 1], [0, 1, 2], [-1, 0, 1, 2, 3], [-1, 0, 1, 2, 3, 4],
+                [-1, 1, 2]):
+            _assert_matches_oracle((users, [s], [e], [k], [m], h))
+        for s0, e0, s1, e1, k0, k1, m0, m1, h in itertools.product(
+                [0, 1], [1, 2], [0, 1, 2], [2, 3], *[[0, 1, 2, 3]] * 2,
+                *[[0, 1, 3, 4]] * 2, [2, 3]):
+            _assert_matches_oracle(
+                (users, [s0, s1], [e0, e1], [k0, k1], [m0, m1], h))
 
 
 class TestSuccessIndex:
@@ -173,36 +225,19 @@ class TestSuccessIndex:
         assert index[0].tolist() == [0] + list(range(2, 13))
         assert index[1].tolist() == [0, 1, 1, 2, 2, 1, 0, 2, 1, 2, 0, 1]
 
-    @pytest.mark.parametrize("mask", [3, 0, 4, -1, -2**63],
-                             ids=["two-bits", "zero", "beyond", "minus-1",
-                                  "int64-min"])
-    def test_bad_success_mask_raises(self, mask):
-        tr = ChannelTrace(("A", "B"), [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
-                          [SUCCESS_CODE] * 5, [1, mask, 1, 2, 1], 5)
-        message = f"event 1: Success mask {mask} is not one user of 2"
-        with pytest.raises(TraceError, match=message):
-            tr.success_index
-        with pytest.raises(TraceError, match=message):
-            metrics.channel_cycle_time(tr)
-
-    @given(helpers.raw_traces(), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_raises_exactly_on_bad_masks(self, tr, one_bit):
-        if one_bit:  # few raw traces have only good Success masks
-            tr = ChannelTrace(tr.users, tr.starts, tr.ends, tr.kinds,
-                              1 << tr.masks % len(tr.users), tr.horizon)
-        kinds, masks = tr.kinds.tolist(), tr.masks.tolist()
-        hit = [k for k, kind in enumerate(kinds) if kind == SUCCESS_CODE]
-        bad = [k for k in hit
-               if masks[k] <= 0 or masks[k] & (masks[k] - 1)
-               or masks[k] >> len(tr.users)]
-        if bad:
-            with pytest.raises(TraceError, match=f"event {bad[0]}: "):
-                tr.success_index
-        else:
-            assert tr.success_index[0].tolist() == hit
-            assert tr.success_index[1].tolist() == \
-                [masks[k].bit_length() - 1 for k in hit]
+    @pytest.mark.parametrize("mask,error,message", [
+        (3, TraceError, "Success events must name exactly one user"),
+        (0, TraceError, "Success events must name exactly one user"),
+        (4, UnknownUserError, "event mask uses bits beyond the user set"),
+        (-1, UnknownUserError, "event mask uses bits beyond the user set"),
+        (-2**63, UnknownUserError, "event mask uses bits beyond the user set"),
+    ], ids=["two-bits", "zero", "beyond", "minus-1", "int64-min"])
+    def test_bad_success_mask_raises(self, mask, error, message):
+        # A Success mask that is not one user's bit fails construction, so
+        # no trace that `success_index` decodes holds one.
+        with pytest.raises(error, match=f"event 1: {message}"):
+            ChannelTrace(("A", "B"), [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+                         [SUCCESS_CODE] * 5, [1, mask, 1, 2, 1], 5)
 
 
 class TestSuccessesOf:
@@ -223,18 +258,6 @@ class TestSuccessesOf:
             got = successes_of(tr, user)
             assert [(e.start, e.end) for e in got] == \
                    [(e.start, e.end) for e in want]
-
-    @given(helpers.raw_traces())
-    @settings(max_examples=100, deadline=None)
-    def test_invalid_masks_filter_as_before(self, tr):
-        # Masks need not be single-bit here, and may be negative.  Events
-        # stand in as their positions, since bad bounds fail to build one.
-        with mock.patch.object(ChannelTrace, "__getitem__", lambda _, k: k):
-            for user in tr.users:
-                bit = 1 << tr.user_index(user)
-                want = np.flatnonzero((tr.kinds == SUCCESS_CODE)
-                                      & (tr.masks & bit != 0))
-                assert successes_of(tr, user) == want.tolist()
 
 
 class TestFileRoundTrip:
@@ -273,7 +296,7 @@ class TestFileRoundTrip:
         assert len(tr) == 3
 
     @pytest.mark.parametrize("text,users,horizon,masks", [
-        ("0,4,C,B+A\n4,9,S,A\n2,3,S,B\n", ("B", "A"), 9, [3, 2, 1]),
+        ("0,4,C,B+A\n4,9,S,A\n12,13,S,B\n", ("B", "A"), 13, [3, 2, 1]),
         ("#users=A+B\n", ("A", "B"), 0, []),
     ])
     def test_headerless_order_and_horizon(self, text, users, horizon, masks):
@@ -281,6 +304,19 @@ class TestFileRoundTrip:
         assert tr.users == users
         assert tr.horizon == horizon
         assert tr.masks.tolist() == masks
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("0,4,C,B+A\n4,9,S,A\n2,3,S,B\n", OrderError,
+         "event 2 starts before event 1"),
+        ("0,5,S,A\n4,9,S,B\n", OverlapError, "events 0 and 1 overlap"),
+        ("#horizon=6\n0,5,S,A\n5,9,S,B\n", TraceError,
+         "event 1: event extends past the horizon"),
+        ("#users=A+B\n0,5,I,\n5,9,S,A+B\n", TraceError,
+         "event 1: Success events must name exactly one user"),
+    ], ids=["unsorted", "overlap", "past-horizon", "two-user-success"])
+    def test_invalid_trace_fails_at_read(self, text, error, message):
+        with pytest.raises(error, match=message):
+            ChannelTrace.read(io.StringIO(text))
 
     def test_slots_per_unit_scales(self):
         text = "#slots_per_unit=3\n0,2,S,A\n2,4,S,B\n"
@@ -406,7 +442,7 @@ def _block_trace(n: int, seed: int = 0) -> ChannelTrace:
 class TestColumnarWrite:
     """`write` emits the bytes of the f-string writer in `helpers`."""
 
-    @given(helpers.raw_traces())
+    @given(helpers.wide_traces())
     @settings(max_examples=200, deadline=None)
     def test_matches_row_writer(self, tr):
         assert _written(tr, ChannelTrace.write) == \
@@ -418,7 +454,7 @@ class TestColumnarWrite:
                      [1, 0], 9),
         ChannelTrace(("é", "日本", "A"), [0, 1, 2], [1, 2, 3],
                      [SUCCESS_CODE, COLLISION_CODE, SUCCESS_CODE], [2, 7, 1], 3),
-        ChannelTrace(("A", "B"), [2**62 - 1, 2**62, -2**63],
+        ChannelTrace(("A", "B"), [2**62 - 1, 2**62, 2**63 - 2],
                      [2**62, 2**62 + 1, 2**63 - 1],
                      [SUCCESS_CODE, SUCCESS_CODE, IDLE_CODE], [1, 2, 0], 2**63 - 1),
         _block_trace(3 * core._BLOCK_BYTES // core._WIDEST_BOUNDS),
@@ -430,11 +466,6 @@ class TestColumnarWrite:
     def test_edge_cases(self, tr):
         assert _written(tr, ChannelTrace.write) == \
             _written(tr, helpers.write_rows)
-
-    def test_unknown_kind_code_rejected(self):
-        tr = ChannelTrace(("A", "B"), [0], [1], [3], [1], 1)
-        with pytest.raises(TraceError, match="kind codes"):
-            tr.write(io.StringIO())
 
 
 def _outcome(reader, text: str):

@@ -87,17 +87,6 @@ def _predict(protocol: str, params, args) -> analytic.AnalyticCct:
                              mode=_CSMA_MODES[protocol], p_c=args.p_c)
 
 
-def _add_csma_flags(sp, require_pkt: bool = True) -> None:
-    sp.add_argument("--cw-min", type=int, default=32)
-    sp.add_argument("--beta", type=int, default=5)
-    sp.add_argument("--difs", default="4", help="slots or <n>us")
-    if require_pkt:
-        sp.add_argument("--pkt", required=True, help="slots or <n>us")
-    sp.add_argument("--ack", default="1")
-    sp.add_argument("--rts", default="1")
-    sp.add_argument("--cts", default="1")
-
-
 def cmd_simulate(args) -> int:
     mps = args.micros_per_slot
     if args.audit_out and args.protocol not in _CSMA_MODES:
@@ -138,12 +127,7 @@ def cmd_analyze(args) -> int:
     # Every figure before any output, so that an error leaves stdout empty.
     busy = metrics.throughput(trace)
     if args.json:
-        blob = cycles.as_dict()
-        inter = intertx.as_dict()
-        blob["intertx_pmf"] = inter["intertx_pmf"]
-        blob["intertx_mean"] = inter["intertx_mean"]
-        blob["intertx_users"] = inter["users"]
-        blob["throughput"] = busy
+        blob = {**cycles.as_dict(), **intertx.as_dict(), "throughput": busy}
         print(json.dumps(blob, indent=2, sort_keys=True))
         return 0
     # One write: stdout encodes the whole text before it writes any of it,
@@ -309,21 +293,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--micros-per-slot", type=int, default=MICROS_PER_SLOT)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", allow_abbrev=False,
+    # Flags shared by subcommands, each declared once.  The subcommands share
+    # these actions, so set_defaults of a shared flag on one changes all.
+    # `analytic` requires the point it evaluates, so its --pa, --pb and --pkt
+    # stay its own.
+    csma = argparse.ArgumentParser(add_help=False)
+    csma.add_argument("--cw-min", type=int, default=32)
+    csma.add_argument("--beta", type=int, default=5)
+    csma.add_argument("--difs", default="4", help="slots or <n>us")
+    csma.add_argument("--ack", default="1")
+    csma.add_argument("--rts", default="1")
+    csma.add_argument("--cts", default="1")
+    runs = argparse.ArgumentParser(add_help=False, parents=[csma])
+    runs.add_argument("--seed", type=int, default=0)
+    runs.add_argument("--warmup", type=int, default=1000)
+    runs.add_argument("--pa", type=float, default=0.5)
+    runs.add_argument("--pb", type=float, default=0.5)
+    runs.add_argument("--slot", default="1", help="Aloha slot length")
+    runs.add_argument("--pkt", default="30", help="slots or <n>us")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--p-ni0", type=float, default=analytic.DEFAULT_P_NI0)
+    model.add_argument("--e-ni", type=float, default=1.0)
+
+    sim = sub.add_parser("simulate", allow_abbrev=False, parents=[runs],
                          help="run a simulator and report cycle times")
     sim.add_argument("--protocol", required=True, choices=_PROTOCOLS)
     sim.add_argument("--slots", type=int, required=True, help="trace horizon")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--warmup", type=int, default=1000)
     sim.add_argument("--users", default="A,B")
     sim.add_argument("--out", help="write the trace to this file")
     sim.add_argument("--audit-out", help="write the CSMA round audit log")
-    sim.add_argument("--pa", type=float, default=0.5)
-    sim.add_argument("--pb", type=float, default=0.5)
-    sim.add_argument("--slot", default="1", help="Aloha slot length")
     sim.add_argument("--lengths", default="30,30", help="TDMA packet lengths")
-    _add_csma_flags(sim, require_pkt=False)
-    sim.add_argument("--pkt", default="30", help="slots or <n>us")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", allow_abbrev=False,
@@ -339,19 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--pa", type=float, required=True)
     al.add_argument("--pb", type=float, required=True)
     al.add_argument("--slot", default="1")
-    cs = fam.add_parser("csma", allow_abbrev=False)
+    cs = fam.add_parser("csma", allow_abbrev=False, parents=[csma, model])
     cs.add_argument("--mode", choices=sorted(m.value for m in CsmaMode),
                     default="rtscts")
-    cs.add_argument("--p-ni0", type=float, default=analytic.DEFAULT_P_NI0)
-    cs.add_argument("--e-ni", type=float, default=1.0)
     cs.add_argument("--p-c", type=float, default=None,
                     help="override the fixed-point collision probability")
-    _add_csma_flags(cs)
+    cs.add_argument("--pkt", required=True, help="slots or <n>us")
     td = fam.add_parser("tdma", allow_abbrev=False)
     td.add_argument("--lengths", required=True)
     an.set_defaults(func=cmd_analytic)
 
-    sw = sub.add_parser("sweep", allow_abbrev=False,
+    sw = sub.add_parser("sweep", allow_abbrev=False, parents=[runs, model],
                         help="simulation vs theory along one axis")
     sw.add_argument("--protocols", default="tdma,csma-rtscts,csma-basic,aloha")
     sw.add_argument("--pkt-range", help="lo:hi:step in slots")
@@ -359,16 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--cw-range", help="lo:hi:step contention windows")
     sw.add_argument("--slots", type=int, default=200_000)
     sw.add_argument("--reps", type=int, default=3)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--warmup", type=int, default=1000)
     sw.add_argument("--out", help="write CSV here instead of stdout")
-    sw.add_argument("--pa", type=float, default=0.5)
-    sw.add_argument("--pb", type=float, default=0.5)
-    sw.add_argument("--slot", default="1")
-    sw.add_argument("--p-ni0", type=float, default=analytic.DEFAULT_P_NI0)
-    sw.add_argument("--e-ni", type=float, default=1.0)
-    _add_csma_flags(sw, require_pkt=False)
-    sw.add_argument("--pkt", default="30")
     # No --p-c here: every sweep point solves the fixed point.
     sw.set_defaults(func=cmd_sweep, p_c=None)
     return parser

@@ -194,8 +194,9 @@ class InterTxReport:
         return {
             "intertx_pmf": {str(k): v for k, v in self.pooled_pmf.items()},
             "intertx_mean": self.mean,
-            "users": [{"user": u, "counts": self.per_user_counts[u].tolist()}
-                      for u in self.users],
+            "intertx_users": [{"user": u,
+                               "counts": self.per_user_counts[u].tolist()}
+                              for u in self.users],
         }
 
     def to_text(self) -> str:

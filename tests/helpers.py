@@ -143,6 +143,34 @@ def nuser_trace(seed: int, n_events: int, n_users: int) -> ChannelTrace:
                         kinds, masks, int(ends[-1]))
 
 
+def aloha_cycle_pmf(p_a: float, p_b: float, n_max: int) -> np.ndarray:
+    """P(L = n) for n = 0..n_max, L one user's cycle time in two-user slotted
+    Aloha with unit slots; both users' cycles follow this law.
+
+    Success labels are i.i.d. (A with pi_A = s_a/s) and the gaps between
+    success ends are i.i.d. Geom(s), s = s_a + s_b.  A cycle spans
+    K = 2 + G_B + G_A successes, G_B ~ Geom0 stopping with pi_A and
+    G_A ~ Geom0 stopping with pi_B, so
+    P(L = n) = sum_k P(K = k) C(n-1, k-1) s^k (1-s)^(n-k).
+    """
+    s_a, s_b = p_a * (1 - p_b), p_b * (1 - p_a)
+    s = s_a + s_b
+    pi_a, pi_b = s_a / s, s_b / s
+    m = np.arange(n_max + 1)
+    p_k = np.zeros(n_max + 1)
+    p_k[2:] = np.convolve(pi_a * pi_b ** m, pi_b * pi_a ** m)[:n_max - 1]
+    # b[j] = P(j successes in the first n - 1 slots); the k-th success ends
+    # slot n with probability s * b[k - 1].
+    b = np.zeros(n_max + 1)
+    b[0] = 1.0
+    pmf = np.zeros(n_max + 1)
+    for n in range(1, n_max + 1):
+        pmf[n] = s * (p_k[1:] @ b[:-1])
+        b[1:] = b[1:] * (1 - s) + b[:-1] * s
+        b[0] *= 1 - s
+    return pmf
+
+
 def reference_csma_counters(params, config, mode) -> np.ndarray:
     """Both users' backoff counters at the start of every round of a two-user
     CSMA/CA run, from tick 0 until a round starts at or past warmup +

@@ -94,9 +94,16 @@ class TestAnalytic:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
-    def test_usage_error_is_exit_2(self, capsys):
+    # A closed form names its point, so leaving out any part of it is a
+    # usage error rather than a default.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["aloha", "--pa", "0.5"], id="aloha-without-pb"),
+        pytest.param(["csma", "--mode", "basic"], id="csma-without-pkt"),
+        pytest.param(["tdma"], id="tdma-without-lengths"),
+    ])
+    def test_usage_error_is_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["analytic", "aloha", "--pa", "0.5"])  # missing --pb
+            cli.main(["analytic", *argv])
         assert exc.value.code == 2
 
     def test_unknown_subcommand_is_exit_2(self, capsys):
@@ -369,6 +376,18 @@ class TestAnalyze:
 
 
 class TestSweep:
+    def test_shares_simulate_defaults(self):
+        # Simulation and theory read one scenario, so every flag both
+        # subcommands parse defaults alike.
+        parser = cli.build_parser()
+        sim = vars(parser.parse_args(["simulate", "--protocol", "aloha",
+                                      "--slots", "1"]))
+        sw = vars(parser.parse_args(["sweep", "--pkt-range", "1:1:1"]))
+        shared = set(sim) & set(sw) - {"command", "func", "slots"}
+        assert {"seed", "warmup", "pa", "pb", "slot", "pkt", "cw_min", "beta",
+                "difs", "ack", "rts", "cts"} <= shared
+        assert {k: sim[k] for k in shared} == {k: sw[k] for k in shared}
+
     def test_schema_and_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

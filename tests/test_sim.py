@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import reference_csma_counters
+from helpers import aloha_cycle_pmf, reference_csma_counters
 from macfair import analytic, metrics
 from macfair.core import (
     AlohaParams,
@@ -40,6 +40,12 @@ TABLE = CsmaParams(cw_min=32, beta=5, l_difs=4, l_pkt=30)
 @pytest.fixture(scope="module")
 def long_csma_trace():
     return simulate_csma(TABLE, SimConfig(seed=29, horizon=8_000_000))
+
+
+@pytest.fixture(scope="module")
+def long_aloha_trace():
+    return simulate_aloha(AlohaParams(0.5, 0.5),
+                          SimConfig(seed=11, horizon=2_000_000))
 
 
 class TestDeterminism:
@@ -106,6 +112,52 @@ class TestAloha:
         assert tr.ends.max() <= 5000
 
 
+class TestAlohaCycleLaw:
+    """One user's whole cycle-time law in two-user Aloha, exact from
+    `helpers.aloha_cycle_pmf`, against the closed form and the cycle search."""
+
+    @pytest.mark.parametrize("p_a, p_b, mean, var", [
+        (0.5, 0.5, 8.0, 24.0), (0.3, 0.6, 10.714, 64.40)])
+    def test_moments(self, p_a, p_b, mean, var):
+        pmf = aloha_cycle_pmf(p_a, p_b, 2000)
+        n = np.arange(len(pmf))
+        got_mean = n @ pmf
+        got_var = (n - got_mean) ** 2 @ pmf
+        s_a, s_b = p_a * (1 - p_b), p_b * (1 - p_a)
+        s = s_a + s_b
+        pi_a, pi_b = s_a / s, s_b / s
+        e_k = 1 / (pi_a * pi_b)
+        var_k = pi_b / pi_a ** 2 + pi_a / pi_b ** 2
+        want = analytic.aloha_cct(AlohaParams(p_a, p_b)).psi_slots
+        assert e_k / s == pytest.approx(want, rel=1e-12)
+        assert got_mean == pytest.approx(want, rel=1e-12)
+        assert got_var == pytest.approx(e_k * (1 - s) / s ** 2 + var_k / s ** 2,
+                                        rel=1e-12)
+        assert (round(got_mean, 3), round(got_var, 2)) == (mean, var)
+
+    @pytest.mark.parametrize("p_a, p_b", [(0.5, 0.5), (0.3, 0.6)])
+    def test_cycle_times_follow_the_law(self, p_a, p_b):
+        # Chi-square GOF of each user's cycles at the 0.1% level; a user's
+        # cycles are i.i.d. because hand-overs are regeneration points.
+        trace = simulate_aloha(AlohaParams(p_a, p_b),
+                               SimConfig(seed=11, horizon=2_000_000))
+        pmf = aloha_cycle_pmf(p_a, p_b, 400)
+        for user in trace.users:
+            samples = metrics.cycle_times(trace, user)
+            n = len(samples)
+            # Bins 2..c and a tail above c: merge from the top until every
+            # bin, the tail included, expects at least 5 cycles.
+            c = len(pmf) - 1
+            while n * (1 - pmf[:c + 1].sum()) < 5 or n * pmf[c] < 5:
+                c -= 1
+            expected = n * np.append(pmf[2:c + 1], 1 - pmf[:c + 1].sum())
+            assert expected.min() >= 5
+            observed = np.bincount(np.minimum(samples, c + 1))[2:]
+            assert observed.sum() == n
+            chi = scipy.stats.chisquare(observed, expected)
+            assert chi.pvalue > 0.001, (user, chi)
+
+
 class TestCsma:
     def test_valid_trace_both_modes(self):
         for mode in (CsmaMode.RTS_CTS, CsmaMode.BASIC):
@@ -165,21 +217,29 @@ class TestCsma:
         assert counts.mean() == pytest.approx(p0 / (1 - p0), rel=0.05)
         assert np.all(counts >= 0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the run of extra same-user successes is not memoryless: its "
-        "continuation probability varies with run position (about 0.35, 0.25, "
-        "0.23, 0.27, ... at the reference window) because the losing station "
-        "carries its backoff counter across rounds.  The geometric law is a "
-        "modelling idealisation whose mean is exact but whose shape a "
-        "chi-square test over 1e5 cycles rejects decisively"))
-    def test_extra_success_run_is_geometric(self, long_csma_trace):
+    @pytest.mark.parametrize("trace_name", [
+        pytest.param("long_csma_trace", marks=pytest.mark.xfail(
+            strict=True, reason=(
+                "the run of extra same-user successes is not memoryless: its "
+                "continuation probability varies with run position (about "
+                "0.35, 0.25, 0.23, 0.27, ... at the reference window) because "
+                "the losing station carries its backoff counter across "
+                "rounds.  The geometric law is a modelling idealisation whose "
+                "mean is exact but whose shape a chi-square test over 1e5 "
+                "cycles rejects decisively"))),
+        # Aloha's success labels are i.i.d., so there the run is exactly
+        # geometric: the CSMA/CA failure is not an artifact of the search.
+        "long_aloha_trace",
+    ])
+    def test_extra_success_run_is_geometric(self, trace_name, request):
         # n_a' across cycles against a geometric law with parameter
         # P(N_I = 0); chi-square GOF at the 1% level.
-        report = metrics.inter_transmission_report(long_csma_trace)
+        trace = request.getfixturevalue(trace_name)
+        report = metrics.inter_transmission_report(trace)
         p0 = report.pooled_pmf[0]
         counts = np.concatenate([
-            [p.n_a_prime for p in metrics.part_decomposition(long_csma_trace, u)]
-            for u in long_csma_trace.users])
+            [p.n_a_prime for p in metrics.part_decomposition(trace, u)]
+            for u in trace.users])
         assert len(counts) >= 1e5
         kmax = 6
         observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 MICROS_PER_SLOT = 20   # physical duration of one slot, in microseconds
-_MAX_USERS = 63        # participant sets are stored as int64 bitmasks
+_MAX_USERS = 63        # participant sets are masks in mask_dtype, uint64 at most
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -157,14 +157,25 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def mask_dtype(n_users: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a bitmask over n_users users:
+    uint8 up to 8 users, then uint16, uint32 and uint64."""
+    if n_users > _MAX_USERS:
+        raise TraceError(f"at most {_MAX_USERS} users supported")
+    return np.min_scalar_type((1 << n_users) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
     """Immutable, array-backed sequence of channel events.
 
     Events are stored as parallel numpy arrays so that ten-million-slot runs
     stay cheap to scan.  `masks` holds per-event participant sets as bitmasks
-    over `users` (bit i set means users[i] took part).  Construction runs
-    `validate_trace`, so every ChannelTrace is valid.
+    over `users` (bit i set means users[i] took part), in `mask_dtype` of the
+    user count.  Construction runs `validate_trace` on the masks as given and
+    only then narrows them, so a mask outside the user set fails with its
+    event and is never wrapped; masks already in that dtype are kept without
+    a copy.  Every ChannelTrace is valid.
     """
 
     users: tuple[str, ...]
@@ -178,19 +189,26 @@ class ChannelTrace:
         users = tuple(_check_label(u) for u in self.users)
         if len(set(users)) != len(users):
             raise TraceError("duplicate user labels")
-        if len(users) > _MAX_USERS:
-            raise TraceError(f"at most {_MAX_USERS} users supported")
+        dtype = mask_dtype(len(users))
         object.__setattr__(self, "users", users)
-        for name, dtype in (("starts", np.int64), ("ends", np.int64),
-                            ("kinds", np.int8), ("masks", np.int64)):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+        for name, kind in (("starts", np.int64), ("ends", np.int64),
+                           ("kinds", np.int8)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=kind)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # Masks are validated at the width given and narrowed only then.
+        masks = self.masks
+        if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
+            masks = np.asarray(masks, np.int64)
+        object.__setattr__(self, "masks", masks)
         n = len(self.starts)
         if not (len(self.ends) == len(self.kinds) == len(self.masks) == n):
             raise TraceError("event arrays have mismatched lengths")
         object.__setattr__(self, "horizon", int(self.horizon))
         validate_trace(self)
+        masks = np.ascontiguousarray(masks, dtype=dtype)
+        masks.setflags(write=False)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_events(cls, users: Iterable[str], events: Iterable[ChannelEvent],
@@ -411,6 +429,8 @@ class _FileState:
     def trace(self, starts, ends, kinds, masks) -> ChannelTrace:
         users = tuple(self.index) if self.users is None else self.users
         ends = np.asarray(ends, np.int64)
+        # Each mask came from `mask`, inside the user set, so none wraps.
+        masks = np.asarray(masks, mask_dtype(len(users)))
         # Headers precede events, so the scale is final here whichever of
         # the two headers came first.
         horizon = (int(ends.max(initial=0)) if self.horizon is None

@@ -37,6 +37,7 @@ from .core import (
     CsmaMode,
     CsmaParams,
     TraceError,
+    mask_dtype,
 )
 
 COLLISION_OUTCOME = -1
@@ -141,16 +142,16 @@ def _user_streams(config: SimConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(len(config.users))]
 
 
-def _span(edge: np.ndarray, warmup: int, horizon: int) -> tuple[int, int]:
-    """Event index range [lo, hi) of the events inside [warmup, warmup+horizon).
+def _span(edge: np.ndarray, horizon: int) -> tuple[int, int]:
+    """Event index range [lo, hi) of the events inside [0, horizon).
 
     Event i spans [edge[i], edge[i+1]); `edge` must be non-decreasing, so the
     events inside the window form one contiguous run.  lo is the first event
-    starting at or after `warmup`, hi the first ending after the window's end,
-    and hi == lo when no event fits.
+    starting at or after 0, hi the first ending after the window's end, and
+    hi == lo when no event fits.
     """
-    lo = int(np.searchsorted(edge, warmup))
-    hi = int(np.searchsorted(edge, warmup + horizon, "right")) - 1
+    lo = int(np.searchsorted(edge, 0))
+    hi = int(np.searchsorted(edge, horizon, "right")) - 1
     return lo, max(lo, hi)
 
 
@@ -160,11 +161,12 @@ def _window_trace(users, edge, kinds, masks, warmup: int,
 
     Event i spans [edge[i], edge[i+1]) and has kinds[i], masks[i].  The
     events must be sorted and tile the channel (`edge` non-decreasing), so
-    the kept events are one slice of them; the trace's starts and ends are
-    two views of one rebased copy of its boundaries.
+    the kept events are one slice of them.  `edge` is rebased in place, by
+    `warmup` ticks, and the trace's starts and ends are two views of it.
     """
-    lo, hi = _span(edge, warmup, horizon)
-    e = edge[lo:hi + 1] - warmup
+    edge -= warmup
+    lo, hi = _span(edge, horizon)
+    e = edge[lo:hi + 1]
     return ChannelTrace(users, e[:-1], e[1:], kinds[lo:hi], masks[lo:hi],
                         horizon)
 
@@ -317,7 +319,7 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     np.cumsum(length, out=edge[1:])
     kinds = np.full(2 * n, IDLE_CODE, np.int8)
     kinds[1::2] = np.where(coll, COLLISION_CODE, SUCCESS_CODE)
-    masks = np.zeros(2 * n, np.int64)
+    masks = np.zeros(2 * n, np.uint8)
     masks[1::2] = np.where(coll, 3, outcome + 1)  # winner u has mask 1 << u
     trace = _window_trace(config.users, edge, kinds, masks,
                           config.warmup, config.horizon)
@@ -331,13 +333,15 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     np.minimum(stage, beta, out=stage)
     fresh = np.ones((n, 2), bool)
     fresh[1:] = outcome[:-1, None] != (1, 0)
-    # Rounds tile the channel too, so the audit keeps rounds by the same rule.
+    # Rounds tile the channel too, so the audit keeps rounds by the same
+    # rule.  `edge` is rebased already; t and end are copies of it, so no
+    # audit array shares the trace's boundary buffer.
     rounds = edge[::2]  # round k spans [rounds[k], rounds[k+1])
-    lo, hi = _span(rounds, config.warmup, config.horizon)
+    lo, hi = _span(rounds, config.horizon)
     return trace, CsmaAudit(
         users=config.users,
-        t=rounds[lo:hi] - config.warmup,
-        end=rounds[lo + 1:hi + 1] - config.warmup,
+        t=rounds[lo:hi].copy(),
+        end=rounds[lo + 1:hi + 1].copy(),
         outcome=outcome[lo:hi],
         stage=stage[lo:hi],
         counter=np.ascontiguousarray(counter.T[lo:hi]),
@@ -361,8 +365,8 @@ def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
     edge = np.zeros(n_rounds * len(lengths) + 1, np.int64)
     np.cumsum(np.tile(np.asarray(lengths, np.int64), n_rounds), out=edge[1:])
     kinds = np.full(len(edge) - 1, SUCCESS_CODE, np.int8)
-    masks = np.tile(np.left_shift(1, np.arange(len(lengths), dtype=np.int64)),
-                    n_rounds)
+    bits = np.arange(len(lengths), dtype=mask_dtype(len(lengths)))
+    masks = np.tile(np.left_shift(1, bits), n_rounds)
     return _window_trace(config.users, edge, kinds, masks,
                          config.warmup, config.horizon)
 

@@ -23,6 +23,7 @@ from macfair.core import (
     AlohaParams,
     ChannelEvent,
     ChannelTrace,
+    CsmaMode,
     CsmaParams,
     EventKind,
     OrderError,
@@ -39,6 +40,7 @@ from macfair.core import (
     us_to_slots,
     validate_trace,
 )
+from macfair.sim import SimConfig, simulate_aloha, simulate_csma, simulate_tdma
 
 
 class TestUnits:
@@ -238,6 +240,78 @@ class TestSuccessIndex:
         with pytest.raises(error, match=f"event 1: {message}"):
             ChannelTrace(("A", "B"), [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
                          [SUCCESS_CODE] * 5, [1, mask, 1, 2, 1], 5)
+
+
+class TestMaskDtype:
+    """Masks are stored in the narrowest unsigned dtype over the user set,
+    after validation at the width the caller gave."""
+
+    WIDTHS = [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+              (17, np.uint32), (32, np.uint32), (33, np.uint64),
+              (63, np.uint64)]
+
+    @pytest.mark.parametrize("n,dtype", WIDTHS)
+    def test_raw_from_events_and_read(self, n, dtype):
+        users = tuple(f"U{i}" for i in range(n))
+        # The last user's bit, and the widest mask the users allow.
+        events = [success(0, 1, users[0]), idle(1, 2),
+                  success(2, 3, users[-1])]
+        if n > 1:
+            events.append(collision(3, 4, users))
+        masks = [1, 0, 1 << (n - 1), (1 << n) - 1][:len(events)]
+        built = ChannelTrace.from_events(users, events, 4)
+        raw = ChannelTrace(users, built.starts, built.ends, built.kinds,
+                           np.array(masks, np.int64), 4)
+        fp = io.StringIO()
+        raw.write(fp)
+        fp.seek(0)
+        read = ChannelTrace.read(fp)
+        for tr in (raw, built, read):
+            assert tr.masks.dtype == dtype
+            assert tr.masks.tolist() == masks
+        assert raw == built == read
+
+    @pytest.mark.parametrize("n,dtype", WIDTHS)
+    def test_tdma(self, n, dtype):
+        users = tuple(f"U{i}" for i in range(n))
+        tr = simulate_tdma([1] * n, SimConfig(seed=0, horizon=2 * n,
+                                              users=users, warmup=0))
+        assert tr.masks.dtype == dtype
+        assert tr.masks.tolist() == [1 << i for i in range(n)] * 2
+        assert np.shares_memory(tr.starts, tr.ends)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda cfg: simulate_aloha(AlohaParams(0.5, 0.5), cfg),
+        lambda cfg: simulate_csma(CsmaParams(32, 5, 4, 30), cfg),
+        lambda cfg: simulate_csma(CsmaParams(32, 5, 4, 30), cfg,
+                                  CsmaMode.BASIC),
+    ], ids=["aloha", "csma-rtscts", "csma-basic"])
+    def test_two_user_simulators(self, simulate):
+        tr = simulate(SimConfig(seed=1, horizon=20_000))
+        assert tr.masks.dtype == np.uint8
+        assert np.shares_memory(tr.starts, tr.ends)
+        # The simulator's masks are kept; int64 ones are narrowed to them.
+        assert ChannelTrace(tr.users, tr.starts, tr.ends, tr.kinds, tr.masks,
+                            tr.horizon).masks is tr.masks
+        wide = ChannelTrace(tr.users, tr.starts, tr.ends, tr.kinds,
+                            tr.masks.astype(np.int64), tr.horizon)
+        assert wide.masks.dtype == np.uint8
+        assert wide == tr
+
+    @pytest.mark.parametrize("n,mask", [
+        (2, np.array([1, 257], np.int64)),  # would wrap to 1, a valid Success
+        (2, np.array([1, 4], np.uint8)),
+        (2, [1, -1]),
+        (2, np.array([1, -1], np.int8)),
+        (8, [1, 256]),                      # would wrap to 0
+        (8, np.array([1, 256], np.uint16)),
+    ], ids=["int64-257", "uint8-4", "minus-1", "int8-minus-1", "8-users-256",
+            "uint16-256"])
+    def test_validated_before_narrowing(self, n, mask):
+        users = tuple(f"U{i}" for i in range(n))
+        with pytest.raises(UnknownUserError, match="event 1: event mask uses "
+                           "bits beyond the user set"):
+            ChannelTrace(users, [0, 1], [1, 2], [SUCCESS_CODE] * 2, mask, 2)
 
 
 class TestSuccessesOf:

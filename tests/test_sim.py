@@ -2,6 +2,7 @@
 agreement with closed forms, and the audit-log conservation identities."""
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,37 @@ class TestAloha:
         tr = simulate_aloha(AlohaParams(0.3, 0.7), SimConfig(seed=5, horizon=5000))
         assert tr.starts.min() >= 0
         assert tr.ends.max() <= 5000
+
+
+def _held_bytes(trace) -> int:
+    """Bytes of the buffers a trace's columns keep alive, each counted once."""
+    owners = {}
+    for a in (trace.starts, trace.ends, trace.kinds, trace.masks):
+        owner = a if a.base is None else a.base
+        owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
+
+
+class TestAlohaMemory:
+    """What a 1e6-slot Aloha run allocates, by tracemalloc.  The trace keeps
+    one boundary buffer shared by starts and ends, uint8 masks and int8
+    kinds: 10 bytes an event plus the closing boundary.  With no warm-up
+    every simulated event is kept, so nothing else may count."""
+
+    SLOTS = 1_000_000
+
+    def test_held_and_peak(self):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            trace = simulate_aloha(AlohaParams(0.5, 0.5),
+                                   SimConfig(seed=7, horizon=self.SLOTS,
+                                             warmup=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _held_bytes(trace) <= 10 * len(trace) + 8
+        assert peak - base < 25 * self.SLOTS
 
 
 class TestAlohaCycleLaw:
@@ -250,7 +282,10 @@ class TestCsma:
 
 
 def _sim_digest(trace, audit=None) -> str:
-    arrays = [trace.starts, trace.ends, trace.kinds, trace.masks]
+    # Masks widened to int64, so a pin follows the mask values and not the
+    # narrow dtype they are stored in.
+    arrays = [trace.starts, trace.ends, trace.kinds,
+              trace.masks.astype(np.int64)]
     if audit is not None:
         arrays += [audit.t, audit.end, audit.outcome, audit.stage,
                    audit.counter, audit.fresh]

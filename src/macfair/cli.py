@@ -23,7 +23,6 @@ from .core import (
     CsmaParams,
     TraceError,
     UnitError,
-    slots_to_us,
     us_to_slots,
 )
 from .sim import SimConfig, simulate_aloha, simulate_csma, simulate_tdma, write_audit
@@ -103,7 +102,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         trace.to_file(args.out)
     if audit_rec is not None:
-        with open(args.audit_out, "w") as fp:
+        with open(args.audit_out, "w", encoding="utf-8") as fp:
             write_audit(audit_rec, fp)
     psi = "nan" if report.psi_slots is None else f"{report.psi_slots:.6f}"
     psi_us = "nan" if report.psi_slots is None \
@@ -140,7 +139,7 @@ def cmd_analyze(args) -> int:
 def cmd_analytic(args) -> int:
     protocol = f"csma-{args.mode}" if args.family == "csma" else args.family
     result = _predict(protocol, _build_params(protocol, args), args)
-    psi_us = slots_to_us(1, args.micros_per_slot) * result.psi_slots
+    psi_us = result.psi_slots * args.micros_per_slot
     print(f"psi_slots={result.psi_slots:.6f}")
     print(f"psi_us={psi_us:.6f}")
     print(f"mode={result.mode.value}")

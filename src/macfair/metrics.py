@@ -7,10 +7,11 @@ Averaging per-user mean cycle times over the user set gives the channel cycle
 time, a single figure for how long the channel takes to serve everybody once
 more.
 
-Cycles are found over success runs, by one vectorized search for any number
-of users.  Collapse the trace's successes into runs of one user's successes,
-numbered in order.  The last success of every run but the final one is a
-refresh moment of the run's owner, and these are all the refresh moments.
+Cycles are found over success runs, by one vectorized search that finds
+every user's cycles at once, for any number of users.  Collapse the trace's
+successes into runs of one user's successes, numbered in order.  The last
+success of every run but the final one is a refresh moment of the run's
+owner, and these are all the refresh moments.
 From refresh run k, let m be the latest first appearance over all users: the
 latest among every user's first run after k, the owner's included.  The cycle
 closes at the owner's first run at or after m.  If some user has no run after
@@ -53,35 +54,33 @@ def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
     return label, trace.ends.take(hit.take(last))
 
 
-def _latest_first_runs(label: np.ndarray, n_users: int) -> np.ndarray:
-    """For every run k but the final one, the latest among every user's
-    first run after k; len(label) when some user has none."""
+def _cycle_runs(label: np.ndarray,
+                n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Runs opening and closing each user's cycles, by the rule of the module
+    docstring: one (start, close) pair of arrays a user."""
     n = len(label)
+    # For every run k but the final one, the latest among every user's first
+    # run after k; n when some user has none.
     latest = np.zeros(max(n - 1, 0), np.int64)
+    runs = []
     for v in range(n_users):
         is_v = label == v
         # v's runs, then the sentinel n; the count of v's runs up to k
         # indexes v's first run after k.
-        first = np.append(np.flatnonzero(is_v), n)
-        np.maximum(latest, first.take(np.cumsum(is_v[:-1])), out=latest)
-    return latest
-
-
-def _cycle_runs(label: np.ndarray, latest: np.ndarray,
-                i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs opening and closing user i's cycles, by the rule of the module
-    docstring; `latest` is `_latest_first_runs` of the same runs."""
-    n = len(label)
-    is_i = label == i
-    runs = np.append(np.flatnonzero(is_i), n)
-    start = runs[:np.count_nonzero(is_i[:-1])]  # every run of i but the final
-    # latest >= k + 1, and the count of i's runs before latest indexes i's
-    # first run at or after it.
-    close = runs.take(np.cumsum(is_i).take(latest.take(start) - 1))
-    # latest never decreases, so neither does close: the cycles that close
-    # before the final run are a prefix.
-    k = np.count_nonzero(close < n - 1)
-    return start[:k], close[:k]
+        runs.append(np.append(np.flatnonzero(is_v), n))
+        np.maximum(latest, runs[v].take(np.cumsum(is_v[:-1])), out=latest)
+    cycles = []
+    for i, r in enumerate(runs):
+        is_i = label == i
+        start = r[:np.count_nonzero(is_i[:-1])]  # every run of i but the final
+        # latest >= k + 1, and the count of i's runs before latest indexes
+        # i's first run at or after it.
+        close = r.take(np.cumsum(is_i).take(latest.take(start) - 1))
+        # latest never decreases, so neither does close: the cycles that
+        # close before the final run are a prefix.
+        k = np.count_nonzero(close < n - 1)
+        cycles.append((start[:k], close[:k]))
+    return cycles
 
 
 def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -100,8 +99,7 @@ def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
     """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2)."""
     i = trace.user_index(user)
     label, t = _run_ends(trace)
-    start, close = _cycle_runs(
-        label, _latest_first_runs(label, len(trace.users)), i)
+    start, close = _cycle_runs(label, len(trace.users))[i]
     return np.column_stack([t.take(start), t.take(close)])
 
 
@@ -158,11 +156,8 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     if len(trace.users) < 2:
         raise TooFewUsersError("channel cycle time needs at least two users")
     label, t = _run_ends(trace)
-    latest = _latest_first_runs(label, len(trace.users))
-    samples = {}
-    for i, u in enumerate(trace.users):
-        start, close = _cycle_runs(label, latest, i)
-        samples[u] = t.take(close) - t.take(start)
+    samples = {u: t.take(close) - t.take(start) for u, (start, close)
+               in zip(trace.users, _cycle_runs(label, len(trace.users)))}
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
     if missing:
         return CycleTimeReport(trace.users, samples, None, True, missing)
@@ -244,7 +239,7 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
         raise TooFewUsersError("the two-part split is defined for two-user traces")
     i = trace.user_index(user)
     hit, last, label = _success_runs(trace)
-    runs = _cycle_runs(label, _latest_first_runs(label, 2), i)
+    runs = _cycle_runs(label, 2)[i]
     start, close = (last.take(r) for r in runs)
     # Runs alternate between the two users: the run after the start is the
     # other user's turn, and the success right after it is the split.

@@ -31,6 +31,16 @@ def kv(out: str) -> dict:
     return pairs
 
 
+def _ascii_env() -> dict:
+    """The environment of a child whose stdout is ASCII: the C locale, with
+    UTF-8 mode and locale coercion off."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONIOENCODING", None)
+    return env
+
+
 class TestAnalytic:
     def test_aloha_optimum(self, capsys):
         code, out, _ = run(capsys, "analytic", "aloha", "--pa", "0.5", "--pb", "0.5")
@@ -345,15 +355,11 @@ class TestAnalyze:
         path = tmp_path / "trace.csv"
         ChannelTrace(("\u00e9", "B"), [0, 3], [3, 5], [0, 0], [1, 2],
                      5).to_file(path)
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-               "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.pop("PYTHONIOENCODING", None)
 
         def analyze(*flags):
             return subprocess.run(
                 [sys.executable, "-m", "macfair", "analyze", str(path),
-                 *flags], env=env, capture_output=True, text=True)
+                 *flags], env=_ascii_env(), capture_output=True, text=True)
 
         text = analyze()
         assert (text.returncode, text.stdout) == (1, "")
@@ -363,6 +369,22 @@ class TestAnalyze:
         blob = analyze("--json")
         assert blob.returncode == 0, blob.stderr
         assert json.loads(blob.stdout)["users"][0]["user"] == "\u00e9"
+
+    def test_label_audit_is_utf8_under_ascii_locale(self, tmp_path):
+        # The label is an escape in ASCII source: under the C locale argv
+        # bytes are not decoded as UTF-8.
+        trace, audit = tmp_path / "trace.csv", tmp_path / "audit.csv"
+        code = ("import sys; from macfair import cli; sys.exit(cli.main(["
+                "'simulate', '--protocol', 'csma-rtscts', '--users', "
+                "'\\u00e9,B', '--slots', '2000', '--out', sys.argv[1], "
+                "'--audit-out', sys.argv[2]]))")
+        proc = subprocess.run([sys.executable, "-c", code, str(trace),
+                               str(audit)], env=_ascii_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        winners = {line.split(",")[1] for line in
+                   audit.read_text(encoding="utf-8").splitlines()}
+        assert "\u00e9" in winners
 
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
     def test_failing_figure_leaves_stdout_empty(self, tmp_path, capsys, flags):
@@ -453,10 +475,15 @@ class TestSweep:
         assert len(lines) == 1 + 9  # 3x3 grid
         assert lines[1].split(",")[0] == "0.4/0.4"
 
-    def test_p_range_limited_to_aloha(self, capsys):
-        code, _, err = run(capsys, "sweep", "--protocols", "tdma",
-                           "--p-range", "0.4:0.6:0.1", "--slots", "1000")
-        assert code == 1
+    @pytest.mark.parametrize("axis,text,message", [
+        ("--p-range", "0.4:0.6:0.1", "--p-range sweeps apply to aloha only"),
+        ("--cw-range", "16:32:16", "--cw-range sweeps apply to CSMA only"),
+    ], ids=["p-range", "cw-range"])
+    def test_axis_limited_to_its_protocols(self, capsys, axis, text, message):
+        code, out, err = run(capsys, "sweep", "--protocols", "tdma", axis,
+                             text, "--slots", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     def test_no_axis_is_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep", "--protocols", "tdma",
@@ -488,10 +515,21 @@ class TestSweep:
         assert out == ""
         assert "exactly one of" in err
 
-    def test_bad_range_is_exit_1(self, capsys):
-        code, _, err = run(capsys, "sweep", "--pkt-range", "30-50-10",
-                           "--slots", "1000")
-        assert code == 1
+    @pytest.mark.parametrize("flags,message", [
+        (("--pkt-range", "30-50-10"), "bad range '30-50-10'; use lo:hi:step"),
+        (("--pkt-range", "30:100:0"), "bad range '30:100:0'; use lo:hi:step"),
+        (("--protocols", "aloha", "--p-range", "0.2:0.8:-0.1"),
+         "bad range '0.2:0.8:-0.1'; use lo:hi:step"),
+        (("--protocols", "aloha", "--p-range", "0.2:0.8:nan"),
+         "bad range '0.2:0.8:nan'; use lo:hi:step"),
+        (("--protocols", "foo", "--pkt-range", "30:30:1"),
+         "unknown protocol 'foo'"),
+    ], ids=["separator", "zero-step", "negative-step", "nan-step",
+            "unknown-protocol"])
+    def test_bad_range_is_exit_1(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", *flags, "--slots", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("protocols,axis,text", [
         ("aloha", "--pkt-range", "100:30:10"),

@@ -143,6 +143,20 @@ class TestAlohaMemory:
         assert _held_bytes(trace) <= 10 * len(trace) + 8
         assert peak - base < 25 * self.SLOTS
 
+    def test_cycle_search_peak(self):
+        # A cold call decodes the success index too; the run search's int64
+        # temporaries must not outlive their pass.
+        trace = simulate_aloha(AlohaParams(0.5, 0.5),
+                               SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            metrics.channel_cycle_time(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 35 * len(trace.success_index[0])
+
 
 class TestAlohaCycleLaw:
     """One user's whole cycle-time law in two-user Aloha, exact from

@@ -52,6 +52,13 @@ def main() -> int:
                      for p in pkts])
     for pkt, d in zip(pkts, diff):
         print(f"pkt={int(pkt)} rtscts_minus_basic={d:+.4f}")
+    # A point where every rep left psi undefined has a nan mean, whose sign
+    # differs from every other sign.
+    undefined = [f"pkt={pkt} {protocol}" for pkt, by in sorted(sim.items())
+                 for protocol, psi in by.items() if np.isnan(psi)]
+    if undefined:
+        print(f"no defined psi at {', '.join(undefined)}; raise --slots")
+        return 1
 
     params = CsmaParams(cw_min=32, beta=5, l_difs=4, l_pkt=int(pkts[0]))
     p_c = solve_collision_probability(params.cw_min, params.beta).p_c

@@ -19,11 +19,15 @@ k, or the owner's run at or after m is the final run or does not exist, no
 cycle starts at k.  When the owner comes back last, m is that return itself;
 otherwise the close is the owner's first refresh run after every other user
 has succeeded.
+Both steps read first-run tables: entry k of a user's table is the user's
+first run at or after run k.  One pass folds every user's table into m for
+every k at once; a second looks each owner's closes up in its own table.
 
-Every metric reads the success sequence from `ChannelTrace.success_index`,
-decoded once per trace.  Cycles, and the two parts of a two-user cycle, are
-found as run numbers and mapped back to positions in the success sequence;
-end times are gathered at those positions last.
+Every metric but `throughput` reads the success sequence from
+`ChannelTrace.success_index`, decoded once per trace.  Cycles, and the two
+parts of a two-user cycle, are found as run numbers and mapped back to
+positions in the success sequence; end times are gathered at those positions
+last.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelTrace, TraceError, _int_list
+from .core import SUCCESS_CODE, ChannelTrace, TraceError, _int_list
 
 
 class TooFewUsersError(TraceError):
@@ -54,6 +58,12 @@ def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
     return label, trace.ends.take(hit.take(last))
 
 
+def _first_at(r: np.ndarray) -> np.ndarray:
+    """The first-run table of sorted runs r ending in the sentinel n: entry k,
+    for k in 0..n, is the first of r at or after run k."""
+    return np.repeat(r, np.diff(r, prepend=-1))
+
+
 def _cycle_runs(label: np.ndarray,
                 n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Runs opening and closing each user's cycles, by the rule of the module
@@ -64,18 +74,13 @@ def _cycle_runs(label: np.ndarray,
     latest = np.zeros(max(n - 1, 0), np.int64)
     runs = []
     for v in range(n_users):
-        is_v = label == v
-        # v's runs, then the sentinel n; the count of v's runs up to k
-        # indexes v's first run after k.
-        runs.append(np.append(np.flatnonzero(is_v), n))
-        np.maximum(latest, runs[v].take(np.cumsum(is_v[:-1])), out=latest)
+        runs.append(np.append(np.flatnonzero(label == v), n))
+        # Entry k + 1 of v's table is v's first run after k.
+        np.maximum(latest, _first_at(runs[v])[1:n], out=latest)
     cycles = []
-    for i, r in enumerate(runs):
-        is_i = label == i
-        start = r[:np.count_nonzero(is_i[:-1])]  # every run of i but the final
-        # latest >= k + 1, and the count of i's runs before latest indexes
-        # i's first run at or after it.
-        close = r.take(np.cumsum(is_i).take(latest.take(start) - 1))
+    for r in runs:
+        start = r[:np.searchsorted(r, n - 1)]  # every run but the final one
+        close = _first_at(r).take(latest.take(start))
         # latest never decreases, so neither does close: the cycles that
         # close before the final run are a prefix.
         k = np.count_nonzero(close < n - 1)
@@ -254,12 +259,19 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
         n_b.tolist(), n_a_prime.tolist(), part1.tolist(), part2.tolist())]
 
 
+# Events a block of `throughput`: its temporaries stay small instead of
+# holding an int64 per event of the trace.
+_BLOCK = 1 << 16
+
+
 def throughput(trace: ChannelTrace) -> float:
     """Fraction of the horizon spent in successful transmissions."""
     if trace.horizon <= 0:
         raise TraceError("throughput needs a positive horizon")
-    hit = trace.success_index[0]
-    # Indexing, not take: take copies a read-only index array first.
-    busy = trace.ends[hit]
-    busy -= trace.starts[hit]
-    return int(busy.sum()) / trace.horizon
+    busy = 0
+    for lo in range(0, len(trace), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        length = trace.ends[block] - trace.starts[block]
+        length *= trace.kinds[block] == SUCCESS_CODE
+        busy += int(length.sum())
+    return busy / trace.horizon

@@ -46,9 +46,9 @@ COLLISION_OUTCOME = -1
 BLOCK = 1024
 _WORD = 1 << 32
 
-# Kind of an Aloha slot indexed by its participant mask.
-_ALOHA_KIND = np.array([IDLE_CODE, SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE],
-                       np.int8)
+# Kind of an Aloha slot with participant mask m: two bits at bit 2m.
+_ALOHA_KINDS = np.uint8(IDLE_CODE | SUCCESS_CODE << 2 | SUCCESS_CODE << 4
+                        | COLLISION_CODE << 6)
 
 
 def _window_row(words: np.ndarray, cw: int) -> list[int]:
@@ -198,7 +198,10 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     masks = code.take(edge[:-1])
     if slot != 1:
         edge *= slot
-    return _window_trace(config.users, edge, _ALOHA_KIND.take(masks), masks,
+    kinds = masks << 1
+    np.right_shift(_ALOHA_KINDS, kinds, out=kinds)
+    kinds &= 3
+    return _window_trace(config.users, edge, kinds.view(np.int8), masks,
                          config.warmup, config.horizon)
 
 

@@ -289,6 +289,14 @@ def brute_part_splits(trace: ChannelTrace, user: str) -> list[PartSplit]:
     return out
 
 
+def brute_success_time(trace: ChannelTrace) -> int:
+    """Total length of the trace's Success events, summed event by event."""
+    return sum(e - s for s, e, k in zip(trace.starts.tolist(),
+                                        trace.ends.tolist(),
+                                        trace.kinds.tolist())
+               if k == SUCCESS_CODE)
+
+
 def brute_inter_transmissions(trace: ChannelTrace, user: str) -> list[int]:
     seq = success_seq(trace)
     out = []

@@ -684,3 +684,30 @@ class TestCrossoverScript:
             assert printed.count("pkt=48 rtscts_minus_basic=") == 2
             lines = out.read_text().splitlines()
             assert lines[0].startswith("x,protocol,") and len(lines) == 5
+
+    @pytest.mark.parametrize("undefined", [[96], list(range(48, 104, 8))],
+                             ids=["last-point", "every-point"])
+    def test_undefined_psi_is_exit_1(self, monkeypatch, capsys, undefined):
+        # Without the undefined points the difference is +100 everywhere, so
+        # a nan counted as a sign change would be the only "flip".
+        module = _crossover_script()
+
+        def fake_main(argv):
+            print("x,protocol,psi_analytic_slots,psi_sim_mean_slots,"
+                  "psi_sim_ci95,n_ok")
+            for pkt in range(48, 104, 8):
+                for protocol, psi in (("csma-rtscts", 1000.0 + pkt),
+                                      ("csma-basic", 900.0 + pkt)):
+                    n_ok = 0 if pkt in undefined else 3
+                    mean = float("nan") if n_ok == 0 else psi
+                    print(f"{pkt},{protocol},{psi:.6f},{mean:.6f},1.0,{n_ok}")
+            return 0
+
+        monkeypatch.setattr(module.cli, "main", fake_main)
+        monkeypatch.setattr(sys, "argv", ["rtscts_crossover.py"])
+        assert module.main() == 1
+        out = capsys.readouterr().out
+        named = ", ".join(f"pkt={pkt} {protocol}" for pkt in undefined
+                          for protocol in ("csma-rtscts", "csma-basic"))
+        assert f"no defined psi at {named};" in out
+        assert "crossover" not in out and "flips" not in out

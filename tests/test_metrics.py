@@ -11,6 +11,7 @@ from macfair.core import (
     ChannelTrace,
     CsmaMode,
     CsmaParams,
+    TraceError,
     UnknownUserError,
     idle,
     success,
@@ -280,19 +281,6 @@ class TestPartDecomposition:
                 assert p.t_part1 >= 1
 
 
-class TestThroughput:
-    def test_full_occupancy(self):
-        tr = helpers.pattern_trace("ABAB")
-        assert throughput(tr) == pytest.approx(1.0)
-
-    def test_with_idle(self):
-        tr = ChannelTrace.from_events(
-            ("A", "B"),
-            [success(0, 2, "A"), idle(2, 6), success(6, 8, "B")],
-            10)
-        assert throughput(tr) == pytest.approx(0.4)
-
-
 def _never_again_trace() -> ChannelTrace:
     """A 4-user trace whose last user's successes stop halfway through."""
     tr = helpers.nuser_trace(7, 20_000, 4)
@@ -321,6 +309,35 @@ _SEARCH_CASES = {
     "nuser-3": lambda: helpers.nuser_trace(3, 100_000, 3),
     "one-user-stops": _never_again_trace,
 }
+
+
+class TestThroughput:
+    def test_full_occupancy(self):
+        tr = helpers.pattern_trace("ABAB")
+        assert throughput(tr) == pytest.approx(1.0)
+
+    def test_with_idle(self):
+        tr = ChannelTrace.from_events(
+            ("A", "B"),
+            [success(0, 2, "A"), idle(2, 6), success(6, 8, "B")],
+            10)
+        assert throughput(tr) == pytest.approx(0.4)
+
+    @given(helpers.traces(max_users=6, max_events=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_literal_scan(self, tr):
+        if tr.horizon == 0:
+            with pytest.raises(TraceError):
+                throughput(tr)
+        else:
+            want = helpers.brute_success_time(tr) / tr.horizon
+            assert throughput(tr) == want
+
+    @pytest.mark.parametrize("make", list(_SEARCH_CASES.values()),
+                             ids=list(_SEARCH_CASES))
+    def test_search_cases_match_literal_scan(self, make):
+        tr = make()
+        assert throughput(tr) == helpers.brute_success_time(tr) / tr.horizon
 
 
 class TestRunSearch:

@@ -11,6 +11,9 @@ import scipy.stats
 from helpers import aloha_cycle_pmf, reference_csma_counters
 from macfair import analytic, metrics
 from macfair.core import (
+    COLLISION_CODE,
+    IDLE_CODE,
+    SUCCESS_CODE,
     AlohaParams,
     ChannelTrace,
     CsmaMode,
@@ -93,6 +96,16 @@ class TestAloha:
         tr = simulate_aloha(AlohaParams(1.0, 1.0), SimConfig(seed=0, horizon=1000))
         assert set(tr.kinds.tolist()) == {1}
 
+    @pytest.mark.parametrize("slot", [1, 3])
+    @pytest.mark.parametrize("p_b", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("p_a", [0.0, 1.0, 0.5])
+    def test_kind_follows_mask(self, p_a, p_b, slot):
+        tr = simulate_aloha(AlohaParams(p_a, p_b, slot=slot),
+                            SimConfig(seed=6, horizon=3000))
+        by_mask = [IDLE_CODE, SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE]
+        assert tr.kinds.dtype == np.int8
+        assert tr.kinds.tolist() == [by_mask[m] for m in tr.masks.tolist()]
+
     def test_throughput_at_optimum(self):
         tr = simulate_aloha(AlohaParams(0.5, 0.5),
                             SimConfig(seed=11, horizon=1_000_000))
@@ -156,6 +169,20 @@ class TestAlohaMemory:
         finally:
             tracemalloc.stop()
         assert peak - base < 35 * len(trace.success_index[0])
+
+    def test_throughput_peak(self):
+        # At most an int64 length and a bool mask an event: the temporaries
+        # of one pass over the whole trace.
+        trace = simulate_aloha(AlohaParams(0.5, 0.5),
+                               SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            metrics.throughput(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 10 * len(trace)
 
 
 class TestAlohaCycleLaw:

@@ -283,12 +283,12 @@ class ChannelTrace:
         # length follows from the widest line these users allow.
         widest = _WIDEST_BOUNDS + len("+".join(self.users).encode())
         step = max(1, _BLOCK_BYTES // widest)
-        labels: dict[int, bytes] = {}
+        fields = _UsersFields(self.users)
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
             text = _render_events(self.starts[block], self.ends[block],
-                                  self.kinds[block], self.masks[block],
-                                  self.users, labels)
+                                  self.kinds[block],
+                                  *fields.rows(self.masks[block]))
             fp.write(text.decode())
 
     def to_file(self, path) -> None:
@@ -375,6 +375,7 @@ class _FileState:
         self.headers: set[str] = set()
         self.index: dict[str, int] = {}
         self.mask_of: dict[str, int] = {}  # users field -> its mask, once checked
+        self.table = _SlotTable()  # the same, for fields of at most 8 bytes
 
     def header(self, line: str, line_no: int) -> None:
         key, _, value = line[1:].partition("=")
@@ -476,7 +477,10 @@ def _parse_rows(text: str, state: _FileState,
 
 # -- trace file body as byte columns -------------------------------------------
 # Both directions work through the body in blocks of about _BLOCK_BYTES, so
-# that temporaries stay small whatever the file size.
+# that temporaries stay small whatever the file size.  Users fields are
+# mapped through one _SlotTable per file, from a field's bytes to its mask
+# when reading and from a mask to its field when writing; only the keys a
+# table misses are sorted.
 
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
@@ -493,6 +497,96 @@ _KIND_OF_BYTE[_KIND_BYTES] = np.arange(3, dtype=np.int8)
 
 class _NotPlain(Exception):
     """A block leaves the plain form; the row parser takes the block."""
+
+
+class _SlotTable:
+    """An exact map from uint64 keys to int64 values, in 4096 slots.
+
+    A key's slot comes from Fibonacci multiply-shift hashing (Knuth, TAOCP
+    vol. 3, 6.4), and a slot holds one key.  A key whose slot is taken is
+    never stored, so looking it up stays a miss, which the caller resolves
+    on its slow path.  The all-ones key marks a free slot: no users field of
+    at most 8 ASCII bytes and no mask of at most 63 bits has it.
+    """
+
+    BITS = 12
+    FREE = np.uint64(2**64 - 1)
+
+    def __init__(self):
+        self.keys = np.full(1 << self.BITS, self.FREE)
+        self.values = np.zeros(1 << self.BITS, np.int64)
+
+    @staticmethod
+    def slots(keys: np.ndarray) -> np.ndarray:
+        return (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(
+            64 - _SlotTable.BITS)
+
+    def get(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's value and whether the key was found; a missed key's
+        value is meaningless."""
+        slot = self.slots(keys)
+        return self.values[slot], self.keys[slot] == keys
+
+    def put(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Store distinct keys, none in the table yet, whose slots are free;
+        returns which were stored."""
+        slot = self.slots(keys)
+        free = self.keys[slot] == self.FREE
+        self.keys[slot[free]] = keys[free]
+        # Of the keys that share a free slot, only the one written last holds it.
+        stored = self.keys[slot] == keys
+        self.values[slot[stored]] = values[stored]
+        return stored
+
+
+class _UsersFields:
+    """The users fields of one `write` call: each field met so far, stored
+    once in one byte buffer and found by mask through a _SlotTable, with a
+    dict for the masks whose slot is taken."""
+
+    def __init__(self, users: tuple[str, ...]):
+        self.users = users
+        self.clear()
+
+    def clear(self) -> None:
+        self.table, self.taken = _SlotTable(), {}
+        self.names: list[bytes] = []  # field j of this pass
+        # The names end to end: names[j] is text[lo[j]:lo[j] + width[j]].
+        self.text = np.zeros(0, np.uint8)
+        self.lo = self.width = np.zeros(0, np.int64)
+
+    def rows(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The masks' users fields, one column per event in a byte matrix,
+        each padded at its end, and the mask of the bytes each field uses."""
+        # Past a block's worth of field bytes, start over: the fields then
+        # stay within about two blocks, whatever the trace.
+        if len(self.text) > _BLOCK_BYTES:
+            self.clear()
+        keys = masks.astype(np.uint64)
+        ids, hit = self.table.get(keys)
+        miss = np.flatnonzero(~hit)
+        if len(miss):
+            new, inv = np.unique(keys[miss], return_inverse=True)
+            found = np.array([self._field(m) for m in new.tolist()], np.int64)
+            ids[miss] = found[inv]
+            stored = self.table.put(new, found)
+            self.taken.update(zip(new[~stored].tolist(),
+                                  found[~stored].tolist()))
+            if len(self.names) > len(self.width):
+                self.width = np.array([len(x) for x in self.names], np.int64)
+                self.lo = np.cumsum(self.width) - self.width
+                self.text = np.frombuffer(b"".join(self.names), np.uint8)
+        lo, width = self.lo[ids], self.width[ids]
+        rows = np.arange(int(width.max()))[:, None]
+        return self.text.take(lo + rows, mode="clip"), rows < width
+
+    def _field(self, mask: int) -> int:
+        j = self.taken.get(mask)
+        if j is None:
+            j = len(self.names)
+            self.names.append("+".join(u for b, u in enumerate(self.users)
+                                       if mask >> b & 1).encode())
+        return j
 
 
 def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,20 +620,10 @@ def _int_list(values: np.ndarray) -> str:
     return np.compress(keep.T.ravel(), text.T.ravel())[:-1].tobytes().decode()
 
 
-def _render_events(starts, ends, kinds, masks, users, labels) -> bytes:
-    """One block of event lines; `labels` caches each mask's users field."""
+def _render_events(starts, ends, kinds, who_text, who_keep) -> bytes:
+    """One block of event lines, with the users fields and their byte mask
+    that `_UsersFields.rows` gives."""
     n = len(starts)
-    uniq, inv = np.unique(masks, return_inverse=True)
-    names = []
-    for m in uniq.tolist():
-        if m not in labels:
-            labels[m] = "+".join(u for b, u in enumerate(users)
-                                 if m >> b & 1).encode()
-        names.append(labels[m])
-    lengths = np.array([len(x) for x in names], np.int64)
-    table = np.zeros((int(lengths.max()), len(names)), np.uint8)
-    for col, name in zip(table.T, names):
-        col[:len(name)] = np.frombuffer(name, np.uint8)
     s_text, s_keep = _int_rows(starts)
     e_text, e_keep = _int_rows(ends)
     mid = np.empty((3, n), np.uint8)  # ",kind,"
@@ -547,10 +631,8 @@ def _render_events(starts, ends, kinds, masks, users, labels) -> bytes:
     mid[1] = _KIND_BYTES[kinds]
     ones = np.ones((3, n), bool)
     text = np.concatenate((s_text, np.full((1, n), _COMMA), e_text, mid,
-                           table[:, inv], np.full((1, n), _NL)))
-    keep = np.concatenate((s_keep, ones[:1], e_keep, ones,
-                           np.arange(len(table))[:, None] < lengths[inv],
-                           ones[:1]))
+                           who_text, np.full((1, n), _NL)))
+    keep = np.concatenate((s_keep, ones[:1], e_keep, ones, who_keep, ones[:1]))
     # Line by line: the transposes read each event's bytes in order.
     return np.compress(keep.T.ravel(), text.T.ravel()).tobytes()
 
@@ -572,8 +654,9 @@ def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  state: _FileState, first_line: int) -> np.ndarray:
-    """Masks of the users fields b[lo:hi]: each distinct field goes through
-    `state.mask` once, in order of first appearance."""
+    """Masks of the users fields b[lo:hi].  Fields of at most 8 bytes are
+    looked up in the file's slot table; each distinct field it misses goes
+    through `state.mask` once, in order of first appearance."""
     width = hi - lo
     w = int(width.max())
     if w * len(lo) > 8 * len(b):  # a field far longer than the block's lines
@@ -581,13 +664,25 @@ def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     rows = np.arange(w)[:, None]
     keys = np.zeros((len(lo), max(w, 8)), np.uint8)
     keys[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
-    keys = keys.view(np.uint64 if w <= 8 else f"S{w}").ravel()
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.empty(len(first), np.int64)
-    for i in np.sort(first).tolist():
-        who = b[lo[i]:hi[i]].tobytes().decode("ascii")
-        table[inv[i]] = state.mask(who, first_line + i)
-    return table[inv]
+    if w <= 8:
+        keys = keys.view(np.uint64).ravel()
+        masks, hit = state.table.get(keys)
+        miss = np.flatnonzero(~hit)
+    else:
+        keys = keys.view(f"S{w}").ravel()
+        masks, miss = np.empty(len(lo), np.int64), np.arange(len(lo))
+    if len(miss):
+        uniq, first, inv = np.unique(keys[miss], return_index=True,
+                                     return_inverse=True)
+        found = np.empty(len(uniq), np.int64)
+        for j in np.sort(first).tolist():
+            i = int(miss[j])
+            who = b[lo[i]:hi[i]].tobytes().decode("ascii")
+            found[inv[j]] = state.mask(who, first_line + i)
+        masks[miss] = found[inv]
+        if w <= 8:
+            state.table.put(uniq, found)
+    return masks
 
 
 def _parse_events(text: str, state: _FileState, first_line: int):

@@ -513,6 +513,26 @@ def _block_trace(n: int, seed: int = 0) -> ChannelTrace:
     return ChannelTrace(users, ends - 1, ends, kinds, masks, int(ends[-1]) + 3)
 
 
+_WRITE_CASES = {
+    "empty": ChannelTrace(("A", "B"), [], [], [], [], 0),
+    "one-user": ChannelTrace(("solo",), [0, 5], [5, 9],
+                             [SUCCESS_CODE, IDLE_CODE], [1, 0], 9),
+    "non-ascii": ChannelTrace(("é", "日本", "A"), [0, 1, 2], [1, 2, 3],
+                              [SUCCESS_CODE, COLLISION_CODE, SUCCESS_CODE],
+                              [2, 7, 1], 3),
+    "near-2**62": ChannelTrace(("A", "B"), [2**62 - 1, 2**62, 2**63 - 2],
+                               [2**62, 2**62 + 1, 2**63 - 1],
+                               [SUCCESS_CODE, SUCCESS_CODE, IDLE_CODE],
+                               [1, 2, 0], 2**63 - 1),
+    "many-blocks": _block_trace(3 * core._BLOCK_BYTES // core._WIDEST_BOUNDS),
+    "long-label": ChannelTrace(("L" * 300_000, "B"), np.arange(40),
+                               np.arange(1, 41),
+                               np.tile([SUCCESS_CODE, SUCCESS_CODE,
+                                        COLLISION_CODE, IDLE_CODE], 10),
+                               np.tile([1, 2, 3, 0], 10), 40),
+}
+
+
 class TestColumnarWrite:
     """`write` emits the bytes of the f-string writer in `helpers`."""
 
@@ -522,21 +542,8 @@ class TestColumnarWrite:
         assert _written(tr, ChannelTrace.write) == \
             _written(tr, helpers.write_rows)
 
-    @pytest.mark.parametrize("tr", [
-        ChannelTrace(("A", "B"), [], [], [], [], 0),
-        ChannelTrace(("solo",), [0, 5], [5, 9], [SUCCESS_CODE, IDLE_CODE],
-                     [1, 0], 9),
-        ChannelTrace(("é", "日本", "A"), [0, 1, 2], [1, 2, 3],
-                     [SUCCESS_CODE, COLLISION_CODE, SUCCESS_CODE], [2, 7, 1], 3),
-        ChannelTrace(("A", "B"), [2**62 - 1, 2**62, 2**63 - 2],
-                     [2**62, 2**62 + 1, 2**63 - 1],
-                     [SUCCESS_CODE, SUCCESS_CODE, IDLE_CODE], [1, 2, 0], 2**63 - 1),
-        _block_trace(3 * core._BLOCK_BYTES // core._WIDEST_BOUNDS),
-        ChannelTrace(("L" * 300_000, "B"), np.arange(40), np.arange(1, 41),
-                     np.tile([SUCCESS_CODE, SUCCESS_CODE, COLLISION_CODE,
-                              IDLE_CODE], 10), np.tile([1, 2, 3, 0], 10), 40),
-    ], ids=["empty", "one-user", "non-ascii", "near-2**62", "many-blocks",
-            "long-label"])
+    @pytest.mark.parametrize("tr", list(_WRITE_CASES.values()),
+                             ids=list(_WRITE_CASES))
     def test_edge_cases(self, tr):
         assert _written(tr, ChannelTrace.write) == \
             _written(tr, helpers.write_rows)
@@ -771,6 +778,100 @@ class TestColumnarRead:
         for text in ("".join(lines), "#users=A+B\n0,5,S,A\n5,9,S,B \n"):
             assert ChannelTrace.read(Pipe(text)) == \
                 _outcome(helpers.read_rows, text)
+
+
+def _trace_of_fields(users: tuple[str, ...], fields) -> ChannelTrace:
+    """A trace of one-slot events with the given users fields, each a
+    Success, Collision or Idle by the number of users it names."""
+    bit = {u: 1 << i for i, u in enumerate(users)}
+    masks = [sum(bit[u] for u in f.split("+")) if f else 0 for f in fields]
+    kinds = [{0: IDLE_CODE, 1: SUCCESS_CODE}.get(f.count("+") + bool(f),
+                                                COLLISION_CODE)
+             for f in fields]
+    n = len(fields)
+    return ChannelTrace(users, np.arange(n), np.arange(1, n + 1), kinds,
+                        masks, n)
+
+
+class TestUsersFieldTable:
+    """Users fields go through one slot table per file in each direction;
+    the keys it misses take the slow path, with the same result."""
+
+    @pytest.fixture
+    def one_slot(self, monkeypatch):
+        # Every key hashes to slot 0: one key is stored, all others miss.
+        monkeypatch.setattr(core._SlotTable, "slots", staticmethod(
+            lambda keys: np.zeros(len(keys), np.intp)))
+
+    @pytest.mark.parametrize("text", list(_READ_CASES.values()),
+                             ids=list(_READ_CASES))
+    def test_misses_read_as_row_parser(self, one_slot, text):
+        assert _outcome(ChannelTrace.read, text) == \
+            _outcome(helpers.read_rows, text)
+
+    def test_misses_over_blocks(self, one_slot):
+        tr = _block_trace(3 * core._BLOCK_BYTES // 30)
+        text = _written(tr, ChannelTrace.write)
+        assert text == _written(tr, helpers.write_rows)
+        for t in (text, text.split("\n", 3)[3]):
+            assert ChannelTrace.read(io.StringIO(t)) == \
+                helpers.read_rows(io.StringIO(t))
+
+    @pytest.mark.parametrize("tr", list(_WRITE_CASES.values()),
+                             ids=list(_WRITE_CASES))
+    def test_misses_write_as_row_writer(self, one_slot, tr):
+        assert _written(tr, ChannelTrace.write) == \
+            _written(tr, helpers.write_rows)
+
+    def test_one_field_per_mask(self, one_slot):
+        # Masks that lose slot 0 are found again in the dict, not re-added.
+        fields = core._UsersFields(("A", "B", "C"))
+        for masks in ([1, 2, 3], [3, 4, 1, 5], [5, 6, 2, 1]):
+            fields.rows(np.array(masks, np.uint8))
+        assert sorted(fields.names) == sorted(b"A B A+B C A+C B+C".split())
+
+    def test_more_fields_than_slots(self):
+        # 62 one-character users and 6000 distinct 2- and 3-user collisions,
+        # in random order over several blocks each way: the tables overflow.
+        users = tuple("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                      "0123456789")
+        pool = list(itertools.combinations(range(62), 2)) + \
+            list(itertools.combinations(range(62), 3))[::8]
+        rng = np.random.default_rng(5)
+        picks = rng.integers(0, len(pool), 40_000)
+        masks = np.array([sum(1 << i for i in pool[j]) for j in picks],
+                         np.uint64)
+        assert len(np.unique(masks)) > 6000 > 1 << core._SlotTable.BITS
+        ends = np.cumsum(rng.integers(1, 10**9, len(masks)))
+        tr = ChannelTrace(users, ends - 1, ends,
+                          np.full(len(masks), COLLISION_CODE), masks,
+                          int(ends[-1]))
+        text = _written(tr, ChannelTrace.write)
+        assert len(text) > 3 * core._BLOCK_BYTES
+        assert text == _written(tr, helpers.write_rows)
+        for t in (text, text.split("\n", 3)[3]):
+            got = ChannelTrace.read(io.StringIO(t))
+            assert got == helpers.read_rows(io.StringIO(t))
+        assert got.users != users and ChannelTrace.read(io.StringIO(text)) == tr
+
+    @pytest.mark.parametrize("fields", [
+        ["ABCD+EFG", "ABCD+EFGH", "EFG", "ABCD+EFG", "ABCD+EFGH", "", "EFGH"],
+        ["ABCD+EFG"] * 4 + ["ABCD+EFGH"] * 4 + ["ABCD+EFG"] * 4,
+        ["ABCD+EFGH"] * 4 + ["", "ABCD+EFG", "EFG+EFGH"] * 3 + ["ABCD"] * 4,
+    ], ids=["within-blocks", "8-then-9", "9-then-8"])
+    @pytest.mark.parametrize("headers", [True, False], ids=["headers", "bare"])
+    def test_eight_and_nine_byte_fields(self, fields, headers):
+        # 48-byte blocks of two or three lines: 8-byte fields are keyed,
+        # a block that holds a 9-byte field is sorted.
+        tr = _trace_of_fields(("ABCD", "EFG", "EFGH"), fields)
+        with mock.patch.object(core, "_BLOCK_BYTES", 48):
+            text = _written(tr, ChannelTrace.write)
+            assert text == _written(tr, helpers.write_rows)
+            if not headers:
+                text = text.split("\n", 3)[3]
+            got = _outcome(ChannelTrace.read, text)
+        assert got == _outcome(helpers.read_rows, text)
+        assert not headers or got == tr
 
 
 class TestParams:

@@ -2,6 +2,7 @@
 agreement with closed forms, and the audit-log conservation identities."""
 import hashlib
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,49 @@ class TestAlohaMemory:
         finally:
             tracemalloc.stop()
         assert peak - base < 10 * len(trace)
+
+
+class TestTraceFileMemory:
+    """What writing and reading the 1e6-slot Aloha trace's file allocate,
+    by tracemalloc.  Both directions work in blocks, so the writer's peak is
+    flat in the trace's length and the reader's is its output columns."""
+
+    SLOTS = 1_000_000
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return simulate_aloha(AlohaParams(0.5, 0.5),
+                              SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
+
+    @staticmethod
+    def _peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def test_write_peak(self, trace, tmp_path):
+        assert self._peak(trace.to_file, tmp_path / "t.csv") < 3_000_000
+
+    def test_write_peak_many_fields(self, tmp_path):
+        # 20k distinct 83-byte users fields: the writer's columns must not
+        # pile up over the blocks.
+        users = tuple(f"{i:020d}" for i in range(63))
+        masks = [sum(1 << b for b in c) for c in itertools.islice(
+            itertools.combinations(range(63), 4), 20_000)]
+        n = len(masks)
+        trace = ChannelTrace(users, np.arange(n), np.arange(1, n + 1),
+                             np.full(n, COLLISION_CODE), np.array(masks), n)
+        assert self._peak(trace.to_file, tmp_path / "t.csv") < 3_000_000
+
+    def test_read_peak(self, trace, tmp_path):
+        path = tmp_path / "t.csv"
+        trace.to_file(path)
+        assert self._peak(ChannelTrace.from_file, path) < 45 * len(trace)
 
 
 class TestAlohaCycleLaw:

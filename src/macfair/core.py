@@ -172,10 +172,10 @@ class ChannelTrace:
     Events are stored as parallel numpy arrays so that ten-million-slot runs
     stay cheap to scan.  `masks` holds per-event participant sets as bitmasks
     over `users` (bit i set means users[i] took part), in `mask_dtype` of the
-    user count.  Construction runs `validate_trace` on the masks as given and
-    only then narrows them, so a mask outside the user set fails with its
-    event and is never wrapped; masks already in that dtype are kept without
-    a copy.  Every ChannelTrace is valid.
+    user count.  Construction rejects columns that are not integers and runs
+    `validate_trace` on kinds and masks as given, narrowing them only then,
+    so an out-of-range value fails with its event and never wraps; columns
+    already in their dtype are kept without a copy.  Every trace is valid.
     """
 
     users: tuple[str, ...]
@@ -191,24 +191,25 @@ class ChannelTrace:
             raise TraceError("duplicate user labels")
         dtype = mask_dtype(len(users))
         object.__setattr__(self, "users", users)
-        for name, kind in (("starts", np.int64), ("ends", np.int64),
-                           ("kinds", np.int8)):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=kind)
-            arr.setflags(write=False)
+        for name in ("starts", "ends", "kinds", "masks"):
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "biu" and arr.size:
+                raise TraceError(f"{name} must be integers, not {arr.dtype}")
+            if arr.dtype.kind not in "iu" or name in ("starts", "ends"):
+                arr = np.ascontiguousarray(arr, np.int64)
             object.__setattr__(self, name, arr)
-        # Masks are validated at the width given and narrowed only then.
-        masks = self.masks
-        if not (isinstance(masks, np.ndarray) and masks.dtype.kind in "iu"):
-            masks = np.asarray(masks, np.int64)
-        object.__setattr__(self, "masks", masks)
         n = len(self.starts)
         if not (len(self.ends) == len(self.kinds) == len(self.masks) == n):
             raise TraceError("event arrays have mismatched lengths")
+        if int(self.horizon) != self.horizon:
+            raise TraceError(f"horizon {self.horizon!r} is not an integer")
         object.__setattr__(self, "horizon", int(self.horizon))
         validate_trace(self)
-        masks = np.ascontiguousarray(masks, dtype=dtype)
-        masks.setflags(write=False)
-        object.__setattr__(self, "masks", masks)
+        for name, kind in (("starts", np.int64), ("ends", np.int64),
+                           ("kinds", np.int8), ("masks", dtype)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=kind)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_events(cls, users: Iterable[str], events: Iterable[ChannelEvent],
@@ -375,7 +376,7 @@ class _FileState:
         self.headers: set[str] = set()
         self.index: dict[str, int] = {}
         self.mask_of: dict[str, int] = {}  # users field -> its mask, once checked
-        self.table = _SlotTable()  # the same, for fields of at most 8 bytes
+        self.table = _SlotTable()  # the same, keyed by the field's bytes
 
     def header(self, line: str, line_no: int) -> None:
         key, _, value = line[1:].partition("=")
@@ -478,9 +479,9 @@ def _parse_rows(text: str, state: _FileState,
 # -- trace file body as byte columns -------------------------------------------
 # Both directions work through the body in blocks of about _BLOCK_BYTES, so
 # that temporaries stay small whatever the file size.  Users fields are
-# mapped through one _SlotTable per file, from a field's bytes to its mask
-# when reading and from a mask to its field when writing; only the keys a
-# table misses are sorted.
+# mapped through one _SlotTable per file, from a field's bytes, of any width,
+# to its mask when reading and from a mask to its field when writing; only
+# the keys a table misses are sorted.
 
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
@@ -500,41 +501,54 @@ class _NotPlain(Exception):
 
 
 class _SlotTable:
-    """An exact map from uint64 keys to int64 values, in 4096 slots.
+    """An exact map from keys of uint64 words to int64 values, in 4096 slots.
 
-    A key's slot comes from Fibonacci multiply-shift hashing (Knuth, TAOCP
-    vol. 3, 6.4), and a slot holds one key.  A key whose slot is taken is
-    never stored, so looking it up stays a miss, which the caller resolves
-    on its slow path.  The all-ones key marks a free slot: no users field of
-    at most 8 ASCII bytes and no mask of at most 63 bits has it.
+    A key's slot hashes the sum of word j times 2j + 1 by Fibonacci
+    multiply-shift (Knuth, TAOCP vol. 3, 6.4), so the zero words that pad
+    keys to the stored width, which widens up to WORDS, move no key.  A slot
+    holds one key; a key whose slot is taken, or longer than WORDS, is never
+    stored and stays a miss, for the caller's slow path.  An all-ones first
+    word marks a free slot: no ASCII field and no mask of 63 bits has it.
     """
 
     BITS = 12
+    WORDS = _BLOCK_BYTES >> (BITS + 3)  # so the stored keys fill one block
     FREE = np.uint64(2**64 - 1)
 
     def __init__(self):
-        self.keys = np.full(1 << self.BITS, self.FREE)
+        self.keys = np.full((1 << self.BITS, 1), self.FREE)
         self.values = np.zeros(1 << self.BITS, np.int64)
 
     @staticmethod
     def slots(keys: np.ndarray) -> np.ndarray:
-        return (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(
-            64 - _SlotTable.BITS)
+        fold = sum((keys[:, j] * np.uint64(2 * j + 1)
+                    for j in range(1, keys.shape[1])), keys[:, 0])
+        return fold * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(64 - _SlotTable.BITS)
+
+    def _fit(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The keys padded or cut to the stored width, once that has widened
+        toward theirs, which of them fit it, and their slots."""
+        keys = keys[:, None] if keys.ndim == 1 else keys
+        k = min(max(keys.shape[1], self.keys.shape[1]), self.WORDS)
+        self.keys, keys = (a if a.shape[1] >= k else
+                           np.pad(a, ((0, 0), (0, k - a.shape[1])))
+                           for a in (self.keys, keys))
+        return keys[:, :k], ~keys[:, k:].any(1), self.slots(keys[:, :k])
 
     def get(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each key's value and whether the key was found; a missed key's
         value is meaningless."""
-        slot = self.slots(keys)
-        return self.values[slot], self.keys[slot] == keys
+        keys, whole, slot = self._fit(keys)
+        return self.values[slot], whole & (self.keys.take(slot, 0) == keys).all(1)
 
     def put(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Store distinct keys, none in the table yet, whose slots are free;
         returns which were stored."""
-        slot = self.slots(keys)
-        free = self.keys[slot] == self.FREE
+        keys, whole, slot = self._fit(keys)
+        free = whole & (self.keys[slot, 0] == self.FREE)
         self.keys[slot[free]] = keys[free]
         # Of the keys that share a free slot, only the one written last holds it.
-        stored = self.keys[slot] == keys
+        stored = whole & (self.keys.take(slot, 0) == keys).all(1)
         self.values[slot[stored]] = values[stored]
         return stored
 
@@ -654,34 +668,30 @@ def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  state: _FileState, first_line: int) -> np.ndarray:
-    """Masks of the users fields b[lo:hi].  Fields of at most 8 bytes are
-    looked up in the file's slot table; each distinct field it misses goes
-    through `state.mask` once, in order of first appearance."""
+    """Masks of the users fields b[lo:hi], looked up in the file's slot
+    table by their bytes in zero-padded 64-bit words; each distinct field it
+    misses goes through `state.mask` once, in order of first appearance."""
     width = hi - lo
     w = int(width.max())
     if w * len(lo) > 8 * len(b):  # a field far longer than the block's lines
         raise _NotPlain
     rows = np.arange(w)[:, None]
-    keys = np.zeros((len(lo), max(w, 8)), np.uint8)
-    keys[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
-    if w <= 8:
-        keys = keys.view(np.uint64).ravel()
-        masks, hit = state.table.get(keys)
-        miss = np.flatnonzero(~hit)
-    else:
-        keys = keys.view(f"S{w}").ravel()
-        masks, miss = np.empty(len(lo), np.int64), np.arange(len(lo))
+    keys = np.zeros((len(lo), -(-w // 8) or 1), np.uint64)
+    keys.view(np.uint8)[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
+    masks, hit = state.table.get(keys)
+    miss = np.flatnonzero(~hit)
     if len(miss):
-        uniq, first, inv = np.unique(keys[miss], return_index=True,
-                                     return_inverse=True)
-        found = np.empty(len(uniq), np.int64)
-        for j in np.sort(first).tolist():
-            i = int(miss[j])
+        order = miss[np.lexsort(keys[miss].T)]  # stable, so runs lead with first rows
+        sort = keys[order]
+        new = np.r_[True, (sort[1:] != sort[:-1]).any(1)]
+        first = order[new]
+        found = np.empty(len(first), np.int64)
+        for g in np.argsort(first).tolist():
+            i = int(first[g])
             who = b[lo[i]:hi[i]].tobytes().decode("ascii")
-            found[inv[j]] = state.mask(who, first_line + i)
-        masks[miss] = found[inv]
-        if w <= 8:
-            state.table.put(uniq, found)
+            found[g] = state.mask(who, first_line + i)
+        masks[order] = found[np.cumsum(new) - 1]
+        state.table.put(sort[new], found)
     return masks
 
 

@@ -313,10 +313,13 @@ def brute_inter_transmissions(trace: ChannelTrace, user: str) -> list[int]:
 
 @st.composite
 def traces(draw, max_users: int = 3, max_events: int = 40,
-           success_only: bool = False) -> ChannelTrace:
-    """Random valid traces: sorted, disjoint events with legal participant sets."""
+           success_only: bool = False,
+           labels: st.SearchStrategy[str] | None = None) -> ChannelTrace:
+    """Random valid traces: sorted, disjoint events with legal participant
+    sets, over users "A", "B", ... or distinct labels drawn from `labels`."""
     n_users = draw(st.integers(2, max_users))
-    users = tuple("ABCDEF"[:n_users])
+    users = tuple("ABCDEF"[:n_users]) if labels is None else tuple(draw(
+        st.lists(labels, min_size=n_users, max_size=n_users, unique=True)))
     n_events = draw(st.integers(0, max_events))
     events = []
     t = 0
@@ -352,12 +355,12 @@ _INT64 = st.integers(-2**63, 2**63 - 1)
 @st.composite
 def raw_traces(draw, max_events: int = 30) -> tuple:
     """`ChannelTrace` arguments straight from arrays, not necessarily valid:
-    any int64 bounds (often near 2**62), any int8 kind code, any mask,
-    labels from any alphabet.  Two draws in three are instead a valid
-    trace's arguments after up to three small edits, each aimed at one of
-    the checks `validate_trace` makes, so that every check meets faults and
-    valid traces occur too."""
-    kind = st.one_of(st.integers(0, 2), st.integers(-128, 127))
+    any int64 bounds (often near 2**62), kind codes (some of which int8
+    would wrap) and masks, labels from any alphabet.  Two draws in three
+    are instead a valid trace's arguments after up to three small edits,
+    each aimed at one of the checks `validate_trace` makes, so that every
+    check meets faults and valid traces occur too."""
+    kind = st.one_of(st.integers(0, 2), st.integers(-128, 127), _INT64)
     if draw(st.integers(0, 2)) == 0:
         users = tuple(draw(st.lists(_LABELS, min_size=1, max_size=5,
                                     unique=True)))

@@ -313,6 +313,40 @@ class TestMaskDtype:
                            "bits beyond the user set"):
             ChannelTrace(users, [0, 1], [1, 2], [SUCCESS_CODE] * 2, mask, 2)
 
+    @pytest.mark.parametrize("kinds", [
+        np.array([SUCCESS_CODE, 256]),       # would wrap to 0, a Success
+        [SUCCESS_CODE, 256],
+        np.array([SUCCESS_CODE, 2**63 + 1], np.uint64),
+    ], ids=["int64-256", "list-256", "uint64-2**63+1"])
+    def test_kinds_validated_before_narrowing(self, kinds):
+        with pytest.raises(TraceError, match="event 1: event kind codes must"):
+            ChannelTrace(("A", "B"), [0, 1], [1, 2], kinds, [1, 2], 2)
+
+    @pytest.mark.parametrize("column", ["starts", "ends", "kinds", "masks"])
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_non_integer_columns_rejected(self, column, wrap):
+        # Each would be cut to a valid trace: starts 0.9 -> 0, ends 2.5 -> 2,
+        # kinds 0.7 -> 0 (Success), masks 1.9 -> 1.
+        args = {"starts": [0, 1], "ends": [1, 2], "kinds": [SUCCESS_CODE] * 2,
+                "masks": [1, 2]}
+        args[column] = {"starts": [0.9, 1], "ends": [1, 2.5],
+                        "kinds": [0.7, SUCCESS_CODE], "masks": [1.9, 2]}[column]
+        columns = {name: wrap(values) for name, values in args.items()}
+        with pytest.raises(TraceError, match=f"{column} must be integers"):
+            ChannelTrace(("A", "B"), horizon=2, **columns)
+
+    @pytest.mark.parametrize("horizon", [3.7, np.float64(2.5), "3"])
+    def test_non_integral_horizon_rejected(self, horizon):
+        with pytest.raises(TraceError, match="is not an integer"):
+            ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE] * 2,
+                         [1, 2], horizon)
+
+    def test_integral_horizon_and_bool_masks_accepted(self):
+        tr = ChannelTrace(("A",), [0, 1], [1, 2], [SUCCESS_CODE, IDLE_CODE],
+                          np.array([True, False]), np.float64(2.0))
+        assert tr.horizon == 2 and type(tr.horizon) is int
+        assert tr.masks.tolist() == [1, 0] and tr.masks.dtype == np.uint8
+
 
 class TestSuccessesOf:
     def test_ordered_and_filtered(self, fig_trace):
@@ -575,6 +609,10 @@ _EDITS = {
 }
 
 
+# Plain-form labels of 1 to 12 characters.
+_WORD_LABELS = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
+                       max_size=12)
+
 # Inputs on which `read` must give what the row parser gives: the ways out
 # of the plain form, the errors a plain body can hold, and edge cases.
 _READ_CASES = {
@@ -731,14 +769,17 @@ class TestColumnarRead:
         assert outcome == _outcome(helpers.read_rows, text)
         assert outcome[2] == i + 1
 
-    @given(helpers.traces(max_events=40),
+    @given(st.one_of(helpers.traces(max_events=40),
+                     helpers.traces(max_events=40, labels=_WORD_LABELS)),
            st.sampled_from(["keep", "drop", "scale"]),
            st.lists(st.tuples(st.integers(0, 99),
                               st.sampled_from(list(_EDITS))), max_size=4),
            st.booleans())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_small_blocks_match_row_parser(self, tr, headers, edits, cut_end):
-        # Blocks of a few lines each, so that edited and plain blocks mix.
+        # Blocks of a few lines each, so that edited and plain blocks mix,
+        # and with longer labels keys of one to five words, changing width
+        # from block to block.
         lines = _written(tr, ChannelTrace.write).splitlines(keepends=True)
         head, body = lines[:3], lines[3:]
         if headers == "drop":
@@ -791,6 +832,20 @@ def _trace_of_fields(users: tuple[str, ...], fields) -> ChannelTrace:
     n = len(fields)
     return ChannelTrace(users, np.arange(n), np.arange(1, n + 1), kinds,
                         masks, n)
+
+
+_ABCD = ("ABCD", "EFG", "EFGH")
+# Each of the first four labels joined to "EFG" or "EFGH" makes a field on
+# either side of the 8-, 16-, 24- and 64-byte word edges, the two alike up
+# to the edge; 64 bytes is the widest key a table stores.
+_EDGE_USERS = ("ABCD", "L" * 12, "M" * 20, "N" * 60, "EFG", "EFGH")
+
+
+def _edge_fields(*widths: int) -> list[str]:
+    """The two-user field of each width, 8, 9, 16, 17, 24, 25, 64 or 65."""
+    field = {len(f): f for u in _EDGE_USERS[:4]
+             for f in (u + "+EFG", u + "+EFGH")}
+    return [field[w] for w in widths]
 
 
 class TestUsersFieldTable:
@@ -854,24 +909,65 @@ class TestUsersFieldTable:
             assert got == helpers.read_rows(io.StringIO(t))
         assert got.users != users and ChannelTrace.read(io.StringIO(text)) == tr
 
-    @pytest.mark.parametrize("fields", [
-        ["ABCD+EFG", "ABCD+EFGH", "EFG", "ABCD+EFG", "ABCD+EFGH", "", "EFGH"],
-        ["ABCD+EFG"] * 4 + ["ABCD+EFGH"] * 4 + ["ABCD+EFG"] * 4,
-        ["ABCD+EFGH"] * 4 + ["", "ABCD+EFG", "EFG+EFGH"] * 3 + ["ABCD"] * 4,
-    ], ids=["within-blocks", "8-then-9", "9-then-8"])
+    def test_each_field_resolved_once(self):
+        # Labels of 9 to 64 bytes, whose keys land in distinct slots, over
+        # several blocks: each goes through `_FileState.mask` once a file,
+        # also when it was stored before the table widened to a longer one.
+        users = tuple(f"{n:02d}" + "x" * (n - 2) for n in range(9, 65))
+        keys = np.zeros((len(users), 64), np.uint8)
+        for i, u in enumerate(users):
+            keys[i, :len(u)] = np.frombuffer(u.encode(), np.uint8)
+        slots = core._SlotTable.slots(keys.view(np.uint64))
+        assert len(set(slots.tolist())) == len(users)
+        n = 16_000
+        ends = np.arange(1, n + 1)
+        who = np.random.default_rng(3).integers(0, len(users), n)
+        who[:n // 2] %= 16  # labels of at most 24 bytes in the first blocks
+        tr = ChannelTrace(users, ends - 1, ends, np.full(n, SUCCESS_CODE),
+                          np.uint64(1) << who.astype(np.uint64), n)
+        text = _written(tr, ChannelTrace.write)
+        assert len(text) > 2 * core._BLOCK_BYTES
+        calls, mask = [], core._FileState.mask
+
+        def spy(state, field, line_no):
+            calls.append(field)
+            return mask(state, field, line_no)
+
+        for t in (text, text.split("\n", 3)[3]):
+            calls.clear()
+            with mock.patch.object(core._FileState, "mask", spy):
+                got = ChannelTrace.read(io.StringIO(t))
+            assert got == helpers.read_rows(io.StringIO(t))
+            assert sorted(calls) == sorted(users)
+
+    @pytest.mark.parametrize("users, fields", [
+        (_ABCD, ["ABCD+EFG", "ABCD+EFGH", "EFG", "ABCD+EFG", "ABCD+EFGH", "",
+                 "EFGH"]),
+        (_ABCD, ["ABCD+EFG"] * 4 + ["ABCD+EFGH"] * 4 + ["ABCD+EFG"] * 4),
+        (_ABCD, ["ABCD+EFGH"] * 4 + ["", "ABCD+EFG", "EFG+EFGH"] * 3
+         + ["ABCD"] * 4),
+        (_EDGE_USERS, _edge_fields(9, 65, 16, 8, 25, 64, 17, 24) * 2
+         + ["", "EFG"]),
+        (_EDGE_USERS, _edge_fields(8, 16, 17, 24, 25, 64, 65, 65, 64, 25, 24,
+                                   17, 16, 9, 8)),
+        (_EDGE_USERS, _edge_fields(65, 65, 64, 64, 65, 17, 16, 65)),
+    ], ids=["within-blocks", "8-then-9", "9-then-8", "all-edges-mixed",
+            "widen-then-narrow", "65-then-64"])
     @pytest.mark.parametrize("headers", [True, False], ids=["headers", "bare"])
-    def test_eight_and_nine_byte_fields(self, fields, headers):
-        # 48-byte blocks of two or three lines: 8-byte fields are keyed,
-        # a block that holds a 9-byte field is sorted.
-        tr = _trace_of_fields(("ABCD", "EFG", "EFGH"), fields)
-        with mock.patch.object(core, "_BLOCK_BYTES", 48):
-            text = _written(tr, ChannelTrace.write)
-            assert text == _written(tr, helpers.write_rows)
-            if not headers:
-                text = text.split("\n", 3)[3]
-            got = _outcome(ChannelTrace.read, text)
-        assert got == _outcome(helpers.read_rows, text)
-        assert not headers or got == tr
+    def test_eight_and_nine_byte_fields(self, users, fields, headers):
+        # Blocks of one to three lines at 48 bytes, more at 256: keys of one
+        # to eight words, whose width changes from block to block, and
+        # 65-byte fields, which no table stores.
+        tr = _trace_of_fields(users, fields)
+        for size in (48, 256):
+            with mock.patch.object(core, "_BLOCK_BYTES", size):
+                text = _written(tr, ChannelTrace.write)
+                assert text == _written(tr, helpers.write_rows)
+                if not headers:
+                    text = text.split("\n", 3)[3]
+                got = _outcome(ChannelTrace.read, text)
+            assert got == _outcome(helpers.read_rows, text)
+            assert not headers or got == tr
 
 
 class TestParams:

@@ -228,6 +228,23 @@ class TestTraceFileMemory:
         trace.to_file(path)
         assert self._peak(ChannelTrace.from_file, path) < 45 * len(trace)
 
+    def test_read_peak_wide_fields(self, tmp_path):
+        # 63 users with 200-character labels, every fourth event a collision
+        # of all of them (a 12.6 KB users field): keys far wider than a slot
+        # table stores must not widen its stored keys past one block.
+        users = tuple(f"{i:02d}" + "L" * 198 for i in range(63))
+        n = 400
+        every = np.arange(n) % 4 == 3
+        trace = ChannelTrace(users, np.arange(n), np.arange(1, n + 1),
+                             np.where(every, COLLISION_CODE, SUCCESS_CODE),
+                             np.where(every, 2**63 - 1,
+                                      1 << (np.arange(n) % 63)), n)
+        path = tmp_path / "t.csv"
+        trace.to_file(path)
+        size = path.stat().st_size
+        assert size > 1_300_000
+        assert self._peak(ChannelTrace.from_file, path) < 12 * size
+
 
 class TestAlohaCycleLaw:
     """One user's whole cycle-time law in two-user Aloha, exact from

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -284,6 +285,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macfair", allow_abbrev=False,

@@ -77,6 +77,19 @@ SUCCESS_CODE = 0
 COLLISION_CODE = 1
 IDLE_CODE = 2
 
+
+def _kind_codes(masks: np.ndarray) -> np.ndarray:
+    """The int8 kind code of each non-negative participant mask: Idle for
+    no user, Success for one, Collision for two or more."""
+    # Success is 0, Collision 1 and Idle 2: (count > 1) + 2 * (count == 0).
+    codes = np.bitwise_count(masks)
+    idle = codes == 0
+    np.greater(codes, 1, out=codes.view(bool))
+    codes += idle
+    codes += idle
+    return codes.view(np.int8)
+
+
 _KIND_TO_CODE = {EventKind.SUCCESS: SUCCESS_CODE,
                  EventKind.COLLISION: COLLISION_CODE,
                  EventKind.IDLE: IDLE_CODE}
@@ -304,8 +317,8 @@ class ChannelTrace:
         a block in the plain form (ASCII digits, one-letter kinds, no spaces,
         `\\n` endings) as byte columns, any other by the row parser, which
         accepts the same inputs and gives every error its line number.  Each
-        block's values go straight into output columns that double in size
-        when full, so no file size is needed and a pipe reads the same way.
+        block's four columns are kept as they are and joined once at the
+        end, so no file size is needed and a pipe reads the same way.
         """
         state = _FileState()
         for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
@@ -316,8 +329,7 @@ class ChannelTrace:
                 break
         else:
             return state.trace([], [], [], [])
-        columns = [np.empty(0, dtype) for dtype in _COLUMN_DTYPES]
-        n = 0  # events so far
+        columns = [[], [], [], []]  # each block's starts, ends, kinds, masks
         pending = raw
         while True:
             chunk = fp.read(_BLOCK_BYTES)
@@ -331,39 +343,23 @@ class ChannelTrace:
                 except _NotPlain:
                     values = _parse_rows(block, state, line_no)
                     lines = block.count("\n")
-                k = len(values[0])
-                if n + k > len(columns[0]):
-                    size = max(2 * len(columns[0]), n + k)
-                    for i in range(len(columns)):  # one old column at a time
-                        columns[i] = _grown(columns[i], n, size)
-                for c, v in zip(columns, values):
-                    c[n:n + k] = v
-                n += k
+                for blocks, v in zip(columns, values):
+                    blocks.append(v)
                 line_no += lines
             pending = text[cut:]
             if not chunk:
                 break
-        return state.trace(*(c[:n] for c in columns))
+        # One column at a time, each column's blocks freed once it is joined.
+        for i, blocks in enumerate(columns):
+            columns[i] = np.concatenate(blocks)
+            blocks.clear()
+        return state.trace(*columns)
 
     @classmethod
     def from_file(cls, path) -> "ChannelTrace":
         """Read a UTF-8 trace file; a byte that is not UTF-8 fails its line."""
         with open(path, encoding="utf-8", errors="surrogateescape") as fp:
             return cls.read(fp)
-
-
-_COLUMN_DTYPES = (np.int64, np.int64, np.int8, np.int64)  # starts .. masks
-
-
-def _grown(column: np.ndarray, n: int, size: int) -> np.ndarray:
-    """A column of `size` slots holding the first n values of `column`.
-
-    The slots past n are never written here, so the pages they span stay
-    unused until filled.
-    """
-    out = np.empty(size, column.dtype)
-    out[:n] = column[:n]
-    return out
 
 
 class _FileState:
@@ -480,8 +476,10 @@ def _parse_rows(text: str, state: _FileState,
 # Both directions work through the body in blocks of about _BLOCK_BYTES, so
 # that temporaries stay small whatever the file size.  Users fields are
 # mapped through one _SlotTable per file, from a field's bytes, of any width,
-# to its mask when reading and from a mask to its field when writing; only
-# the keys a table misses are sorted.
+# to its mask when reading and from a mask to its field when writing.  Both
+# directions resolve the keys a table misses in the same way,
+# `_SlotTable.resolve`: only those keys are sorted, and each distinct one
+# takes the slow path once.
 
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
@@ -501,14 +499,17 @@ class _NotPlain(Exception):
 
 
 class _SlotTable:
-    """An exact map from keys of uint64 words to int64 values, in 4096 slots.
+    """An exact map from keys, rows of uint64 words, to int64 values, in
+    4096 slots.
 
     A key's slot hashes the sum of word j times 2j + 1 by Fibonacci
     multiply-shift (Knuth, TAOCP vol. 3, 6.4), so the zero words that pad
     keys to the stored width, which widens up to WORDS, move no key.  A slot
     holds one key; a key whose slot is taken, or longer than WORDS, is never
-    stored and stays a miss, for the caller's slow path.  An all-ones first
-    word marks a free slot: no ASCII field and no mask of 63 bits has it.
+    stored and stays a miss.  `resolve` is the one way in, for reading and
+    writing alike: it finds each missed key's value once through the
+    caller's slow path.  An all-ones first word marks a free slot: no ASCII
+    field and no mask of 63 bits has it.
     """
 
     BITS = 12
@@ -528,7 +529,6 @@ class _SlotTable:
     def _fit(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         """The keys padded or cut to the stored width, once that has widened
         toward theirs, which of them fit it, and their slots."""
-        keys = keys[:, None] if keys.ndim == 1 else keys
         k = min(max(keys.shape[1], self.keys.shape[1]), self.WORDS)
         self.keys, keys = (a if a.shape[1] >= k else
                            np.pad(a, ((0, 0), (0, k - a.shape[1])))
@@ -541,29 +541,46 @@ class _SlotTable:
         keys, whole, slot = self._fit(keys)
         return self.values[slot], whole & (self.keys.take(slot, 0) == keys).all(1)
 
-    def put(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Store distinct keys, none in the table yet, whose slots are free;
-        returns which were stored."""
+    def put(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store distinct keys, none in the table yet, whose slots are free."""
         keys, whole, slot = self._fit(keys)
         free = whole & (self.keys[slot, 0] == self.FREE)
         self.keys[slot[free]] = keys[free]
         # Of the keys that share a free slot, only the one written last holds it.
         stored = whole & (self.keys.take(slot, 0) == keys).all(1)
         self.values[slot[stored]] = values[stored]
-        return stored
+
+    def resolve(self, keys: np.ndarray, value_of) -> np.ndarray:
+        """Each key's value.  The keys the table misses are grouped, and
+        `value_of(i)`, i the first row holding the key, is called once per
+        distinct missed key, in order of first appearance; the values it
+        gives are then stored where a slot is free."""
+        values, hit = self.get(keys)
+        miss = np.flatnonzero(~hit)
+        if len(miss):
+            order = miss[np.lexsort(keys[miss].T)]  # stable, so runs lead with first rows
+            sort = keys[order]
+            new = np.r_[True, (sort[1:] != sort[:-1]).any(1)]
+            first = order[new]
+            found = np.empty(len(first), np.int64)
+            for g in np.argsort(first).tolist():
+                found[g] = value_of(int(first[g]))
+            values[order] = found[np.cumsum(new) - 1]
+            self.put(sort[new], found)
+        return values
 
 
 class _UsersFields:
     """The users fields of one `write` call: each field met so far, stored
-    once in one byte buffer and found by mask through a _SlotTable, with a
-    dict for the masks whose slot is taken."""
+    once in one byte buffer and found by mask through a _SlotTable, whose
+    misses `_field` finds in a dict from mask to field id."""
 
     def __init__(self, users: tuple[str, ...]):
         self.users = users
         self.clear()
 
     def clear(self) -> None:
-        self.table, self.taken = _SlotTable(), {}
+        self.table, self.ids = _SlotTable(), {}
         self.names: list[bytes] = []  # field j of this pass
         # The names end to end: names[j] is text[lo[j]:lo[j] + width[j]].
         self.text = np.zeros(0, np.uint8)
@@ -576,28 +593,20 @@ class _UsersFields:
         # stay within about two blocks, whatever the trace.
         if len(self.text) > _BLOCK_BYTES:
             self.clear()
-        keys = masks.astype(np.uint64)
-        ids, hit = self.table.get(keys)
-        miss = np.flatnonzero(~hit)
-        if len(miss):
-            new, inv = np.unique(keys[miss], return_inverse=True)
-            found = np.array([self._field(m) for m in new.tolist()], np.int64)
-            ids[miss] = found[inv]
-            stored = self.table.put(new, found)
-            self.taken.update(zip(new[~stored].tolist(),
-                                  found[~stored].tolist()))
-            if len(self.names) > len(self.width):
-                self.width = np.array([len(x) for x in self.names], np.int64)
-                self.lo = np.cumsum(self.width) - self.width
-                self.text = np.frombuffer(b"".join(self.names), np.uint8)
+        ids = self.table.resolve(masks.astype(np.uint64)[:, None],
+                                 lambda i: self._field(int(masks[i])))
+        if len(self.names) > len(self.width):
+            self.width = np.array([len(x) for x in self.names], np.int64)
+            self.lo = np.cumsum(self.width) - self.width
+            self.text = np.frombuffer(b"".join(self.names), np.uint8)
         lo, width = self.lo[ids], self.width[ids]
         rows = np.arange(int(width.max()))[:, None]
         return self.text.take(lo + rows, mode="clip"), rows < width
 
     def _field(self, mask: int) -> int:
-        j = self.taken.get(mask)
+        j = self.ids.get(mask)
         if j is None:
-            j = len(self.names)
+            j = self.ids[mask] = len(self.names)
             self.names.append("+".join(u for b, u in enumerate(self.users)
                                        if mask >> b & 1).encode())
         return j
@@ -678,21 +687,8 @@ def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     rows = np.arange(w)[:, None]
     keys = np.zeros((len(lo), -(-w // 8) or 1), np.uint64)
     keys.view(np.uint8)[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
-    masks, hit = state.table.get(keys)
-    miss = np.flatnonzero(~hit)
-    if len(miss):
-        order = miss[np.lexsort(keys[miss].T)]  # stable, so runs lead with first rows
-        sort = keys[order]
-        new = np.r_[True, (sort[1:] != sort[:-1]).any(1)]
-        first = order[new]
-        found = np.empty(len(first), np.int64)
-        for g in np.argsort(first).tolist():
-            i = int(first[g])
-            who = b[lo[i]:hi[i]].tobytes().decode("ascii")
-            found[g] = state.mask(who, first_line + i)
-        masks[order] = found[np.cumsum(new) - 1]
-        state.table.put(sort[new], found)
-    return masks
+    return state.table.resolve(keys, lambda i: state.mask(
+        b[lo[i]:hi[i]].tobytes().decode("ascii"), first_line + i))
 
 
 def _parse_events(text: str, state: _FileState, first_line: int):
@@ -765,17 +761,17 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
     if not 0 <= int(k.min()) <= int(k.max()) < 3:
         i = int(np.flatnonzero((k < 0) | (k > 2))[0])
         raise TraceError(f"event {i}: event kind codes must be 0, 1 or 2")
-    # Masks are non-negative here, so their bit counts are user counts.
-    n_users = np.bitwise_count(m)
-    for code, bad, message in (
-            (SUCCESS_CODE, n_users != 1,
-             "Success events must name exactly one user"),
-            (COLLISION_CODE, n_users < 2,
-             "Collision events must name at least two users"),
-            (IDLE_CODE, n_users != 0, "Idle events must name no users")):
-        fault = (k == code) & bad
-        if fault.any():
-            raise TraceError(f"event {int(fault.argmax())}: {message}")
+    # Masks are non-negative here, so each implies its event's kind.
+    bad = k != _kind_codes(m)
+    if bad.any():
+        for code, message in (
+                (SUCCESS_CODE, "Success events must name exactly one user"),
+                (COLLISION_CODE,
+                 "Collision events must name at least two users"),
+                (IDLE_CODE, "Idle events must name no users")):
+            fault = bad & (k == code)
+            if fault.any():
+                raise TraceError(f"event {int(fault.argmax())}: {message}")
     return trace
 
 

@@ -17,8 +17,11 @@ round is never recorded.
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
 boundary array `edge` describes them all: event i spans [edge[i], edge[i+1]).
-The warm-up and horizon window then keeps one contiguous run of events, which
-`_window_trace` finds by binary search and slices instead of filtering.
+A simulator hands over these boundaries and each event's participant mask
+only; an event's kind follows from its mask, by the rule `validate_trace`
+checks.  The warm-up and horizon window then keeps one contiguous run of
+events, which `_window_trace` finds by binary search and slices instead of
+filtering.
 """
 from __future__ import annotations
 
@@ -29,14 +32,12 @@ import numpy as np
 
 from . import metrics
 from .core import (
-    COLLISION_CODE,
-    IDLE_CODE,
-    SUCCESS_CODE,
     AlohaParams,
     ChannelTrace,
     CsmaMode,
     CsmaParams,
     TraceError,
+    _kind_codes,
     mask_dtype,
 )
 
@@ -45,10 +46,6 @@ COLLISION_OUTCOME = -1
 # Backoff draws are served from blocks of this many raw 32-bit words per user.
 BLOCK = 1024
 _WORD = 1 << 32
-
-# Kind of an Aloha slot with participant mask m: two bits at bit 2m.
-_ALOHA_KINDS = np.uint8(IDLE_CODE | SUCCESS_CODE << 2 | SUCCESS_CODE << 4
-                        | COLLISION_CODE << 6)
 
 
 def _window_row(words: np.ndarray, cw: int) -> list[int]:
@@ -155,19 +152,21 @@ def _span(edge: np.ndarray, horizon: int) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-def _window_trace(users, edge, kinds, masks, warmup: int,
+def _window_trace(users, edge, masks, warmup: int,
                   horizon: int) -> ChannelTrace:
     """Keep events fully inside [warmup, warmup+horizon) and rebase to 0.
 
-    Event i spans [edge[i], edge[i+1]) and has kinds[i], masks[i].  The
-    events must be sorted and tile the channel (`edge` non-decreasing), so
-    the kept events are one slice of them.  `edge` is rebased in place, by
-    `warmup` ticks, and the trace's starts and ends are two views of it.
+    Event i spans [edge[i], edge[i+1]) and has participant mask masks[i],
+    which gives its kind.  The events must be sorted and tile the channel
+    (`edge` non-decreasing), so the kept events are one slice of them.
+    `edge` is rebased in place, by `warmup` ticks, and the trace's starts
+    and ends are two views of it.
     """
     edge -= warmup
     lo, hi = _span(edge, horizon)
     e = edge[lo:hi + 1]
-    return ChannelTrace(users, e[:-1], e[1:], kinds[lo:hi], masks[lo:hi],
+    masks = masks[lo:hi]
+    return ChannelTrace(users, e[:-1], e[1:], _kind_codes(masks), masks,
                         horizon)
 
 
@@ -198,11 +197,8 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     masks = code.take(edge[:-1])
     if slot != 1:
         edge *= slot
-    kinds = masks << 1
-    np.right_shift(_ALOHA_KINDS, kinds, out=kinds)
-    kinds &= 3
-    return _window_trace(config.users, edge, kinds.view(np.int8), masks,
-                         config.warmup, config.horizon)
+    return _window_trace(config.users, edge, masks, config.warmup,
+                         config.horizon)
 
 
 @dataclass(frozen=True)
@@ -320,12 +316,10 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     length[1::2] = np.where(coll, coll_len, succ_len)
     edge = np.zeros(2 * n + 1, np.int64)
     np.cumsum(length, out=edge[1:])
-    kinds = np.full(2 * n, IDLE_CODE, np.int8)
-    kinds[1::2] = np.where(coll, COLLISION_CODE, SUCCESS_CODE)
     masks = np.zeros(2 * n, np.uint8)
     masks[1::2] = np.where(coll, 3, outcome + 1)  # winner u has mask 1 << u
-    trace = _window_trace(config.users, edge, kinds, masks,
-                          config.warmup, config.horizon)
+    trace = _window_trace(config.users, edge, masks, config.warmup,
+                          config.horizon)
     if not audit:
         return trace
     # Stage and fresh as defined in CsmaAudit.
@@ -367,11 +361,10 @@ def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
     n_rounds = (config.warmup + config.horizon) // sum(lengths) + 1
     edge = np.zeros(n_rounds * len(lengths) + 1, np.int64)
     np.cumsum(np.tile(np.asarray(lengths, np.int64), n_rounds), out=edge[1:])
-    kinds = np.full(len(edge) - 1, SUCCESS_CODE, np.int8)
     bits = np.arange(len(lengths), dtype=mask_dtype(len(lengths)))
     masks = np.tile(np.left_shift(1, bits), n_rounds)
-    return _window_trace(config.users, edge, kinds, masks,
-                         config.warmup, config.horizon)
+    return _window_trace(config.users, edge, masks, config.warmup,
+                         config.horizon)
 
 
 # -- audit utilities ---------------------------------------------------------

@@ -214,6 +214,25 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_earlier_run_leaves_defaults(self, capsys):
+        # The parser is built once a process: a run with other flags must
+        # leave the next run's defaults, and stdout, as in a fresh process.
+        argv = ["simulate", "--protocol", "csma-rtscts", "--slots", "5000"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "macfair", *argv], capture_output=True,
+            text=True, env={**os.environ,
+                            "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert fresh.returncode == 0, fresh.stderr
+        code, _, _ = run(capsys, "sweep", "--seed", "5", "--warmup", "7",
+                         "--cw-min", "8", "--pkt", "40", "--p-ni0", "0.2",
+                         "--protocols", "csma-basic", "--cw-range", "8:8:1",
+                         "--slots", "2000", "--reps", "1")
+        assert code == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert vars(cli.build_parser().parse_args(argv)) == \
+            vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert run(capsys, *argv) == (0, fresh.stdout, "")
+
     def test_missing_slots_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--protocol", "aloha"])

@@ -206,6 +206,35 @@ class TestValidateTrace:
                 (users, [s0, s1], [e0, e1], [k0, k1], [m0, m1], h))
 
 
+class TestKindCodes:
+    """The one kind rule: Idle for no user, Success for one, Collision for
+    two or more, read off the participant mask."""
+
+    @staticmethod
+    def _expected(masks) -> list[int]:
+        return [(IDLE_CODE, SUCCESS_CODE)[n] if n < 2 else COLLISION_CODE
+                for n in (bin(int(m)).count("1") for m in masks)]
+
+    def test_every_uint8_mask(self):
+        masks = np.arange(256, dtype=np.uint8)
+        got = core._kind_codes(masks)
+        assert got.dtype == np.int8
+        assert got.tolist() == self._expected(masks)
+
+    @pytest.mark.parametrize("n_users", [8, 16, 32, 63])
+    def test_every_width(self, n_users):
+        dtype = core.mask_dtype(n_users)
+        bits = min(8 * dtype.itemsize, 63)
+        values = [0, *(1 << i for i in range(bits)),
+                  *(1 << i | 1 << j
+                    for i, j in itertools.combinations(range(bits), 2)),
+                  (1 << bits) - 1]
+        masks = np.array(values, dtype)
+        got = core._kind_codes(masks)
+        assert got.dtype == np.int8
+        assert got.tolist() == self._expected(masks)
+
+
 class TestSuccessIndex:
     @given(helpers.traces(max_users=6))
     @settings(max_examples=60, deadline=None)

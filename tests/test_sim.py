@@ -226,7 +226,11 @@ class TestTraceFileMemory:
     def test_read_peak(self, trace, tmp_path):
         path = tmp_path / "t.csv"
         trace.to_file(path)
-        assert self._peak(ChannelTrace.from_file, path) < 45 * len(trace)
+        peak = self._peak(ChannelTrace.from_file, path)
+        assert peak < 45 * len(trace)
+        # The blocks' columns, 25 bytes an event, joined one column at a
+        # time: at most one 8-byte column more.
+        assert peak < 35 * len(trace)
 
     def test_read_peak_wide_fields(self, tmp_path):
         # 63 users with 200-character labels, every fourth event a collision

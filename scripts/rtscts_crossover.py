@@ -14,7 +14,6 @@ import numpy as np
 
 from macfair import cli
 from macfair.analytic import rtscts_basic_inflection, solve_collision_probability
-from macfair.core import CsmaParams
 
 
 def main() -> int:
@@ -26,16 +25,17 @@ def main() -> int:
     ap.add_argument("--out", help="also keep the sweep CSV here")
     args = ap.parse_args()
 
+    sweep_argv = [
+        "sweep",
+        "--protocols", "csma-rtscts,csma-basic",
+        "--pkt-range", args.pkt_range,
+        "--slots", str(args.slots),
+        "--reps", str(args.reps),
+        "--seed", str(args.seed),
+    ]
     sweep = io.StringIO()
     with contextlib.redirect_stdout(sweep):
-        code = cli.main([
-            "sweep",
-            "--protocols", "csma-rtscts,csma-basic",
-            "--pkt-range", args.pkt_range,
-            "--slots", str(args.slots),
-            "--reps", str(args.reps),
-            "--seed", str(args.seed),
-        ])
+        code = cli.main(sweep_argv)
     if code:
         return code
     if args.out:
@@ -60,7 +60,9 @@ def main() -> int:
         print(f"no defined psi at {', '.join(undefined)}; raise --slots")
         return 1
 
-    params = CsmaParams(cw_min=32, beta=5, l_difs=4, l_pkt=int(pkts[0]))
+    # The point the sweep ran, defaults included, as cli reads its flags.
+    params = cli._build_params(
+        "csma-rtscts", cli.build_parser().parse_args(sweep_argv))
     p_c = solve_collision_probability(params.cw_min, params.beta).p_c
     want = rtscts_basic_inflection(p_c, params.l_rcts)
     flips = np.flatnonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))

@@ -170,6 +170,21 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _count(name: str, value, least: int | None = None, unit: str = "") -> int:
+    """`value` as an int, if it is a whole number (numpy integers and
+    integral floats included) of at least `least`; TraceError otherwise."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise TraceError(f"{name} {value!r} is not an integer")
+    if least is not None and value < least:
+        raise TraceError(f"{name} must be non-negative" if least == 0
+                         else f"{name} must be at least {least}{unit}")
+    return int(value)
+
+
 def mask_dtype(n_users: int) -> np.dtype:
     """The narrowest unsigned dtype that holds a bitmask over n_users users:
     uint8 up to 8 users, then uint16, uint32 and uint64."""
@@ -185,7 +200,8 @@ class ChannelTrace:
     Events are stored as parallel numpy arrays so that ten-million-slot runs
     stay cheap to scan.  `masks` holds per-event participant sets as bitmasks
     over `users` (bit i set means users[i] took part), in `mask_dtype` of the
-    user count.  Construction rejects columns that are not integers and runs
+    user count.  Construction rejects columns that are not one-dimensional
+    integers, and a horizon that is not a whole number, and runs
     `validate_trace` on kinds and masks as given, narrowing them only then,
     so an out-of-range value fails with its event and never wraps; columns
     already in their dtype are kept without a copy.  Every trace is valid.
@@ -205,7 +221,14 @@ class ChannelTrace:
         dtype = mask_dtype(len(users))
         object.__setattr__(self, "users", users)
         for name in ("starts", "ends", "kinds", "masks"):
-            arr = np.asarray(getattr(self, name))
+            try:
+                arr = np.asarray(getattr(self, name))
+            except ValueError as exc:
+                raise TraceError(
+                    f"{name} must be one-dimensional: {exc}") from None
+            if arr.ndim != 1:
+                raise TraceError(f"{name} must be one-dimensional, "
+                                 f"not of shape {arr.shape}")
             if arr.dtype.kind not in "biu" and arr.size:
                 raise TraceError(f"{name} must be integers, not {arr.dtype}")
             if arr.dtype.kind not in "iu" or name in ("starts", "ends"):
@@ -214,9 +237,7 @@ class ChannelTrace:
         n = len(self.starts)
         if not (len(self.ends) == len(self.kinds) == len(self.masks) == n):
             raise TraceError("event arrays have mismatched lengths")
-        if int(self.horizon) != self.horizon:
-            raise TraceError(f"horizon {self.horizon!r} is not an integer")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         validate_trace(self)
         for name, kind in (("starts", np.int64), ("ends", np.int64),
                            ("kinds", np.int8), ("masks", dtype)):
@@ -301,7 +322,6 @@ class ChannelTrace:
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
             text = _render_events(self.starts[block], self.ends[block],
-                                  self.kinds[block],
                                   *fields.rows(self.masks[block]))
             fp.write(text.decode())
 
@@ -474,12 +494,12 @@ def _parse_rows(text: str, state: _FileState,
 
 # -- trace file body as byte columns -------------------------------------------
 # Both directions work through the body in blocks of about _BLOCK_BYTES, so
-# that temporaries stay small whatever the file size.  Users fields are
-# mapped through one _SlotTable per file, from a field's bytes, of any width,
-# to its mask when reading and from a mask to its field when writing.  Both
-# directions resolve the keys a table misses in the same way,
-# `_SlotTable.resolve`: only those keys are sorted, and each distinct one
-# takes the slow path once.
+# that temporaries stay small whatever the file size.  An event line is its
+# bounds, then its participant set's `kind,users` text.  One _SlotTable per
+# file maps a users field's bytes, of any width, to its mask when reading,
+# and a mask to the span of its set's text when writing.  Both directions
+# resolve the keys a table misses in the same way, `_SlotTable.resolve`:
+# only those keys are sorted, and each distinct one takes the slow path once.
 
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
@@ -488,10 +508,9 @@ _WIDEST_BOUNDS = 45       # two 20-byte bounds, ",K,", "," and "\n"
 _NL, _COMMA, _MINUS, _ZERO = (np.uint8(ord(c)) for c in "\n,-0")
 _POW10 = np.array([10**j for j in range(20)], np.uint64)
 _DIGIT_WEIGHT = _POW10[_MAX_DIGITS - 1::-1].astype(np.int64)  # 10**17 .. 1
-_KIND_BYTES = np.array([ord(_CODE_TO_KIND[c].value) for c in range(3)],
-                       np.uint8)
 _KIND_OF_BYTE = np.full(256, -1, np.int8)
-_KIND_OF_BYTE[_KIND_BYTES] = np.arange(3, dtype=np.int8)
+_KIND_OF_BYTE[[ord(k.value) for k in _KIND_TO_CODE]] = \
+    list(_KIND_TO_CODE.values())
 
 
 class _NotPlain(Exception):
@@ -571,45 +590,44 @@ class _SlotTable:
 
 
 class _UsersFields:
-    """The users fields of one `write` call: each field met so far, stored
-    once in one byte buffer and found by mask through a _SlotTable, whose
-    misses `_field` finds in a dict from mask to field id."""
+    """The `kind,users` texts of one `write` call: each participant set's
+    text rendered once into one byte buffer, and found by mask through a
+    _SlotTable whose value is the text's span, `start << 32 | width`;
+    masks whose slot is taken find their span in a dict."""
 
     def __init__(self, users: tuple[str, ...]):
         self.users = users
         self.clear()
 
     def clear(self) -> None:
-        self.table, self.ids = _SlotTable(), {}
-        self.names: list[bytes] = []  # field j of this pass
-        # The names end to end: names[j] is text[lo[j]:lo[j] + width[j]].
-        self.text = np.zeros(0, np.uint8)
-        self.lo = self.width = np.zeros(0, np.int64)
+        self.table, self.spans = _SlotTable(), {}
+        self.text = bytearray()
 
     def rows(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The masks' users fields, one column per event in a byte matrix,
-        each padded at its end, and the mask of the bytes each field uses."""
-        # Past a block's worth of field bytes, start over: the fields then
-        # stay within about two blocks, whatever the trace.
+        """The masks' `kind,users` texts, one column per event in a byte
+        matrix, each padded at its end, and the mask of the bytes each uses."""
+        # Past a block's worth of text, start over: the buffer then stays
+        # within about two blocks, so both halves of a span fit 32 bits.
         if len(self.text) > _BLOCK_BYTES:
             self.clear()
-        ids = self.table.resolve(masks.astype(np.uint64)[:, None],
-                                 lambda i: self._field(int(masks[i])))
-        if len(self.names) > len(self.width):
-            self.width = np.array([len(x) for x in self.names], np.int64)
-            self.lo = np.cumsum(self.width) - self.width
-            self.text = np.frombuffer(b"".join(self.names), np.uint8)
-        lo, width = self.lo[ids], self.width[ids]
+        spans = self.table.resolve(masks.astype(np.uint64)[:, None],
+                                   lambda i: self._span(masks[i:i + 1]))
+        width = spans & 0xFFFFFFFF
         rows = np.arange(int(width.max()))[:, None]
-        return self.text.take(lo + rows, mode="clip"), rows < width
+        text = np.frombuffer(self.text, np.uint8)
+        return text.take((spans >> 32) + rows, mode="clip"), rows < width
 
-    def _field(self, mask: int) -> int:
-        j = self.ids.get(mask)
-        if j is None:
-            j = self.ids[mask] = len(self.names)
-            self.names.append("+".join(u for b, u in enumerate(self.users)
-                                       if mask >> b & 1).encode())
-        return j
+    def _span(self, mask: np.ndarray) -> int:
+        """The span of the text of `mask`, an array of one mask."""
+        m = int(mask[0])
+        span = self.spans.get(m)
+        if span is None:
+            kind = _CODE_TO_KIND[int(_kind_codes(mask)[0])].value
+            users = "+".join(u for b, u in enumerate(self.users) if m >> b & 1)
+            text = f"{kind},{users}".encode()
+            span = self.spans[m] = len(self.text) << 32 | len(text)
+            self.text += text
+        return span
 
 
 def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -643,19 +661,16 @@ def _int_list(values: np.ndarray) -> str:
     return np.compress(keep.T.ravel(), text.T.ravel())[:-1].tobytes().decode()
 
 
-def _render_events(starts, ends, kinds, who_text, who_keep) -> bytes:
-    """One block of event lines, with the users fields and their byte mask
-    that `_UsersFields.rows` gives."""
+def _render_events(starts, ends, who_text, who_keep) -> bytes:
+    """One block of event lines: the bounds, then the `kind,users` texts and
+    their byte mask that `_UsersFields.rows` gives."""
     n = len(starts)
     s_text, s_keep = _int_rows(starts)
     e_text, e_keep = _int_rows(ends)
-    mid = np.empty((3, n), np.uint8)  # ",kind,"
-    mid[0] = mid[2] = _COMMA
-    mid[1] = _KIND_BYTES[kinds]
-    ones = np.ones((3, n), bool)
-    text = np.concatenate((s_text, np.full((1, n), _COMMA), e_text, mid,
-                           who_text, np.full((1, n), _NL)))
-    keep = np.concatenate((s_keep, ones[:1], e_keep, ones, who_keep, ones[:1]))
+    comma, one = np.full((1, n), _COMMA), np.ones((1, n), bool)
+    text = np.concatenate((s_text, comma, e_text, comma, who_text,
+                           np.full((1, n), _NL)))
+    keep = np.concatenate((s_keep, one, e_keep, one, who_keep, one))
     # Line by line: the transposes read each event's bytes in order.
     return np.compress(keep.T.ravel(), text.T.ravel()).tobytes()
 
@@ -794,8 +809,8 @@ class AlohaParams:
         for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
             if not 0.0 <= p <= 1.0:
                 raise TraceError(f"{name}={p} outside [0, 1]")
-        if self.slot < 1:
-            raise TraceError("slot length must be at least 1 tick")
+        object.__setattr__(self, "slot",
+                           _count("slot length", self.slot, 1, " tick"))
 
 
 class CsmaMode(Enum):
@@ -821,13 +836,12 @@ class CsmaParams:
     l_cts: int = 1
 
     def __post_init__(self):
-        if self.cw_min < 1:
-            raise TraceError("cw_min must be at least 1")
-        if self.beta < 0:
-            raise TraceError("beta must be non-negative")
-        for name in ("l_difs", "l_pkt", "l_ack", "l_rts", "l_cts"):
-            if getattr(self, name) < 1:
-                raise TraceError(f"{name} must be at least 1 slot")
+        checks = [("cw_min", 1, ""), ("beta", 0, "")]
+        checks += [(name, 1, " slot")
+                   for name in ("l_difs", "l_pkt", "l_ack", "l_rts", "l_cts")]
+        for name, least, unit in checks:
+            value = _count(name, getattr(self, name), least, unit)
+            object.__setattr__(self, name, value)
 
     @property
     def cw_max(self) -> int:

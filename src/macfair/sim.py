@@ -37,6 +37,7 @@ from .core import (
     CsmaMode,
     CsmaParams,
     TraceError,
+    _count,
     _kind_codes,
     mask_dtype,
 )
@@ -125,12 +126,10 @@ class SimConfig:
     warmup: int = 1000
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise TraceError("seed must be non-negative")
-        if self.horizon < 1:
-            raise TraceError("horizon must be at least 1 tick")
-        if self.warmup < 0:
-            raise TraceError("warmup must be non-negative")
+        for name, least, unit in (("seed", 0, ""), ("horizon", 1, " tick"),
+                                  ("warmup", 0, "")):
+            value = _count(name, getattr(self, name), least, unit)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "users", tuple(self.users))
 
 
@@ -353,11 +352,10 @@ def simulate_tdma(packet_lengths, config: SimConfig) -> ChannelTrace:
     trace is periodic with period sum(packet_lengths), truncated to whole
     packets at both window edges.
     """
-    lengths = [int(l) for l in packet_lengths]
+    lengths = list(packet_lengths)
     if len(lengths) != len(config.users) or not lengths:
         raise TraceError("need one packet length per user")
-    if any(l < 1 for l in lengths):
-        raise TraceError("packet lengths must be at least 1 slot")
+    lengths = [_count("packet lengths", l, 1, " slot") for l in lengths]
     n_rounds = (config.warmup + config.horizon) // sum(lengths) + 1
     edge = np.zeros(n_rounds * len(lengths) + 1, np.int64)
     np.cumsum(np.tile(np.asarray(lengths, np.int64), n_rounds), out=edge[1:])

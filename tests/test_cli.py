@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -681,6 +682,38 @@ class TestCrossoverScript:
         i = sweeps[0].index("--slots")
         assert sweeps[0][i + 1] == "20000"
 
+    def test_analytic_point_follows_sweep_flags(self, monkeypatch, capsys):
+        # The inflection and the crossover's ACK come from the point that
+        # cli builds from the sweep's own flags, not from copied defaults.
+        from macfair.analytic import (rtscts_basic_inflection,
+                                      solve_collision_probability)
+        from macfair.core import CsmaParams
+        module = _crossover_script()
+        point = CsmaParams(cw_min=16, beta=3, l_difs=4, l_pkt=30, l_ack=2)
+        built = []
+
+        def fake_main(argv):
+            print("x,protocol,psi_sim_mean_slots\n48,csma-rtscts,10\n"
+                  "48,csma-basic,12\n56,csma-rtscts,14\n56,csma-basic,13")
+            return 0
+
+        def fake_build(protocol, args):
+            built.append((protocol, args.slots, args.pkt_range))
+            return point
+
+        monkeypatch.setattr(module.cli, "main", fake_main)
+        monkeypatch.setattr(module.cli, "_build_params", fake_build)
+        monkeypatch.setattr(sys, "argv", ["rtscts_crossover.py", "--slots",
+                                          "20000", "--pkt-range", "48:56:8"])
+        assert module.main() == 0
+        assert built == [("csma-rtscts", 20000, "48:56:8")]
+        p_c = solve_collision_probability(16, 3).p_c
+        out = kv(capsys.readouterr().out)
+        # The difference -2 at 48 and +1 at 56 changes sign at 48 + 16/3.
+        assert out["sim_crossover_tran_slots"] == f"{48 + 16 / 3 + 2:.2f}"
+        assert out["analytic_inflection_tran_slots"] == \
+            f"{rtscts_basic_inflection(p_c, 2):.2f}"
+
     @pytest.mark.parametrize("fails", [False, True], ids=["ok", "failed"])
     def test_leaves_no_temp_file(self, monkeypatch, tmp_path, capsys, fails):
         module = _crossover_script()
@@ -730,3 +763,26 @@ class TestCrossoverScript:
                           for protocol in ("csma-rtscts", "csma-basic"))
         assert f"no defined psi at {named};" in out
         assert "crossover" not in out and "flips" not in out
+
+
+def _readme_commands() -> list[str]:
+    """Every `macfair ...` line of README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    return [line for block in blocks
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines()
+            if line.startswith("macfair ")]
+
+
+class TestReadmeExamples:
+    """README's CLI examples parse with the current flags; none is run."""
+
+    def test_every_subcommand_shown(self):
+        shown = {shlex.split(line)[1] for line in _readme_commands()}
+        assert shown == {"simulate", "analyze", "analytic", "sweep"}
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_example_parses(self, line):
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "macfair"
+        cli.build_parser().parse_args(argv[1:])

@@ -370,6 +370,34 @@ class TestMaskDtype:
             ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE] * 2,
                          [1, 2], horizon)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), None])
+    def test_horizon_not_a_number_rejected(self, horizon):
+        with pytest.raises(TraceError, match="is not an integer"):
+            ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE] * 2,
+                         [1, 2], horizon)
+
+    @pytest.mark.parametrize("column", ["starts", "ends", "kinds", "masks"])
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()],
+                             ids=["column", "row", "scalar"])
+    def test_columns_not_one_dimensional_rejected(self, column, shape):
+        # A valid 3-event trace, one of whose columns is reshaped.
+        columns = {"starts": np.array([0, 1, 2]), "ends": np.array([1, 2, 3]),
+                   "kinds": np.array([SUCCESS_CODE] * 3),
+                   "masks": np.array([1, 2, 1])}
+        columns[column] = (columns[column].reshape(shape) if shape
+                           else columns[column][0])
+        message = f"{column} must be one-dimensional, not of shape {shape}"
+        with pytest.raises(TraceError, match=re.escape(message)):
+            ChannelTrace(("A", "B"), horizon=3, **columns)
+
+    @pytest.mark.parametrize("column", ["starts", "ends", "kinds", "masks"])
+    def test_ragged_column_rejected(self, column):
+        columns = {"starts": [0, 1], "ends": [1, 2],
+                   "kinds": [SUCCESS_CODE] * 2, "masks": [1, 2]}
+        columns[column] = [columns[column][0], [columns[column][1]] * 2]
+        with pytest.raises(TraceError, match=f"{column} must be one-dim"):
+            ChannelTrace(("A", "B"), horizon=2, **columns)
+
     def test_integral_horizon_and_bool_masks_accepted(self):
         tr = ChannelTrace(("A",), [0, 1], [1, 2], [SUCCESS_CODE, IDLE_CODE],
                           np.array([True, False]), np.float64(2.0))
@@ -908,11 +936,12 @@ class TestUsersFieldTable:
             _written(tr, helpers.write_rows)
 
     def test_one_field_per_mask(self, one_slot):
-        # Masks that lose slot 0 are found again in the dict, not re-added.
+        # Masks that lose slot 0 are found again in the dict, not rendered
+        # again: each set's text is in the buffer once, as first met.
         fields = core._UsersFields(("A", "B", "C"))
         for masks in ([1, 2, 3], [3, 4, 1, 5], [5, 6, 2, 1]):
             fields.rows(np.array(masks, np.uint8))
-        assert sorted(fields.names) == sorted(b"A B A+B C A+C B+C".split())
+        assert fields.text == b"S,AS,BC,A+BS,CC,A+CC,B+C"
 
     def test_more_fields_than_slots(self):
         # 62 one-character users and 6000 distinct 2- and 3-user collisions,
@@ -1027,6 +1056,75 @@ class TestParams:
             CsmaParams(cw_min=32, beta=-1, l_difs=4, l_pkt=30)
         with pytest.raises(TraceError):
             CsmaParams(cw_min=32, beta=5, l_difs=0, l_pkt=30)
+
+
+_CSMA = dict(cw_min=16, beta=3, l_difs=4, l_pkt=30, l_ack=2, l_rts=1, l_cts=3)
+_ALOHA = dict(p_a=0.5, p_b=0.4, slot=3)
+_CONFIG = dict(seed=7, horizon=3000, warmup=100)
+# Each count: its class, valid arguments, the field and its name in messages.
+_COUNT_FIELDS = ([(CsmaParams, _CSMA, name, name) for name in _CSMA]
+                 + [(AlohaParams, _ALOHA, "slot", "slot length")]
+                 + [(SimConfig, _CONFIG, name, name) for name in _CONFIG])
+
+
+class TestCounts:
+    """Counts and durations are whole numbers: an integral float or a numpy
+    integer is taken as its int, a fraction is rejected, never truncated."""
+
+    @pytest.mark.parametrize("cls, base, field, label", _COUNT_FIELDS,
+                             ids=[f[2] for f in _COUNT_FIELDS])
+    @pytest.mark.parametrize("fraction", [0.5, np.float64(0.25)],
+                             ids=["float", "float64"])
+    def test_fraction_rejected(self, cls, base, field, label, fraction):
+        value = base[field] + fraction
+        with pytest.raises(TraceError, match=re.escape(
+                f"{label} {value!r} is not an integer")):
+            cls(**{**base, field: value})
+
+    @pytest.mark.parametrize("cls, base, field, label", _COUNT_FIELDS,
+                             ids=[f[2] for f in _COUNT_FIELDS])
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.int32],
+                             ids=["float", "float64", "int32"])
+    def test_integral_value_is_its_int(self, cls, base, field, label, wrap):
+        got = cls(**{**base, field: wrap(base[field])})
+        assert got == cls(**base) and type(getattr(got, field)) is int
+
+    @pytest.mark.parametrize("wrap", [float, np.float64])
+    def test_integral_floats_give_the_same_traces(self, wrap):
+        config = SimConfig(**{k: wrap(v) for k, v in _CONFIG.items()})
+        csma = CsmaParams(**{k: wrap(v) for k, v in _CSMA.items()})
+        aloha = AlohaParams(**{**_ALOHA, "slot": wrap(3)})
+        want = SimConfig(**_CONFIG)
+        for mode in CsmaMode:
+            assert simulate_csma(csma, config, mode) == \
+                simulate_csma(CsmaParams(**_CSMA), want, mode)
+        assert simulate_aloha(aloha, config) == \
+            simulate_aloha(AlohaParams(**_ALOHA), want)
+        assert simulate_tdma([wrap(30), wrap(7)], config) == \
+            simulate_tdma([30, 7], want)
+
+    @pytest.mark.parametrize("lengths", [[30.7, 30], [30, np.float64(7.5)]])
+    def test_tdma_fraction_rejected(self, lengths):
+        with pytest.raises(TraceError, match="packet lengths .* is not an "
+                           "integer"):
+            simulate_tdma(lengths, SimConfig(seed=0, horizon=1000))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CsmaParams(0, 5, 4, 30), "cw_min must be at least 1"),
+        (lambda: CsmaParams(32, -1, 4, 30), "beta must be non-negative"),
+        (lambda: CsmaParams(32, 5, 4, 30, l_cts=0),
+         "l_cts must be at least 1 slot"),
+        (lambda: AlohaParams(0.5, 0.5, 0), "slot length must be at least 1 tick"),
+        (lambda: SimConfig(seed=0, horizon=0), "horizon must be at least 1 tick"),
+        (lambda: SimConfig(seed=0, horizon=9, warmup=-1),
+         "warmup must be non-negative"),
+        (lambda: simulate_tdma([30, 0], SimConfig(seed=0, horizon=9)),
+         "packet lengths must be at least 1 slot"),
+    ])
+    def test_range_messages(self, build, message):
+        with pytest.raises(TraceError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_package_exports_no_modules():

@@ -523,8 +523,11 @@ class _SlotTable:
 
     A key's slot hashes the sum of word j times 2j + 1 by Fibonacci
     multiply-shift (Knuth, TAOCP vol. 3, 6.4), so the zero words that pad
-    keys to the stored width, which widens up to WORDS, move no key.  A slot
-    holds one key; a key whose slot is taken, or longer than WORDS, is never
+    keys to a common width move no key.  A slot holds one key, zero-padded
+    to WORDS, and its width: the words up to its last non-zero one.  A key
+    matches a slot when its own words equal the slot's first ones and the
+    slot's width is no larger, so a lookup compares only as many words as
+    it has.  A key whose slot is taken, or longer than WORDS, is never
     stored and stays a miss.  `resolve` is the one way in, for reading and
     writing alike: it finds each missed key's value once through the
     caller's slow path.  An all-ones first word marks a free slot: no ASCII
@@ -536,37 +539,46 @@ class _SlotTable:
     FREE = np.uint64(2**64 - 1)
 
     def __init__(self):
-        self.keys = np.full((1 << self.BITS, 1), self.FREE)
+        # Row j holds word j of every slot's key.
+        self.keys = np.zeros((self.WORDS, 1 << self.BITS), np.uint64)
+        self.keys[0] = self.FREE
+        self.width = np.zeros(1 << self.BITS, np.int8)
         self.values = np.zeros(1 << self.BITS, np.int64)
 
     @staticmethod
     def slots(keys: np.ndarray) -> np.ndarray:
         fold = sum((keys[:, j] * np.uint64(2 * j + 1)
                     for j in range(1, keys.shape[1])), keys[:, 0])
-        return fold * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(64 - _SlotTable.BITS)
+        slot = fold * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(64 - _SlotTable.BITS)
+        return slot.astype(np.intp)
 
     def _fit(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The keys padded or cut to the stored width, once that has widened
-        toward theirs, which of them fit it, and their slots."""
-        k = min(max(keys.shape[1], self.keys.shape[1]), self.WORDS)
-        self.keys, keys = (a if a.shape[1] >= k else
-                           np.pad(a, ((0, 0), (0, k - a.shape[1])))
-                           for a in (self.keys, keys))
+        """The keys cut to at most WORDS words, which of them fit that
+        width, and their slots."""
+        k = min(keys.shape[1], self.WORDS)
         return keys[:, :k], ~keys[:, k:].any(1), self.slots(keys[:, :k])
+
+    def _same(self, keys: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Whether each key's own words are the first words of its slot."""
+        return (self.keys[:keys.shape[1]].take(slot, 1) == keys.T).all(0)
 
     def get(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each key's value and whether the key was found; a missed key's
         value is meaningless."""
         keys, whole, slot = self._fit(keys)
-        return self.values[slot], whole & (self.keys.take(slot, 0) == keys).all(1)
+        found = whole & (self.width.take(slot) <= keys.shape[1])
+        return self.values.take(slot), found & self._same(keys, slot)
 
     def put(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Store distinct keys, none in the table yet, whose slots are free."""
         keys, whole, slot = self._fit(keys)
-        free = whole & (self.keys[slot, 0] == self.FREE)
-        self.keys[slot[free]] = keys[free]
+        free = whole & (self.keys[0].take(slot) == self.FREE)
+        self.keys[:keys.shape[1], slot[free]] = keys[free].T
         # Of the keys that share a free slot, only the one written last holds it.
-        stored = whole & (self.keys.take(slot, 0) == keys).all(1)
+        stored = free & self._same(keys, slot)
+        words = np.arange(1, keys.shape[1] + 1, dtype=np.int8)
+        self.width[slot[stored]] = np.max((keys[stored] != 0) * words, 1,
+                                          initial=0)
         self.values[slot[stored]] = values[stored]
 
     def resolve(self, keys: np.ndarray, value_of) -> np.ndarray:

@@ -61,20 +61,36 @@ def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
 def _first_at(r: np.ndarray) -> np.ndarray:
     """The first-run table of sorted runs r ending in the sentinel n: entry k,
     for k in 0..n, is the first of r at or after run k."""
-    return np.repeat(r, np.diff(r, prepend=-1))
+    # r[i] fills entries r[i - 1] + 1 .. r[i], and r[0] entries 0 .. r[0].
+    repeats = np.empty(len(r), np.intp)
+    repeats[0] = r[0] + 1
+    np.subtract(r[1:], r[:-1], out=repeats[1:])
+    return np.repeat(r, repeats)
+
+
+# The most runs whose numbers, and the sentinel n, the search holds as int32.
+_INT32_RUNS = np.iinfo(np.int32).max
+
+
+def _run_dtype(n: int) -> np.dtype:
+    """The narrowest of int32 and int64 that holds run numbers 0..n."""
+    return np.dtype(np.int32 if n <= _INT32_RUNS else np.int64)
 
 
 def _cycle_runs(label: np.ndarray,
                 n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Runs opening and closing each user's cycles, by the rule of the module
-    docstring: one (start, close) pair of arrays a user."""
+    docstring: one (start, close) pair of arrays a user, of `_run_dtype`."""
     n = len(label)
+    dtype = _run_dtype(n)
     # For every run k but the final one, the latest among every user's first
     # run after k; n when some user has none.
-    latest = np.zeros(max(n - 1, 0), np.int64)
+    latest = np.zeros(max(n - 1, 0), dtype)
     runs = []
     for v in range(n_users):
-        runs.append(np.append(np.flatnonzero(label == v), n))
+        # v's runs, closed by the sentinel n.
+        runs.append(np.concatenate((np.flatnonzero(label == v), [n]))
+                    .astype(dtype, copy=False))
         # Entry k + 1 of v's table is v's first run after k.
         np.maximum(latest, _first_at(runs[v])[1:n], out=latest)
     cycles = []

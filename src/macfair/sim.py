@@ -3,16 +3,21 @@ round-robin TDMA, all emitting validated channel traces.
 
 Determinism contract: identical parameters and SimConfig produce bit-identical
 traces.  Each user draws from its own child stream of the run seed, so one
-user's consumption never perturbs another's.  CSMA/CA backoffs are taken from
-blocks of raw 32-bit words and mapped exactly as `Generator.integers(1, cw + 1)`
-maps them, so every backoff equals the value of one such call per draw.  The
-map works by block and window: the first draw of a window from a block maps
-all of the block's words for that window with numpy, a word numpy would reject
-reading 0, and the simulator reads stage-0 draws from that row inline.  A
-CSMA/CA user draws its next backoff as soon as a round ends in its win or in a
-collision, not when the next round starts; as no other user reads its stream,
-it draws the same values in the same order, and what it draws after the last
-round is never recorded.
+user's consumption never perturbs another's.  Slotted Aloha draws each
+user's stream on its own lane, in blocks of DRAW_BLOCK slots, and a run
+longer than one block draws the second user's lane on a worker thread while
+the caller draws the first's; `Generator.random` in blocks gives the values
+of one call, and no stream is read by two lanes, so neither changes a value.
+CSMA/CA backoffs are taken from blocks of raw 32-bit words and mapped exactly
+as `Generator.integers(1, cw + 1)` maps them, so every backoff equals the
+value of one such call per draw.  The map works by block and window: the
+first draw of a window from a block maps all of the block's words for that
+window with numpy, a word numpy would reject reading 0, and the simulator
+reads stage-0 draws from that row inline.  A CSMA/CA user draws its next
+backoff as soon as a round ends in its win or in a collision, not when the
+next round starts; as no other user reads its stream, it draws the same
+values in the same order, and what it draws after the last round is never
+recorded.
 
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
@@ -25,6 +30,7 @@ filtering.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -169,12 +175,59 @@ def _window_trace(users, edge, masks, warmup: int,
                         horizon)
 
 
+# Aloha slots drawn a block at a time per user: one float64 buffer of this
+# many slots per lane, reused, instead of one float per slot of the run.
+DRAW_BLOCK = 1 << 16
+
+
+def _draw_tx(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
+    """Fill the bool row `out` with `rng.random(len(out)) < p`, block by
+    block; `Generator.random` in blocks gives the values of one call."""
+    buf = np.empty(min(len(out), DRAW_BLOCK))
+    for lo in range(0, len(out), DRAW_BLOCK):
+        row = out[lo:lo + DRAW_BLOCK]
+        draws = buf[:len(row)]
+        rng.random(out=draws)
+        np.less(draws, p, out=row)
+
+
+def _draw_lanes(lane_a: tuple, lane_b: tuple) -> None:
+    """Run `_draw_tx` on both users' lanes, each its (rng, p, out).  Past
+    one block, B's lane runs on one worker thread while the caller runs A's;
+    the worker is always joined, and its exception is raised in the caller."""
+    if len(lane_a[2]) <= DRAW_BLOCK:
+        _draw_tx(*lane_a)
+        _draw_tx(*lane_b)
+        return
+    failed = []
+
+    def run_b():
+        try:
+            _draw_tx(*lane_b)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=run_b, name="macfair-aloha-lane")
+    worker.start()
+    try:
+        _draw_tx(*lane_a)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     """Two-user slotted Aloha: each slot, each user transmits independently.
 
     A slot with exactly one transmitter is a Success of that user, with both a
     Collision; consecutive empty slots coalesce into one Idle event.  Slots are
     `params.slot` ticks long, so event times sit on that coarser grid.
+
+    User u transmits in slot i when draw i of its child stream is below its
+    p.  Each user's draws are taken on its own lane, in blocks of DRAW_BLOCK
+    slots; a run longer than one block draws B's lane on one worker thread
+    beside A's.  Neither the blocks nor the lanes change a value.
     """
     if len(config.users) != 2:
         raise TraceError("slotted Aloha simulation is two-user")
@@ -182,11 +235,12 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     total_ticks = config.warmup + config.horizon
     n_slots = -(-total_ticks // slot)
     rng_a, rng_b = _user_streams(config)
-    tx_a = rng_a.random(n_slots) < params.p_a
-    tx_b = rng_b.random(n_slots) < params.p_b
-    # Each slot's participant mask: bit 0 for A, bit 1 for B.
-    code = tx_b.view(np.uint8) << 1
-    code |= tx_a.view(np.uint8)
+    tx = np.empty((2, n_slots), bool)
+    _draw_lanes((rng_a, params.p_a, tx[0]), (rng_b, params.p_b, tx[1]))
+    # Each slot's participant mask, built in B's row: bit 0 for A, bit 1 for B.
+    a_bits, code = tx.view(np.uint8)
+    code <<= 1
+    code |= a_bits
     # Segment the slot axis: every busy slot stands alone, idle runs merge.
     # The flag past the last slot makes the end of the run the final boundary.
     new_seg = np.empty(n_slots + 1, bool)

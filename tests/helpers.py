@@ -171,6 +171,30 @@ def aloha_cycle_pmf(p_a: float, p_b: float, n_max: int) -> np.ndarray:
     return pmf
 
 
+def reference_aloha_trace(params, config) -> ChannelTrace:
+    """The two-user slotted Aloha trace of `sim.simulate_aloha` from one
+    whole-array draw per user, `rng.random(n_slots) < p` on the user's own
+    child stream of the run seed.  Every busy slot is one event and every
+    maximal run of idle slots another; the events lying wholly inside
+    [warmup, warmup + horizon) are kept and rebased to 0."""
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(2)]
+    n = -(-(config.warmup + config.horizon) // params.slot)
+    code = ((rngs[0].random(n) < params.p_a)
+            + 2 * (rngs[1].random(n) < params.p_b).astype(np.int64))
+    busy = code > 0
+    first = np.flatnonzero(busy | np.r_[True, busy[:-1]])
+    last = np.r_[first[1:], n]
+    start = first * params.slot - config.warmup
+    end = last * params.slot - config.warmup
+    keep = (start >= 0) & (end <= config.horizon)
+    masks = code[first][keep]
+    kinds = np.array([IDLE_CODE, SUCCESS_CODE, SUCCESS_CODE,
+                      COLLISION_CODE])[masks]
+    return ChannelTrace(config.users, start[keep], end[keep], kinds, masks,
+                        config.horizon)
+
+
 def reference_csma_counters(params, config, mode) -> np.ndarray:
     """Both users' backoff counters at the start of every round of a two-user
     CSMA/CA run, from tick 0 until a round starts at or past warmup +

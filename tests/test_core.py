@@ -967,6 +967,41 @@ class TestUsersFieldTable:
             assert got == helpers.read_rows(io.StringIO(t))
         assert got.users != users and ChannelTrace.read(io.StringIO(text)) == tr
 
+    def test_key_matches_on_its_own_words(self, one_slot):
+        # With every key in slot 0, a stored key is found at any zero
+        # padding, and a key that is a prefix of it is another key.
+        table = core._SlotTable()
+        table.put(np.array([[5, 7, 0]], np.uint64), np.array([1]))
+        for words in ([5, 7], [5, 7, 0, 0, 0], [5, 7] + [0] * 8):
+            values, hit = table.get(np.array([words], np.uint64))
+            assert hit.tolist() == [True] and values.tolist() == [1]
+        for words in ([5], [5, 0], [5, 0, 0], [5, 7, 1], [0, 7]):
+            assert table.get(np.array([words], np.uint64))[1].tolist() == \
+                [False]
+
+    @pytest.mark.parametrize("headers", [True, False], ids=["headers", "bare"])
+    @pytest.mark.parametrize("fault", [None, "U1+U1", "U1+"])
+    def test_long_label_first_then_short(self, headers, fault):
+        # A 64-byte label in event 0, then five short ones over many blocks:
+        # the short fields read as the row parser reads them, errors too.
+        tr = helpers.nuser_trace(1, 30_000, 5)
+        users = tr.users + ("W" * 64,)
+        tr = ChannelTrace(users, np.r_[0, tr.starts + 1], np.r_[1, tr.ends + 1],
+                          np.r_[SUCCESS_CODE, tr.kinds], np.r_[32, tr.masks],
+                          tr.horizon + 1)
+        lines = _written(tr, ChannelTrace.write).splitlines(keepends=True)
+        assert len(lines) == len(tr) + 3
+        if fault:
+            lines[-5] = lines[-5].rsplit(",", 1)[0] + f",{fault}\n"
+        if not headers:
+            lines = lines[3:]
+        text = "".join(lines)
+        assert len(text) > 2 * core._BLOCK_BYTES
+        got = _outcome(ChannelTrace.read, text)
+        assert got == _outcome(helpers.read_rows, text)
+        assert (fault is None) == isinstance(got, ChannelTrace)
+        assert not isinstance(got, ChannelTrace) or "W" * 64 in got.users
+
     def test_each_field_resolved_once(self):
         # Labels of 9 to 64 bytes, whose keys land in distinct slots, over
         # several blocks: each goes through `_FileState.mask` once a file,

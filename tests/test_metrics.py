@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from macfair import metrics
 from macfair.core import (
     AlohaParams,
     ChannelTrace,
@@ -391,3 +392,29 @@ class TestRunSearch:
             else:
                 with pytest.raises(TooFewUsersError):
                     part_decomposition(tr, user)
+
+    @pytest.mark.parametrize("make", list(_SEARCH_CASES.values()),
+                             ids=list(_SEARCH_CASES))
+    def test_int64_runs_give_the_same_cycles(self, make, monkeypatch):
+        # Run numbers are int32 while the run count fits; past the limit
+        # the search takes int64, with the same results.
+        tr = make()
+        label = metrics._run_ends(tr)[0]
+
+        def search(dtype):
+            assert metrics._run_dtype(len(label)) == dtype
+            runs = metrics._cycle_runs(label, len(tr.users))
+            assert all(r.dtype == dtype for pair in runs for r in pair)
+            parts = ([part_decomposition(tr, u) for u in tr.users]
+                     if len(tr.users) == 2 else None)
+            return [r.tolist() for pair in runs for r in pair], \
+                channel_cycle_time(tr), parts
+
+        runs, rep, parts = search(np.int32)
+        monkeypatch.setattr(metrics, "_INT32_RUNS", len(label) - 1)
+        wide_runs, wide_rep, wide_parts = search(np.int64)
+        assert wide_runs == runs and wide_parts == parts
+        assert wide_rep.psi_slots == rep.psi_slots
+        for user in tr.users:
+            assert np.array_equal(wide_rep.per_user_samples[user],
+                                  rep.per_user_samples[user])

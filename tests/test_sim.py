@@ -3,14 +3,19 @@ agreement with closed forms, and the audit-log conservation identities."""
 import hashlib
 import io
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import aloha_cycle_pmf, reference_csma_counters
-from macfair import analytic, metrics
+from helpers import (aloha_cycle_pmf, reference_aloha_trace,
+                     reference_csma_counters)
+from macfair import analytic, metrics, sim
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -29,6 +34,7 @@ from macfair.core import (
 from macfair.sim import (
     BLOCK,
     COLLISION_OUTCOME,
+    DRAW_BLOCK,
     SimConfig,
     _backoff_stream,
     empirical_collision_probability,
@@ -170,6 +176,9 @@ class TestAlohaMemory:
         finally:
             tracemalloc.stop()
         assert peak - base < 35 * len(trace.success_index[0])
+        # The run lists, `latest` and the first-run tables are int32 when
+        # the run count fits.
+        assert peak - base < 28 * len(trace.success_index[0])
 
     def test_throughput_peak(self):
         # At most an int64 length and a bool mask an event: the temporaries
@@ -566,6 +575,99 @@ class TestAlohaPinned:
         trace = simulate_aloha(AlohaParams(p_a, p_b, slot=slot),
                                SimConfig(seed=7, horizon=20_000, warmup=warmup))
         assert _sim_digest(trace) == self.PINNED[p_a, p_b, slot, warmup]
+
+
+class TestAlohaLanes:
+    """Each user's slots are drawn on its own lane, in blocks of DRAW_BLOCK,
+    and past one block on two threads: the trace is the whole-array draw's
+    of `helpers.reference_aloha_trace`, at every length around the blocks."""
+
+    @pytest.mark.parametrize("p_a,p_b", [(0.5, 0.5), (0.2, 0.8), (0, 1)])
+    @pytest.mark.parametrize("n_slots,slot,warmup", [
+        (n, slot, warmup)
+        for n in (1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
+                  3 * DRAW_BLOCK + 7)
+        for slot in (1, 3) for warmup in (0, 1000, 1001)
+        if n * slot > warmup])  # a run of one slot has no room for warm-up
+    def test_matches_whole_array_draw(self, n_slots, slot, warmup, p_a, p_b):
+        horizon = n_slots * slot - warmup
+        params = AlohaParams(p_a, p_b, slot=slot)
+        config = SimConfig(seed=13, horizon=horizon, warmup=warmup)
+        trace = simulate_aloha(params, config)
+        assert _sim_digest(trace) == \
+            _sim_digest(reference_aloha_trace(params, config))
+
+    # Computed with one whole-array draw per user, before the draws were
+    # taken in blocks: 4.6 and 2.0 blocks of slots.
+    PINNED = {
+        (0.5, 0.5, 1, 1000):
+            "e97850ba5e4c3c8c2de48fb63a6d30b748c86b889cc4a00dde2786a332fcf26b",
+        (0.2, 0.8, 3, 1001):
+            "e4db43cb384f66849eb01de021f20968510a8f03aa9f74711c7c25948c03830b",
+    }
+
+    @pytest.mark.parametrize("p_a,p_b,slot,warmup", list(PINNED))
+    def test_digest_over_blocks(self, p_a, p_b, slot, warmup):
+        trace = simulate_aloha(AlohaParams(p_a, p_b, slot=slot),
+                               SimConfig(seed=7, horizon=400_000,
+                                         warmup=warmup))
+        assert _sim_digest(trace) == self.PINNED[p_a, p_b, slot, warmup]
+
+    @pytest.mark.parametrize("n_slots, two_lanes", [
+        (DRAW_BLOCK, False), (DRAW_BLOCK + 1, True)])
+    def test_lane_threads(self, monkeypatch, n_slots, two_lanes):
+        # One block or less stays on the caller's thread; past it, B's lane
+        # runs on one worker, joined before the call returns.
+        draw, ran = sim._draw_tx, {}
+
+        def lane(rng, p, out):
+            ran[p] = threading.current_thread()
+            draw(rng, p, out)
+
+        monkeypatch.setattr(sim, "_draw_tx", lane)
+        before = threading.active_count()
+        simulate_aloha(AlohaParams(0.2, 0.8),
+                       SimConfig(seed=1, horizon=n_slots, warmup=0))
+        assert ran[0.2] is threading.current_thread()
+        worker = ran[0.8]
+        assert (worker is not threading.current_thread()) == two_lanes
+        assert not two_lanes or not worker.is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0.8, 0.2], ids=["worker", "caller"])
+    def test_lane_failure_reaches_caller(self, monkeypatch, failing):
+        # A lane's exception is raised in the caller, from the worker's lane
+        # too, and the worker is joined either way.
+        draw, ran = sim._draw_tx, {}
+
+        def lane(rng, p, out):
+            ran[p] = threading.current_thread()
+            if p == failing:
+                raise RuntimeError(f"lane of p={p} failed")
+            draw(rng, p, out)
+
+        monkeypatch.setattr(sim, "_draw_tx", lane)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"lane of p={failing} failed"):
+            simulate_aloha(AlohaParams(0.2, 0.8),
+                           SimConfig(seed=1, horizon=3 * DRAW_BLOCK))
+        worker = ran[0.8]
+        assert worker is not threading.current_thread()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert threading.active_count() == before
+
+    def test_no_thread_at_import(self):
+        # Importing starts no thread, and a two-lane run leaves none behind.
+        code = ("import threading, macfair, macfair.cli\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n"
+                "macfair.simulate_aloha(macfair.AlohaParams(0.5, 0.5),\n"
+                "    macfair.SimConfig(seed=1, horizon=3 * 65536 + 7))\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
 
 
 class TestCsmaAudit:

@@ -7,18 +7,26 @@ Averaging per-user mean cycle times over the user set gives the channel cycle
 time, a single figure for how long the channel takes to serve everybody once
 more.
 
-Cycles are found over success runs, by one vectorized search that finds
-every user's cycles at once, for any number of users.  Collapse the trace's
-successes into runs of one user's successes, numbered in order.  The last
-success of every run but the final one is a refresh moment of the run's
-owner, and these are all the refresh moments.
-From refresh run k, let m be the latest first appearance over all users: the
-latest among every user's first run after k, the owner's included.  The cycle
-closes at the owner's first run at or after m.  If some user has no run after
-k, or the owner's run at or after m is the final run or does not exist, no
-cycle starts at k.  When the owner comes back last, m is that return itself;
-otherwise the close is the owner's first refresh run after every other user
-has succeeded.
+Cycles are found over success runs.  Collapse the trace's successes into
+runs of one user's successes, numbered in order.  The last success of every
+run but the final one is a refresh moment of the run's owner, and these are
+all the refresh moments.
+
+With two users the runs alternate between them, so the other user first
+succeeds again at run k + 1 and the owner at k + 2: the cycle opened at
+refresh run k closes at run k + 2, if that is not the final run.  Two-user
+cycles are read off the run numbers by this rule, with no search.
+
+Any other user count takes one vectorized search that finds every user's
+cycles at once; on two-user runs it gives the same cycles as the rule, so
+every psi and cycle sample is the same whichever finds them.  From refresh
+run k, let m be the latest first appearance over all users: the latest
+among every user's first run after k, the owner's included.  The cycle
+closes at the owner's first run at or after m.  If some user has no run
+after k, or the owner's run at or after m is the final run or does not
+exist, no cycle starts at k.  When the owner comes back last, m is that
+return itself; otherwise the close is the owner's first refresh run after
+every other user has succeeded.
 Both steps read first-run tables: entry k of a user's table is the user's
 first run at or after run k.  One pass folds every user's table into m for
 every k at once; a second looks each owner's closes up in its own table.
@@ -79,8 +87,27 @@ def _run_dtype(n: int) -> np.dtype:
 
 def _cycle_runs(label: np.ndarray,
                 n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Runs opening and closing each user's cycles, by the rule of the module
-    docstring: one (start, close) pair of arrays a user, of `_run_dtype`."""
+    """Runs opening and closing each user's cycles: one (start, close) pair
+    of arrays a user, of `_run_dtype`.
+
+    Two users' runs alternate, so the cycle opened at run k closes at run
+    k + 2 and is kept while k + 2 is before the final run, k <= n - 4.  Any
+    other user count takes `_cycle_search`.
+    """
+    if n_users != 2:
+        return _cycle_search(label, n_users)
+    n = len(label)
+    dtype = _run_dtype(n)
+    # The user owning run 0 opens at the even runs, the other at the odd.
+    owner = int(label[0]) if n else 0
+    starts = (np.arange(v ^ owner, n - 3, 2, dtype) for v in range(2))
+    return [(start, start + 2) for start in starts]
+
+
+def _cycle_search(label: np.ndarray,
+                  n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Runs opening and closing each user's cycles, by the search of the
+    module docstring, for any number of users."""
     n = len(label)
     dtype = _run_dtype(n)
     # For every run k but the final one, the latest among every user's first
@@ -263,7 +290,8 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
     runs = _cycle_runs(label, 2)[i]
     start, close = (last.take(r) for r in runs)
     # Runs alternate between the two users: the run after the start is the
-    # other user's turn, and the success right after it is the split.
+    # other user's turn, the close is the run after that, and the success
+    # right after the other user's run is the split.
     split = last.take(runs[0] + 1) + 1
     t0, t_split, t1 = (trace.ends.take(hit.take(p))
                        for p in (start, split, close))

@@ -1,5 +1,8 @@
 """Refresh moments, cycle times, channel cycle time, inter-transmissions,
 and the two-part cycle split, checked against literal-definition oracles."""
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,3 +421,80 @@ class TestRunSearch:
         for user in tr.users:
             assert np.array_equal(wide_rep.per_user_samples[user],
                                   rep.per_user_samples[user])
+
+
+def _rule_and_search(label: np.ndarray, wide: bool) -> None:
+    """The two-user rule gives the search's cycles, at the int32 width or,
+    with `wide`, at int64."""
+    n = len(label)
+    limit = n - 1 if wide else metrics._INT32_RUNS
+    with mock.patch.object(metrics, "_INT32_RUNS", limit):
+        dtype = metrics._run_dtype(n)
+        assert dtype == (np.int64 if wide else np.int32)
+        got = metrics._cycle_runs(label, 2)
+        want = metrics._cycle_search(label, 2)
+    assert len(got) == len(want) == 2
+    for pair, want_pair in zip(got, want):
+        for r, w in zip(pair, want_pair):
+            assert r.dtype == w.dtype == dtype
+            assert np.array_equal(r, w)
+
+
+class TestTwoUserRule:
+    """The two-user cycle rule (close = start + 2 runs) against the general
+    search it bypasses, and a guard that it does bypass it."""
+
+    @given(st.integers(0, 80), st.integers(0, 1), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_search(self, n, first, wide):
+        # The run labels of a two-user trace: n runs alternating from `first`.
+        _rule_and_search(((np.arange(n) + first) % 2).astype(np.uint8), wide)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+    @pytest.mark.parametrize("pattern", [
+        "", "A", "B", "AB", "BA", "ABA", "BAB", "ABAB", "BABA",
+        "AAAA", "BBBB"],
+        ids=["0-runs", "1-run-A", "1-run-B", "2-runs-A-first",
+             "2-runs-B-first", "3-runs-A-first", "3-runs-B-first",
+             "4-runs-A-first", "4-runs-B-first", "only-A-succeeds",
+             "only-B-succeeds"])
+    def test_short_cases(self, pattern, wide):
+        events = [success(i, i + 1, u) for i, u in enumerate(pattern)]
+        tr = ChannelTrace.from_events(("A", "B"), events, len(pattern))
+        label = metrics._run_ends(tr)[0]
+        assert label.tolist() == [tr.user_index(u)
+                                  for u, _ in itertools.groupby(pattern)]
+        _rule_and_search(label, wide)
+        for user in tr.users:
+            assert cycle_intervals(tr, user).tolist() == \
+                [list(p) for p in helpers.brute_cycle_intervals(tr, user)]
+            assert part_decomposition(tr, user) == \
+                helpers.brute_part_splits(tr, user)
+
+    @pytest.mark.parametrize("make", [
+        lambda: simulate_aloha(AlohaParams(0.5, 0.5),
+                               SimConfig(seed=8, horizon=200_000)),
+        lambda: simulate_csma(_CSMA, SimConfig(seed=10, horizon=200_000),
+                              CsmaMode.RTS_CTS),
+    ], ids=["aloha", "csma-rtscts"])
+    def test_two_users_build_no_first_run_table(self, make):
+        tr = make()
+
+        def results():
+            rep = channel_cycle_time(tr)
+            return (rep.psi_slots,
+                    [rep.per_user_samples[u].tolist() for u in tr.users],
+                    [cycle_intervals(tr, u).tolist() for u in tr.users],
+                    [part_decomposition(tr, u) for u in tr.users])
+
+        want = results()
+        with mock.patch.object(metrics, "_first_at",
+                               side_effect=AssertionError("first-run table")):
+            assert results() == want
+
+    def test_three_users_search(self):
+        tr = helpers.nuser_trace(3, 2_000, 3)
+        with mock.patch.object(metrics, "_first_at",
+                               side_effect=AssertionError("first-run table")):
+            with pytest.raises(AssertionError, match="first-run table"):
+                channel_cycle_time(tr)

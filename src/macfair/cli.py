@@ -26,7 +26,14 @@ from .core import (
     UnitError,
     us_to_slots,
 )
-from .sim import SimConfig, simulate_aloha, simulate_csma, simulate_tdma, write_audit
+from .sim import (
+    ContentionRounds,
+    SimConfig,
+    simulate_aloha,
+    simulate_csma,
+    simulate_tdma,
+    write_audit,
+)
 
 _DURATION_RE = re.compile(r"^(\d+)(us)?$")
 
@@ -65,13 +72,16 @@ def _build_params(protocol: str, args):
     )
 
 
-def _simulate(protocol: str, params, config: SimConfig, audit: bool = False):
-    """Run the protocol's simulator: (trace, CSMA audit log or None)."""
+def _simulate(protocol: str, params, config: SimConfig, audit: bool = False,
+              rounds: ContentionRounds | None = None):
+    """Run the protocol's simulator: (trace, CSMA audit log or None).  A
+    CSMA/CA run takes its contention rounds from `rounds` when given."""
     if protocol == "aloha":
         return simulate_aloha(params, config), None
     if protocol == "tdma":
         return simulate_tdma(params, config), None
-    result = simulate_csma(params, config, _CSMA_MODES[protocol], audit=audit)
+    result = simulate_csma(params, config, _CSMA_MODES[protocol], audit=audit,
+                           rounds=rounds)
     return result if audit else (result, None)
 
 
@@ -254,18 +264,30 @@ def cmd_sweep(args) -> int:
             "n_ok"]
     for pi, (label, flags) in enumerate(points):
         point_args = argparse.Namespace(**{**vars(args), **flags})
-        for protocol in protocols:
-            params = _build_params(protocol, point_args)
-            psi_a = _predict(protocol, params, args).psi_slots
-            samples = []
-            for rep in range(args.reps):
-                config = SimConfig(seed=_run_seed(args.seed, pi, rep),
-                                   horizon=args.slots, warmup=args.warmup)
-                # No name holds the trace, so it is freed before the next rep.
-                psi = metrics.channel_cycle_time(
-                    _simulate(protocol, params, config)[0]).psi_slots
+        params, predicted = [], []
+        sampled = [[] for _ in protocols]
+        for rep in range(args.reps):
+            config = SimConfig(seed=_run_seed(args.seed, pi, rep),
+                               horizon=args.slots, warmup=args.warmup)
+            # The CSMA/CA protocols at a point share the seed and windows, so
+            # they share each rep's contention rounds; the rep's rounds are
+            # dropped before the next rep's are drawn.
+            rounds = None
+            for i, protocol in enumerate(protocols):
+                if rep == 0:
+                    # Built at first use, so a bad point fails as it did when
+                    # each protocol ran all its reps before the next.
+                    params.append(_build_params(protocol, point_args))
+                    predicted.append(
+                        _predict(protocol, params[i], args).psi_slots)
+                if protocol in _CSMA_MODES and rounds is None:
+                    rounds = ContentionRounds(params[i], config)
+                # No name holds the trace, so it is freed before the next run.
+                psi = metrics.channel_cycle_time(_simulate(
+                    protocol, params[i], config, rounds=rounds)[0]).psi_slots
                 if psi is not None:
-                    samples.append(psi)
+                    sampled[i].append(psi)
+        for protocol, psi_a, samples in zip(protocols, predicted, sampled):
             n = len(samples)
             # np.mean of no samples warns, so nan is set here instead.
             mean = float(np.mean(samples)) if n else math.nan

@@ -17,7 +17,11 @@ reads stage-0 draws from that row inline.  A CSMA/CA user draws its next
 backoff as soon as a round ends in its win or in a collision, not when the
 next round starts; as no other user reads its stream, it draws the same
 values in the same order, and what it draws after the last round is never
-recorded.
+recorded.  So the counters at every round start depend only on the seed, the
+users and the window schedule; the mode and the packet length only time the
+rounds.  A `ContentionRounds` holds a run's counters and serves every mode
+and packet length with that seed, users and windows, drawing further rounds
+only when a run reaches past those drawn, with the same values.
 
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
@@ -281,9 +285,120 @@ class CsmaAudit:
         return len(self.t)
 
 
+def _rounds_key(params: CsmaParams, config: SimConfig) -> tuple:
+    """What a CSMA/CA run's contention rounds depend on: the seed, the users
+    and every stage's window.  Raises TraceError for a run the simulator does
+    not support."""
+    if len(config.users) != 2:
+        raise TraceError("CSMA/CA simulation is two-user")
+    if params.cw_max > _WORD:
+        # numpy draws wider windows from 64-bit words, which _backoff_stream
+        # does not reproduce.
+        raise TraceError(f"cw_max={params.cw_max} above 2**32 is not "
+                         "supported by the CSMA/CA simulator")
+    cws = tuple(params.cw(s) for s in range(params.beta + 1))
+    return config.seed, config.users, cws
+
+
+class ContentionRounds:
+    """The contention chain of a two-user CSMA/CA run: both users' backoff
+    counters at each round start, drawn as far as a run needs them.
+
+    A round's counters depend on the earlier rounds' counters and on each
+    user's stream alone, never on time, so they are the same for every mode
+    and packet length with the same seed, users and windows (`_rounds_key`).
+    One instance serves every such `simulate_csma` call: a call whose cutoff
+    lies within the rounds drawn counts its rounds off their lengths, and one
+    past them resumes the round loop from the saved state, at the time that
+    call's round lengths give the last round's end.
+    """
+
+    def __init__(self, params: CsmaParams, config: SimConfig):
+        self.key = _rounds_key(params, config)
+        cws = list(self.key[2])
+        self._draw = [_backoff_stream(rng, cws) for rng in _user_streams(config)]
+        self._beta = params.beta
+        # A stage-0 draw spends a word unless the window is 1.
+        self._step = int(cws[0] > 1)
+        # The loop's state: both pending counters, each user's next word in
+        # its block and the block's stage-0 row, and both retry stages.
+        self._state = (*self._draw[0](0, BLOCK), *self._draw[1](0, BLOCK),
+                       0, 0)
+        # Both counters at every round start drawn so far.
+        self.counter = np.empty((2, 0), np.int64)
+
+    def upto(self, params: CsmaParams, mode: CsmaMode,
+             cutoff: int) -> np.ndarray:
+        """Both counters of every round starting before tick `cutoff`, as a
+        (2, n) array, the rounds timed by `params.busy_slots(mode)`."""
+        succ_len, coll_len = params.busy_slots(mode)
+        t = 0
+        if self.counter.shape[1]:
+            # Each round: a DIFS, the smaller backoff, then a success's busy
+            # period, or a collision's when the counters tie.
+            c0, c1 = self.counter
+            busy = np.where(c0 == c1, coll_len, succ_len) + params.l_difs
+            ends = np.cumsum(np.minimum(c0, c1) + busy)
+            if ends[-1] >= cutoff:
+                # Round 0 starts at 0 < cutoff; round k + 1 where k ends.
+                return self.counter[:, :1 + int(np.searchsorted(ends, cutoff))]
+            t = int(ends[-1])
+        self._extend(t, params.l_difs + succ_len, params.l_difs + coll_len,
+                     cutoff)
+        return self.counter
+
+    def _extend(self, t: int, succ_round: int, coll_round: int,
+                cutoff: int) -> None:
+        """Run the round loop from tick t, the end of the last round drawn,
+        until a round starts at or past `cutoff`, with the rounds of
+        `simulate_csma`.  A success round lasts `succ_round` slots and a
+        collision `coll_round`, each plus the smaller backoff."""
+        draw0, draw1 = self._draw
+        beta, step = self._beta, self._step
+        c0, p0, row0, c1, p1, row1, s0, s1 = self._state
+        rec0: list[int] = []
+        rec1: list[int] = []
+        push0, push1 = rec0.append, rec1.append
+        while t < cutoff:
+            push0(c0)
+            push1(c1)
+            if c0 < c1:
+                # The loser defers for the exchange; its counter expires one
+                # slot of backoff while the channel is held.
+                t += succ_round + c0
+                c1 -= c0 + 1
+                s0 = 0
+                c0 = row0[p0]
+                if c0:
+                    p0 += step
+                else:
+                    c0, p0, row0 = draw0(0, p0)
+            elif c1 < c0:
+                t += succ_round + c1
+                c0 -= c1 + 1
+                s1 = 0
+                c1 = row1[p1]
+                if c1:
+                    p1 += step
+                else:
+                    c1, p1, row1 = draw1(0, p1)
+            else:
+                t += coll_round + c0
+                if s0 < beta:
+                    s0 += 1
+                if s1 < beta:
+                    s1 += 1
+                c0, p0, row0 = draw0(s0, p0)
+                c1, p1, row1 = draw1(s1, p1)
+        self._state = (c0, p0, row0, c1, p1, row1, s0, s1)
+        self.counter = np.concatenate(
+            (self.counter, np.array((rec0, rec1), np.int64)), axis=1)
+
+
 def simulate_csma(params: CsmaParams, config: SimConfig,
                   mode: CsmaMode = CsmaMode.RTS_CTS,
-                  audit: bool = False):
+                  audit: bool = False, *,
+                  rounds: ContentionRounds | None = None):
     """Two-user saturated CSMA/CA with binary exponential backoff.
 
     Every round: a DIFS, then both counters count down over shared idle slots
@@ -299,65 +414,21 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     finds 0 (a block's end, a rejected word, a row not yet mapped) and for a
     collision's redraws.
 
+    The rounds' counters come from `rounds`, a `ContentionRounds` built for
+    the same seed, users and windows, which may already hold the rounds of
+    another mode or packet length; a fresh one is built when it is None.
+    Either way the trace and audit are the same.  A `rounds` drawn for
+    another seed, users or window schedule raises TraceError.
+
     Returns the trace, or (trace, CsmaAudit) when `audit` is true.
     """
-    if len(config.users) != 2:
-        raise TraceError("CSMA/CA simulation is two-user")
-    if params.cw_max > _WORD:
-        # numpy draws wider windows from 64-bit words, which _backoff_stream
-        # does not reproduce.
-        raise TraceError(f"cw_max={params.cw_max} above 2**32 is not "
-                         "supported by the CSMA/CA simulator")
+    if rounds is None:
+        rounds = ContentionRounds(params, config)
+    elif rounds.key != _rounds_key(params, config):
+        raise TraceError("contention rounds drawn for another seed, users "
+                         "or window schedule")
     succ_len, coll_len = params.busy_slots(mode)
-    cws = [params.cw(s) for s in range(params.beta + 1)]
-    draw0, draw1 = (_backoff_stream(rng, cws) for rng in _user_streams(config))
-    beta = params.beta
-    succ_round = params.l_difs + succ_len
-    coll_round = params.l_difs + coll_len
-    cutoff = config.warmup + config.horizon
-    # Both counters at every round start; all else follows from them.
-    rec0: list[int] = []
-    rec1: list[int] = []
-    push0, push1 = rec0.append, rec1.append
-    s0 = s1 = 0
-    # Each user's next word in its block and the block's stage-0 row; a
-    # stage-0 draw spends a word unless the window is 1.
-    step = int(cws[0] > 1)
-    c0, p0, row0 = draw0(0, BLOCK)
-    c1, p1, row1 = draw1(0, BLOCK)
-    t = 0
-    while t < cutoff:
-        push0(c0)
-        push1(c1)
-        if c0 < c1:
-            # The loser defers for the exchange; its counter expires one slot
-            # of backoff while the channel is held.
-            t += succ_round + c0
-            c1 -= c0 + 1
-            s0 = 0
-            c0 = row0[p0]
-            if c0:
-                p0 += step
-            else:
-                c0, p0, row0 = draw0(0, p0)
-        elif c1 < c0:
-            t += succ_round + c1
-            c0 -= c1 + 1
-            s1 = 0
-            c1 = row1[p1]
-            if c1:
-                p1 += step
-            else:
-                c1, p1, row1 = draw1(0, p1)
-        else:
-            t += coll_round + c0
-            if s0 < beta:
-                s0 += 1
-            if s1 < beta:
-                s1 += 1
-            c0, p0, row0 = draw0(s0, p0)
-            c1, p1, row1 = draw1(s1, p1)
-    counter = np.array((rec0, rec1), np.int64)
+    counter = rounds.upto(params, mode, config.warmup + config.horizon)
     outcome = (counter[1] < counter[0]).astype(np.int64)
     coll = counter[0] == counter[1]
     outcome[coll] = COLLISION_OUTCOME
@@ -380,21 +451,22 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     at_win = np.where(outcome[:, None] == (0, 1), n_coll[1:, None], 0)
     stage = np.repeat(n_coll[:-1, None], 2, axis=1)
     stage[1:] -= np.maximum.accumulate(at_win[:-1])
-    np.minimum(stage, beta, out=stage)
+    np.minimum(stage, params.beta, out=stage)
     fresh = np.ones((n, 2), bool)
     fresh[1:] = outcome[:-1, None] != (1, 0)
     # Rounds tile the channel too, so the audit keeps rounds by the same
     # rule.  `edge` is rebased already; t and end are copies of it, so no
-    # audit array shares the trace's boundary buffer.
-    rounds = edge[::2]  # round k spans [rounds[k], rounds[k+1])
-    lo, hi = _span(rounds, config.horizon)
+    # audit array shares the trace's boundary buffer, and counter is a copy,
+    # so none shares the rounds' buffer either.
+    starts = edge[::2]  # round k spans [starts[k], starts[k+1])
+    lo, hi = _span(starts, config.horizon)
     return trace, CsmaAudit(
         users=config.users,
-        t=rounds[lo:hi].copy(),
-        end=rounds[lo + 1:hi + 1].copy(),
+        t=starts[lo:hi].copy(),
+        end=starts[lo + 1:hi + 1].copy(),
         outcome=outcome[lo:hi],
         stage=stage[lo:hi],
-        counter=np.ascontiguousarray(counter.T[lo:hi]),
+        counter=counter.T[lo:hi].copy(),
         fresh=fresh[lo:hi],
     )
 

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,34 @@ class TestSweep:
         assert out.splitlines()[1:] == [aloha_row,
                                         "10,tdma,20.000000,20.000000,0.000000,4"]
 
+    def test_modes_share_each_reps_rounds(self, capsys, monkeypatch):
+        # One ContentionRounds per (point, rep), handed to both CSMA/CA
+        # protocols, and dropped before the next is built; every protocol
+        # still makes its own simulate_csma call.
+        built, calls = [], []
+
+        class Counted(cli.ContentionRounds):
+            def __init__(self, *args):
+                assert all(ref() is None for ref in built)
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        def counted_simulate(*args, rounds=None, **kwargs):
+            # The id only, so the record keeps no chain alive.
+            calls.append((type(rounds), id(rounds)))
+            return simulate(*args, rounds=rounds, **kwargs)
+
+        simulate = cli.simulate_csma
+        monkeypatch.setattr(cli, "ContentionRounds", Counted)
+        monkeypatch.setattr(cli, "simulate_csma", counted_simulate)
+        code, out, _ = run(capsys, "sweep", "--protocols",
+                           "csma-rtscts,tdma,csma-basic", "--pkt-range",
+                           "30:50:10", "--slots", "5000", "--reps", "2")
+        assert code == 0 and len(out.splitlines()) == 1 + 3 * 3
+        assert len(built) == 6 and len(calls) == 12
+        assert {kind for kind, _ in calls} == {Counted}
+        assert calls[0::2] == calls[1::2]
+
     def test_t_quantile_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         dfs = range(1, 1001)
@@ -590,6 +619,21 @@ class TestCharacterization:
          "20,csma-basic,101.326883,102.653527,48.634982,2\n"
          "30,tdma,60.000000,60.000000,0.000000,2\n"
          "30,csma-basic,131.580361,129.340547,2.292400,2\n"),
+        # Basic first and TDMA between the two CSMA/CA protocols, which share
+        # each rep's contention rounds.
+        (["sweep", "--protocols", "csma-basic,tdma,csma-rtscts",
+          "--pkt-range", "30:100:35", "--slots", "20000", "--reps", "3",
+          "--warmup", "0", "--seed", "9"],
+         "x,protocol,psi_analytic_slots,psi_sim_mean_slots,psi_sim_ci95,n_ok\n"
+         "30,csma-basic,131.580361,133.907666,14.061216,3\n"
+         "30,tdma,60.000000,60.000000,0.000000,3\n"
+         "30,csma-rtscts,135.021746,136.561788,12.918998,3\n"
+         "65,csma-basic,237.467534,240.944257,22.341485,3\n"
+         "65,tdma,130.000000,130.000000,0.000000,3\n"
+         "65,csma-rtscts,237.962922,242.802451,17.930593,3\n"
+         "100,csma-basic,343.354707,345.331889,40.474729,3\n"
+         "100,tdma,200.000000,200.000000,0.000000,3\n"
+         "100,csma-rtscts,340.904099,340.933679,36.110311,3\n"),
         (["analytic", "csma", "--pkt", "30", "--p-c", "0.1"],
          "psi_slots=138.561046\n"
          "psi_us=2771.220915\n"
@@ -610,7 +654,8 @@ class TestCharacterization:
     ]
 
     @pytest.mark.parametrize("argv,expected", CASES,
-                             ids=["sweep-cw", "sweep-pkt-us", "analytic-p-c",
+                             ids=["sweep-cw", "sweep-pkt-us",
+                                  "sweep-pkt-basic-first", "analytic-p-c",
                                   "simulate-aloha-slot"])
     def test_stdout_pinned(self, capsys, argv, expected):
         code, out, err = run(capsys, *argv)
@@ -736,6 +781,22 @@ class TestCrossoverScript:
             assert printed.count("pkt=48 rtscts_minus_basic=") == 2
             lines = out.read_text().splitlines()
             assert lines[0].startswith("x,protocol,") and len(lines) == 5
+
+    def test_real_run_pinned(self, monkeypatch, capsys):
+        module = _crossover_script()
+        monkeypatch.setattr(sys, "argv", ["rtscts_crossover.py", "--slots",
+                                          "200000", "--reps", "3"])
+        assert module.main() == 0
+        assert capsys.readouterr().out == (
+            "pkt=48 rtscts_minus_basic=+1.2377\n"
+            "pkt=56 rtscts_minus_basic=+1.3223\n"
+            "pkt=64 rtscts_minus_basic=+0.6884\n"
+            "pkt=72 rtscts_minus_basic=-0.4986\n"
+            "pkt=80 rtscts_minus_basic=-0.3289\n"
+            "pkt=88 rtscts_minus_basic=-2.8311\n"
+            "pkt=96 rtscts_minus_basic=-2.3339\n"
+            "sim_crossover_tran_slots=69.64\n"
+            "analytic_inflection_tran_slots=71.89\n")
 
     @pytest.mark.parametrize("undefined", [[96], list(range(48, 104, 8))],
                              ids=["last-point", "every-point"])

@@ -35,6 +35,7 @@ from macfair.sim import (
     BLOCK,
     COLLISION_OUTCOME,
     DRAW_BLOCK,
+    ContentionRounds,
     SimConfig,
     _backoff_stream,
     empirical_collision_probability,
@@ -539,6 +540,74 @@ class TestCsmaReference:
                                           counters[:len(audit)])
 
 
+class TestSharedRounds:
+    """One ContentionRounds serving both modes gives each call the trace and
+    audit of a call on its own, and holds the reference counters: the rounds
+    are drawn once and only timed per mode."""
+
+    ORDERS = [(CsmaMode.RTS_CTS, CsmaMode.BASIC),
+              (CsmaMode.BASIC, CsmaMode.RTS_CTS)]
+
+    @pytest.mark.parametrize("second", ["longer", "shorter"])
+    @pytest.mark.parametrize("modes", ORDERS, ids=["rtscts-first",
+                                                   "basic-first"])
+    @pytest.mark.parametrize("cw_min,beta", TestCsmaReference.SETTINGS)
+    def test_both_modes_from_one_chain(self, cw_min, beta, modes, second):
+        params = CsmaParams(cw_min=cw_min, beta=beta, l_difs=2, l_pkt=5)
+        # About 3 * BLOCK rounds first, so the second call resumes, or
+        # stops, inside a block; the warm-ups differ between the calls.
+        horizon = 3 * BLOCK * (params.l_difs + 12 + cw_min // 3 + 1)
+        configs = [SimConfig(seed=11, horizon=horizon, warmup=500),
+                   SimConfig(seed=11, horizon=horizon * 2 if second == "longer"
+                             else horizon // 2, warmup=37)]
+        rounds = ContentionRounds(params, configs[0])
+        drawn = []
+        for mode, config in zip(modes, configs):
+            got = simulate_csma(params, config, mode, audit=True,
+                                rounds=rounds)
+            alone = simulate_csma(params, config, mode, audit=True)
+            assert _sim_digest(*got) == _sim_digest(*alone)
+            want = reference_csma_counters(params, config, mode)
+            np.testing.assert_array_equal(rounds.counter.T[:len(want)], want)
+            drawn.append(len(want))
+        # Rounds are drawn only as far as the longer call needs them: the
+        # second call resumes the loop exactly when it needs more.
+        assert rounds.counter.shape == (2, max(drawn))
+        assert (drawn[1] > drawn[0]) == (second == "longer")
+
+    def test_chain_of_another_run_rejected(self):
+        params = CsmaParams(cw_min=8, beta=3, l_difs=2, l_pkt=5)
+        config = SimConfig(seed=4, horizon=2000)
+        rounds = ContentionRounds(params, config)
+        for other_params, other_config in [
+                (params, SimConfig(seed=5, horizon=2000)),
+                (params, SimConfig(seed=4, horizon=2000, users=("A", "C"))),
+                (CsmaParams(cw_min=16, beta=3, l_difs=2, l_pkt=5), config),
+                (CsmaParams(cw_min=8, beta=4, l_difs=2, l_pkt=5), config)]:
+            with pytest.raises(TraceError, match="contention rounds drawn "
+                               "for another seed, users or window schedule"):
+                simulate_csma(other_params, other_config, rounds=rounds)
+        assert len(rounds.counter[0]) == 0
+        # Timings, the mode and the window are not part of the rounds.
+        other = CsmaParams(cw_min=8, beta=3, l_difs=7, l_pkt=50, l_rts=3)
+        simulate_csma(other, SimConfig(seed=4, horizon=900, warmup=0),
+                      CsmaMode.BASIC, rounds=rounds)
+
+    def test_window_beyond_32_bits_message(self):
+        params = CsmaParams(cw_min=3, beta=31, l_difs=1, l_pkt=1)
+        config = SimConfig(seed=0, horizon=100)
+        message = (f"cw_max={params.cw_max} above 2**32 is not supported by "
+                   "the CSMA/CA simulator")
+        rounds = ContentionRounds(CsmaParams(cw_min=3, beta=2, l_difs=1,
+                                             l_pkt=1), config)
+        for build in (lambda: simulate_csma(params, config),
+                      lambda: simulate_csma(params, config, rounds=rounds),
+                      lambda: ContentionRounds(params, config)):
+            with pytest.raises(TraceError) as exc:
+                build()
+            assert str(exc.value) == message
+
+
 class TestAlohaPinned:
     """Digests of Aloha traces for a fixed seed, with warm-ups on and off the
     slot grid: any drift in the seed-to-trace mapping fails here."""
@@ -721,6 +790,19 @@ class TestCsmaAudit:
             parts = reconstruct_parts(tr, audit, TABLE, mode, user)
             assert len(parts) > 1000
             assert parts == metrics.part_decomposition(tr, user)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_modes_share_the_round_structure(self, seed):
+        # Mode and packet length only time the rounds: from tick 0 the two
+        # modes' audits hold the same counters, up to the shorter one.
+        for params in (TABLE, CsmaParams(cw_min=4, beta=3, l_difs=1,
+                                         l_pkt=60, l_rts=5)):
+            config = SimConfig(seed=seed, horizon=50_000, warmup=0)
+            counters = [simulate_csma(params, config, mode, audit=True)[1]
+                        .counter for mode in (CsmaMode.RTS_CTS, CsmaMode.BASIC)]
+            n = min(map(len, counters))
+            assert n > 100
+            np.testing.assert_array_equal(counters[0][:n], counters[1][:n])
 
     def test_audit_file_format(self):
         _, audit = simulate_csma(TABLE, SimConfig(seed=3, horizon=20_000),

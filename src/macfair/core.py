@@ -78,16 +78,20 @@ COLLISION_CODE = 1
 IDLE_CODE = 2
 
 
+def _one_user(masks: np.ndarray) -> np.ndarray:
+    """Whether each non-negative participant mask names exactly one user,
+    as a Success event's does."""
+    return np.bitwise_count(masks) == 1
+
+
 def _kind_codes(masks: np.ndarray) -> np.ndarray:
     """The int8 kind code of each non-negative participant mask: Idle for
     no user, Success for one, Collision for two or more."""
-    # Success is 0, Collision 1 and Idle 2: (count > 1) + 2 * (count == 0).
-    codes = np.bitwise_count(masks)
-    idle = codes == 0
-    np.greater(codes, 1, out=codes.view(bool))
-    codes += idle
-    codes += idle
-    return codes.view(np.int8)
+    # Success is 0, Collision 1 and Idle 2: (not one user) + (no user).
+    codes = _one_user(masks).view(np.int8)
+    codes ^= 1
+    codes += masks == 0
+    return codes
 
 
 _KIND_TO_CODE = {EventKind.SUCCESS: SUCCESS_CODE,
@@ -193,36 +197,43 @@ def mask_dtype(n_users: int) -> np.dtype:
     return np.min_scalar_type((1 << n_users) - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChannelTrace:
     """Immutable, array-backed sequence of channel events.
 
     Events are stored as parallel numpy arrays so that ten-million-slot runs
     stay cheap to scan.  `masks` holds per-event participant sets as bitmasks
     over `users` (bit i set means users[i] took part), in `mask_dtype` of the
-    user count.  Construction rejects columns that are not one-dimensional
-    integers, and a horizon that is not a whole number, and runs
-    `validate_trace` on kinds and masks as given, narrowing them only then,
+    user count; an event's kind follows from its mask, so `kinds` is derived
+    from `masks` on first use.  Construction rejects columns that are not
+    one-dimensional integers, and a horizon that is not a whole number, and
+    runs `validate_trace` on the masks as given, narrowing them only then,
     so an out-of-range value fails with its event and never wraps; columns
-    already in their dtype are kept without a copy.  Every trace is valid.
+    already in their dtype are kept without a copy.  The `kinds` argument
+    may be omitted; when given, it is checked against the masks after
+    `validate_trace` and then dropped.  Every trace is valid.
     """
 
     users: tuple[str, ...]
     starts: np.ndarray
     ends: np.ndarray
-    kinds: np.ndarray
     masks: np.ndarray
     horizon: int
 
-    def __post_init__(self):
-        users = tuple(_check_label(u) for u in self.users)
+    def __init__(self, users, starts, ends, kinds=None, masks=None,
+                 horizon=None):
+        users = tuple(_check_label(u) for u in users)
         if len(set(users)) != len(users):
             raise TraceError("duplicate user labels")
         dtype = mask_dtype(len(users))
         object.__setattr__(self, "users", users)
-        for name in ("starts", "ends", "kinds", "masks"):
+        columns = {"starts": starts, "ends": ends, "kinds": kinds,
+                   "masks": masks}
+        if kinds is None:
+            del columns["kinds"]
+        for name, arr in columns.items():
             try:
-                arr = np.asarray(getattr(self, name))
+                arr = np.asarray(arr)
             except ValueError as exc:
                 raise TraceError(
                     f"{name} must be one-dimensional: {exc}") from None
@@ -233,14 +244,18 @@ class ChannelTrace:
                 raise TraceError(f"{name} must be integers, not {arr.dtype}")
             if arr.dtype.kind not in "iu" or name in ("starts", "ends"):
                 arr = np.ascontiguousarray(arr, np.int64)
-            object.__setattr__(self, name, arr)
-        n = len(self.starts)
-        if not (len(self.ends) == len(self.kinds) == len(self.masks) == n):
+            columns[name] = arr
+        if any(len(arr) != len(columns["starts"]) for arr in columns.values()):
             raise TraceError("event arrays have mismatched lengths")
-        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
+        kinds = columns.pop("kinds", None)
+        for name, arr in columns.items():
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "horizon", _count("horizon", horizon))
         validate_trace(self)
+        if kinds is not None and len(kinds):
+            _check_kinds(kinds, self.masks)
         for name, kind in (("starts", np.int64), ("ends", np.int64),
-                           ("kinds", np.int8), ("masks", dtype)):
+                           ("masks", dtype)):
             arr = np.ascontiguousarray(getattr(self, name), dtype=kind)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -283,10 +298,18 @@ class ChannelTrace:
             raise UnknownUserError(f"unknown user {user!r}") from None
 
     @functools.cached_property
+    def kinds(self) -> np.ndarray:
+        """Each event's int8 kind code, derived from its mask on first use;
+        read-only, and the same array on every later access."""
+        kinds = _kind_codes(self.masks)
+        kinds.setflags(write=False)
+        return kinds
+
+    @functools.cached_property
     def success_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Trace positions of the Success events and each one's user index,
         in trace order: decoded once per trace, both arrays read-only."""
-        hit = np.flatnonzero(self.kinds == SUCCESS_CODE)
+        hit = np.flatnonzero(_one_user(self.masks))
         # A Success mask is 1 << i, and mask - 1 has exactly its i lowest
         # bits set: its bit count is the user index.
         below = self.masks.take(hit)
@@ -302,7 +325,6 @@ class ChannelTrace:
         return (self.users == other.users and self.horizon == other.horizon
                 and np.array_equal(self.starts, other.starts)
                 and np.array_equal(self.ends, other.ends)
-                and np.array_equal(self.kinds, other.kinds)
                 and np.array_equal(self.masks, other.masks))
 
     # -- file format ---------------------------------------------------------
@@ -634,7 +656,7 @@ class _UsersFields:
         m = int(mask[0])
         span = self.spans.get(m)
         if span is None:
-            kind = _CODE_TO_KIND[int(_kind_codes(mask)[0])].value
+            kind = "S" if _one_user(mask)[0] else "C" if m else "I"
             users = "+".join(u for b, u in enumerate(self.users) if m >> b & 1)
             text = f"{kind},{users}".encode()
             span = self.spans[m] = len(self.text) << 32 | len(text)
@@ -755,11 +777,12 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
     """Check structural invariants; returns the trace unchanged when sound.
 
     Events must be sorted by start, non-overlapping, zero-length free, inside
-    [0, horizon], and each event's participant set must match its kind.  A
-    fault names the first event that shows it.  `ChannelTrace` construction
-    runs this check, so every trace has passed it.
+    [0, horizon], and each event's participant set must lie in the user set.
+    A fault names the first event that shows it.  `ChannelTrace` construction
+    runs this check, then checks any `kinds` it was given against the masks,
+    so every trace has passed both.
     """
-    s, e, k, m = trace.starts, trace.ends, trace.kinds, trace.masks
+    s, e, m = trace.starts, trace.ends, trace.masks
     if len(s) == 0:
         if trace.horizon < 0:
             raise TraceError("negative horizon")
@@ -769,9 +792,13 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
     if np.any(e <= s):
         i = int(np.flatnonzero(e <= s)[0])
         raise TraceError(f"event {i} is empty or reversed")
+    # Ends that are the starts' own buffer one element on tile the channel:
+    # each event starts where the previous one ends, so none overlaps.
     # Non-empty events that do not overlap are sorted, so the order pass
     # runs only to name an order fault ahead of the overlap it causes.
-    if np.any(s[1:] < e[:-1]):
+    tiled = (s.base is not None and s.base is e.base and s.strides == e.strides
+             and e.ctypes.data - s.ctypes.data == s.strides[0])
+    if not tiled and np.any(s[1:] < e[:-1]):
         if np.any(s[1:] < s[:-1]):
             i = int(np.flatnonzero(s[1:] < s[:-1])[0])
             raise OrderError(f"event {i + 1} starts before event {i}")
@@ -785,10 +812,15 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
         i = int(np.flatnonzero((m < 0) | (m >> n != 0))[0])
         raise UnknownUserError(
             f"event {i}: event mask uses bits beyond the user set")
+    return trace
+
+
+def _check_kinds(k: np.ndarray, m: np.ndarray) -> None:
+    """Check kind codes given with a trace against its masks, which
+    `validate_trace` has found non-negative."""
     if not 0 <= int(k.min()) <= int(k.max()) < 3:
         i = int(np.flatnonzero((k < 0) | (k > 2))[0])
         raise TraceError(f"event {i}: event kind codes must be 0, 1 or 2")
-    # Masks are non-negative here, so each implies its event's kind.
     bad = k != _kind_codes(m)
     if bad.any():
         for code, message in (
@@ -799,7 +831,6 @@ def validate_trace(trace: ChannelTrace) -> ChannelTrace:
             fault = bad & (k == code)
             if fault.any():
                 raise TraceError(f"event {int(fault.argmax())}: {message}")
-    return trace
 
 
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:

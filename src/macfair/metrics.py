@@ -15,7 +15,8 @@ all the refresh moments.
 With two users the runs alternate between them, so the other user first
 succeeds again at run k + 1 and the owner at k + 2: the cycle opened at
 refresh run k closes at run k + 2, if that is not the final run.  Two-user
-cycles are read off the run numbers by this rule, with no search.
+cycles are read off the run numbers by this rule, with no search: each
+user's opening and closing runs are two stride-2 slices.
 
 Any other user count takes one vectorized search that finds every user's
 cycles at once; on two-user runs it gives the same cycles as the rule, so
@@ -32,10 +33,12 @@ first run at or after run k.  One pass folds every user's table into m for
 every k at once; a second looks each owner's closes up in its own table.
 
 Every metric but `throughput` reads the success sequence from
-`ChannelTrace.success_index`, decoded once per trace.  Cycles, and the two
-parts of a two-user cycle, are found as run numbers and mapped back to
-positions in the success sequence; end times are gathered at those positions
-last.
+`ChannelTrace.success_index`, decoded once per trace from the masks;
+`throughput` reads the masks itself, block by block.  No metric reads
+`ChannelTrace.kinds`.  Cycles, and the two parts of a two-user cycle, are
+found as run numbers and mapped back to positions in the success sequence;
+end times are gathered at those positions last, and the two-user rule's
+slices make each user's samples one subtraction of two views.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUCCESS_CODE, ChannelTrace, TraceError, _int_list
+from .core import ChannelTrace, TraceError, _int_list, _one_user
 
 
 class TooFewUsersError(TraceError):
@@ -85,23 +88,23 @@ def _run_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n <= _INT32_RUNS else np.int64)
 
 
-def _cycle_runs(label: np.ndarray,
-                n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _cycle_runs(label: np.ndarray, n_users: int) -> list[tuple]:
     """Runs opening and closing each user's cycles: one (start, close) pair
-    of arrays a user, of `_run_dtype`.
+    a user, each an index into per-run arrays.
 
     Two users' runs alternate, so the cycle opened at run k closes at run
-    k + 2 and is kept while k + 2 is before the final run, k <= n - 4.  Any
-    other user count takes `_cycle_search`.
+    k + 2 and is kept while k + 2 is before the final run, k <= n - 4: each
+    user's starts and closes are two stride-2 slices.  Any other user count
+    takes `_cycle_search`, whose pairs are arrays of `_run_dtype`.
     """
     if n_users != 2:
         return _cycle_search(label, n_users)
     n = len(label)
-    dtype = _run_dtype(n)
+    stop = max(n - 3, 0)
     # The user owning run 0 opens at the even runs, the other at the odd.
     owner = int(label[0]) if n else 0
-    starts = (np.arange(v ^ owner, n - 3, 2, dtype) for v in range(2))
-    return [(start, start + 2) for start in starts]
+    return [(slice(v ^ owner, stop, 2), slice((v ^ owner) + 2, stop + 2, 2))
+            for v in range(2)]
 
 
 def _cycle_search(label: np.ndarray,
@@ -148,7 +151,7 @@ def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
     i = trace.user_index(user)
     label, t = _run_ends(trace)
     start, close = _cycle_runs(label, len(trace.users))[i]
-    return np.column_stack([t.take(start), t.take(close)])
+    return np.column_stack([t[start], t[close]])
 
 
 def cycle_times(trace: ChannelTrace, user: str) -> np.ndarray:
@@ -204,7 +207,7 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     if len(trace.users) < 2:
         raise TooFewUsersError("channel cycle time needs at least two users")
     label, t = _run_ends(trace)
-    samples = {u: t.take(close) - t.take(start) for u, (start, close)
+    samples = {u: t[close] - t[start] for u, (start, close)
                in zip(trace.users, _cycle_runs(label, len(trace.users)))}
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
     if missing:
@@ -287,12 +290,13 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
         raise TooFewUsersError("the two-part split is defined for two-user traces")
     i = trace.user_index(user)
     hit, last, label = _success_runs(trace)
-    runs = _cycle_runs(label, 2)[i]
-    start, close = (last.take(r) for r in runs)
+    opens, closes = _cycle_runs(label, 2)[i]
     # Runs alternate between the two users: the run after the start is the
     # other user's turn, the close is the run after that, and the success
     # right after the other user's run is the split.
-    split = last.take(runs[0] + 1) + 1
+    turns = slice(opens.start + 1, opens.stop + 1, 2)
+    start, close = last[opens], last[closes]
+    split = last[turns] + 1
     t0, t_split, t1 = (trace.ends.take(hit.take(p))
                        for p in (start, split, close))
     n_b = split - start - 1
@@ -316,6 +320,6 @@ def throughput(trace: ChannelTrace) -> float:
     for lo in range(0, len(trace), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         length = trace.ends[block] - trace.starts[block]
-        length *= trace.kinds[block] == SUCCESS_CODE
+        length *= _one_user(trace.masks[block])
         busy += int(length.sum())
     return busy / trace.horizon

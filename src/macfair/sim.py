@@ -27,10 +27,12 @@ Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
 boundary array `edge` describes them all: event i spans [edge[i], edge[i+1]).
 A simulator hands over these boundaries and each event's participant mask
-only; an event's kind follows from its mask, by the rule `validate_trace`
-checks.  The warm-up and horizon window then keeps one contiguous run of
-events, which `_window_trace` finds by binary search and slices instead of
-filtering.
+only; an event's kind follows from its mask, and `ChannelTrace.kinds`
+derives it only when read.  The warm-up and horizon window then keeps one
+contiguous run of events, which `_window_trace` finds by binary search and
+slices instead of filtering.  The trace's starts and ends are two views of
+that slice of `edge`, one element apart, so `validate_trace` knows from
+their memory alone that no two events overlap.
 """
 from __future__ import annotations
 
@@ -48,7 +50,6 @@ from .core import (
     CsmaParams,
     TraceError,
     _count,
-    _kind_codes,
     mask_dtype,
 )
 
@@ -175,8 +176,7 @@ def _window_trace(users, edge, masks, warmup: int,
     lo, hi = _span(edge, horizon)
     e = edge[lo:hi + 1]
     masks = masks[lo:hi]
-    return ChannelTrace(users, e[:-1], e[1:], _kind_codes(masks), masks,
-                        horizon)
+    return ChannelTrace(users, e[:-1], e[1:], masks=masks, horizon=horizon)
 
 
 # Aloha slots drawn a block at a time per user: one float64 buffer of this

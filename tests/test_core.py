@@ -1,4 +1,5 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
+import dataclasses
 import io
 import itertools
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 import macfair
-from macfair import core
+from macfair import core, metrics
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -84,6 +85,17 @@ class TestChannelEvent:
             collision(200, 206, ("A", "B")).user
 
 
+_KIND_MISMATCHES = [
+    (SUCCESS_CODE, 0, TraceError, "Success events must name exactly one"),
+    (SUCCESS_CODE, 3, TraceError, "Success events must name exactly one"),
+    (COLLISION_CODE, 1, TraceError, "Collision events must name at least"),
+    (IDLE_CODE, 1, TraceError, "Idle events must name no users"),
+    (SUCCESS_CODE, -1, UnknownUserError, "bits beyond the user set"),
+]
+_KIND_MISMATCH_IDS = ["success-empty", "success-two", "collision-one",
+                      "idle-one", "negative-mask"]
+
+
 def _assert_matches_oracle(raw):
     """Construction raises the oracle's fault, naming its event, or builds a
     trace whose success index is the one an event scan gives."""
@@ -127,18 +139,51 @@ class TestValidateTrace:
                            match="event 0: event mask uses bits beyond"):
             ChannelTrace(("A", "B"), [0], [1], [0], [4], 2)
 
-    @pytest.mark.parametrize("kind,mask,error,message", [
-        (SUCCESS_CODE, 0, TraceError, "Success events must name exactly one"),
-        (SUCCESS_CODE, 3, TraceError, "Success events must name exactly one"),
-        (COLLISION_CODE, 1, TraceError, "Collision events must name at least"),
-        (IDLE_CODE, 1, TraceError, "Idle events must name no users"),
-        (SUCCESS_CODE, -1, UnknownUserError, "bits beyond the user set"),
-    ], ids=["success-empty", "success-two", "collision-one", "idle-one",
-            "negative-mask"])
+    @pytest.mark.parametrize("kind,mask,error,message", _KIND_MISMATCHES,
+                             ids=_KIND_MISMATCH_IDS)
     def test_kind_mask_mismatch(self, kind, mask, error, message):
         with pytest.raises(error, match=f"event 1: .*{message}"):
             ChannelTrace(("A", "B"), [0, 1], [1, 2], [SUCCESS_CODE, kind],
                          [1, mask], 2)
+
+    @pytest.mark.parametrize("kind,mask,error,message", _KIND_MISMATCHES,
+                             ids=_KIND_MISMATCH_IDS)
+    def test_kind_mask_mismatch_on_tiled_views(self, kind, mask, error,
+                                               message):
+        # Bounds that are one buffer skip the overlap pass, not the kinds.
+        edge = np.arange(3)
+        with pytest.raises(error, match=f"event 1: .*{message}"):
+            ChannelTrace(("A", "B"), edge[:-1], edge[1:],
+                         [SUCCESS_CODE, kind], [1, mask], 2)
+
+    def test_one_buffer_one_apart_validates(self):
+        edge = np.array([0, 3, 5, 9, 10])
+        tr = ChannelTrace(("A", "B"), edge[:-1], edge[1:], masks=[1, 2, 0, 3],
+                          horizon=10)
+        assert validate_trace(tr) is tr
+        assert np.shares_memory(tr.starts, tr.ends)
+        assert tr == ChannelTrace(("A", "B"), edge[:-1].copy(),
+                                  edge[1:].copy(), masks=[1, 2, 0, 3],
+                                  horizon=10)
+
+    @pytest.mark.parametrize("buf,layout,pair", [
+        # One buffer, ends two apart: [0, 2), [1, 3), ... each overlaps.
+        ([0, 1, 2, 3, 4], lambda b: (b[:-2], b[2:]), "0 and 1"),
+        # One buffer, interleaved: [0, 5) and [3, 8) overlap.
+        ([0, 5, 3, 8], lambda b: (b[0::2], b[1::2]), "0 and 1"),
+        # Ends one element on but at twice the stride: [1, 3) and [2, 5).
+        (range(8), lambda b: (b[:4], b[1::2]), "1 and 2"),
+        ([0, 1, 2, 3, 4], lambda b: (b[:-2].copy(), b[2:].copy()), "0 and 1"),
+    ], ids=["two-apart", "interleaved", "mixed-strides", "copies"])
+    def test_other_layouts_still_compared(self, buf, layout, pair):
+        starts, ends = layout(np.array(buf))
+        masks = np.ones(len(starts), np.uint8)
+        # Construction copies the strided views, so the namespace hands
+        # them to the check as they are.
+        for build in (ChannelTrace, types.SimpleNamespace):
+            with pytest.raises(OverlapError, match=f"events {pair} overlap"):
+                validate_trace(build(users=("A",), starts=starts, ends=ends,
+                                     masks=masks, horizon=10))
 
     @pytest.mark.parametrize("code", [7, 3, -1])
     def test_unknown_kind_code(self, code):
@@ -233,6 +278,76 @@ class TestKindCodes:
         got = core._kind_codes(masks)
         assert got.dtype == np.int8
         assert got.tolist() == self._expected(masks)
+
+
+class TestKindsView:
+    """`ChannelTrace.kinds` is derived from the masks on first read; the
+    simulators, the metrics and the writer never derive it."""
+
+    def test_pipeline_never_derives_kinds(self):
+        cfg = SimConfig(seed=3, horizon=20_000)
+        with mock.patch.object(core, "_kind_codes",
+                               side_effect=AssertionError("kinds derived")):
+            traces = [simulate_aloha(AlohaParams(0.5, 0.5), cfg),
+                      simulate_csma(CsmaParams(32, 5, 4, 30), cfg),
+                      simulate_tdma([3, 5], cfg)]
+            for tr in traces:
+                metrics.channel_cycle_time(tr)
+                metrics.throughput(tr)
+                metrics.inter_transmission_report(tr)
+                tr.write(io.StringIO())
+            with pytest.raises(AssertionError, match="kinds derived"):
+                traces[0].kinds
+        for tr in traces:
+            assert np.array_equal(tr.kinds, core._kind_codes(tr.masks))
+
+    def test_derived_once_and_read_only(self, fig_trace):
+        kinds = fig_trace.kinds
+        assert fig_trace.kinds is kinds
+        assert kinds.dtype == np.int8
+        assert np.array_equal(kinds, core._kind_codes(fig_trace.masks))
+        assert not kinds.flags.writeable
+        with pytest.raises(ValueError):
+            kinds[0] = IDLE_CODE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fig_trace.kinds = kinds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fig_trace.kinds
+
+    def test_given_kinds_dropped_and_equality_ignores_them(self, fig_trace):
+        given = ChannelTrace(fig_trace.users, fig_trace.starts, fig_trace.ends,
+                             fig_trace.kinds, fig_trace.masks,
+                             fig_trace.horizon)
+        omitted = ChannelTrace(fig_trace.users, fig_trace.starts,
+                               fig_trace.ends, masks=fig_trace.masks,
+                               horizon=fig_trace.horizon)
+        assert "kinds" not in vars(given) and "kinds" not in vars(omitted)
+        # Equality compares the stored columns and derives no kinds.
+        assert given == omitted == fig_trace
+        assert "kinds" not in vars(given) and "kinds" not in vars(omitted)
+
+    def test_fields_and_replace(self, fig_trace):
+        assert [f.name for f in dataclasses.fields(ChannelTrace)] == \
+            ["users", "starts", "ends", "masks", "horizon"]
+        longer = dataclasses.replace(fig_trace, horizon=fig_trace.horizon + 5)
+        assert longer.horizon == fig_trace.horizon + 5
+        assert np.array_equal(longer.kinds, fig_trace.kinds)
+        # A kinds change is checked against the masks like any given kinds.
+        with pytest.raises(TraceError,
+                           match="event 0: Idle events must name no users"):
+            dataclasses.replace(fig_trace, kinds=[IDLE_CODE] * len(fig_trace))
+
+    def test_round_trips_keep_kinds(self, fig_trace):
+        events = list(fig_trace.events())
+        built = ChannelTrace.from_events(fig_trace.users, events,
+                                         fig_trace.horizon)
+        fp = io.StringIO()
+        fig_trace.write(fp)
+        fp.seek(0)
+        for tr in (built, ChannelTrace.read(fp)):
+            assert tr == fig_trace
+            assert tr.kinds.tolist() == fig_trace.kinds.tolist()
+            assert list(tr.events()) == events
 
 
 class TestSuccessIndex:

@@ -407,10 +407,13 @@ class TestRunSearch:
         def search(dtype):
             assert metrics._run_dtype(len(label)) == dtype
             runs = metrics._cycle_runs(label, len(tr.users))
-            assert all(r.dtype == dtype for pair in runs for r in pair)
+            # The two-user rule's slices hold no run numbers to widen.
+            assert all(isinstance(r, slice) if len(tr.users) == 2
+                       else r.dtype == dtype for pair in runs for r in pair)
             parts = ([part_decomposition(tr, u) for u in tr.users]
                      if len(tr.users) == 2 else None)
-            return [r.tolist() for pair in runs for r in pair], \
+            return [_run_numbers(r, len(label)).tolist()
+                    for pair in runs for r in pair], \
                 channel_cycle_time(tr), parts
 
         runs, rep, parts = search(np.int32)
@@ -423,9 +426,14 @@ class TestRunSearch:
                                   rep.per_user_samples[user])
 
 
+def _run_numbers(r, n: int) -> np.ndarray:
+    """The run numbers a `_cycle_runs` index picks out of n runs."""
+    return np.arange(n)[r] if isinstance(r, slice) else r
+
+
 def _rule_and_search(label: np.ndarray, wide: bool) -> None:
-    """The two-user rule gives the search's cycles, at the int32 width or,
-    with `wide`, at int64."""
+    """The two-user rule's slices pick the search's cycles, found at the
+    int32 width or, with `wide`, at int64."""
     n = len(label)
     limit = n - 1 if wide else metrics._INT32_RUNS
     with mock.patch.object(metrics, "_INT32_RUNS", limit):
@@ -436,8 +444,8 @@ def _rule_and_search(label: np.ndarray, wide: bool) -> None:
     assert len(got) == len(want) == 2
     for pair, want_pair in zip(got, want):
         for r, w in zip(pair, want_pair):
-            assert r.dtype == w.dtype == dtype
-            assert np.array_equal(r, w)
+            assert isinstance(r, slice) and w.dtype == dtype
+            assert np.array_equal(_run_numbers(r, n), w)
 
 
 class TestTwoUserRule:

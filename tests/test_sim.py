@@ -135,9 +135,10 @@ class TestAloha:
 
 
 def _held_bytes(trace) -> int:
-    """Bytes of the buffers a trace's columns keep alive, each counted once."""
+    """Bytes of the buffers a trace's stored columns keep alive, each
+    counted once; `kinds` is derived on read, so it is not touched."""
     owners = {}
-    for a in (trace.starts, trace.ends, trace.kinds, trace.masks):
+    for a in (trace.starts, trace.ends, trace.masks):
         owner = a if a.base is None else a.base
         owners[id(owner)] = owner.nbytes
     return sum(owners.values())
@@ -145,9 +146,9 @@ def _held_bytes(trace) -> int:
 
 class TestAlohaMemory:
     """What a 1e6-slot Aloha run allocates, by tracemalloc.  The trace keeps
-    one boundary buffer shared by starts and ends, uint8 masks and int8
-    kinds: 10 bytes an event plus the closing boundary.  With no warm-up
-    every simulated event is kept, so nothing else may count."""
+    one boundary buffer shared by starts and ends, and uint8 masks: 9 bytes
+    an event plus the closing boundary.  With no warm-up every simulated
+    event is kept, so nothing else may count."""
 
     SLOTS = 1_000_000
 
@@ -161,7 +162,8 @@ class TestAlohaMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert _held_bytes(trace) <= 10 * len(trace) + 8
+        assert _held_bytes(trace) <= 9 * len(trace) + 8
+        assert "kinds" not in vars(trace)
         assert peak - base < 25 * self.SLOTS
 
     def test_cycle_search_peak(self):

@@ -28,9 +28,12 @@ after k, or the owner's run at or after m is the final run or does not
 exist, no cycle starts at k.  When the owner comes back last, m is that
 return itself; otherwise the close is the owner's first refresh run after
 every other user has succeeded.
-Both steps read first-run tables: entry k of a user's table is the user's
-first run at or after run k.  One pass folds every user's table into m for
-every k at once; a second looks each owner's closes up in its own table.
+m comes from next-run pointers: point every run at its owner's next run,
+or at n past the owner's last.  A user with a run at or before k next
+appears at the pointer of its last such run, the largest of its pointers
+up to k, and a user with none first appears at its first run.  So m is the
+running maximum of the pointers up to k, raised to the latest first run
+over users.  Each owner's closes are then one binary search in its runs.
 
 Every metric but `throughput` reads the success sequence from
 `ChannelTrace.success_index`, decoded once per trace from the masks;
@@ -69,25 +72,6 @@ def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
     return label, trace.ends.take(hit.take(last))
 
 
-def _first_at(r: np.ndarray) -> np.ndarray:
-    """The first-run table of sorted runs r ending in the sentinel n: entry k,
-    for k in 0..n, is the first of r at or after run k."""
-    # r[i] fills entries r[i - 1] + 1 .. r[i], and r[0] entries 0 .. r[0].
-    repeats = np.empty(len(r), np.intp)
-    repeats[0] = r[0] + 1
-    np.subtract(r[1:], r[:-1], out=repeats[1:])
-    return np.repeat(r, repeats)
-
-
-# The most runs whose numbers, and the sentinel n, the search holds as int32.
-_INT32_RUNS = np.iinfo(np.int32).max
-
-
-def _run_dtype(n: int) -> np.dtype:
-    """The narrowest of int32 and int64 that holds run numbers 0..n."""
-    return np.dtype(np.int32 if n <= _INT32_RUNS else np.int64)
-
-
 def _cycle_runs(label: np.ndarray, n_users: int) -> list[tuple]:
     """Runs opening and closing each user's cycles: one (start, close) pair
     a user, each an index into per-run arrays.
@@ -95,7 +79,7 @@ def _cycle_runs(label: np.ndarray, n_users: int) -> list[tuple]:
     Two users' runs alternate, so the cycle opened at run k closes at run
     k + 2 and is kept while k + 2 is before the final run, k <= n - 4: each
     user's starts and closes are two stride-2 slices.  Any other user count
-    takes `_cycle_search`, whose pairs are arrays of `_run_dtype`.
+    takes `_cycle_search`, whose pairs are arrays of run numbers.
     """
     if n_users != 2:
         return _cycle_search(label, n_users)
@@ -109,24 +93,21 @@ def _cycle_runs(label: np.ndarray, n_users: int) -> list[tuple]:
 
 def _cycle_search(label: np.ndarray,
                   n_users: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Runs opening and closing each user's cycles, by the search of the
-    module docstring, for any number of users."""
+    """Runs opening and closing each user's cycles, by the next-run rule of
+    the module docstring, for any number of users."""
     n = len(label)
-    dtype = _run_dtype(n)
-    # For every run k but the final one, the latest among every user's first
-    # run after k; n when some user has none.
-    latest = np.zeros(max(n - 1, 0), dtype)
-    runs = []
-    for v in range(n_users):
-        # v's runs, closed by the sentinel n.
-        runs.append(np.concatenate((np.flatnonzero(label == v), [n]))
-                    .astype(dtype, copy=False))
-        # Entry k + 1 of v's table is v's first run after k.
-        np.maximum(latest, _first_at(runs[v])[1:n], out=latest)
+    # Each user's runs, closed by the sentinel n.
+    runs = [np.append(np.flatnonzero(label == v), n) for v in range(n_users)]
+    # Every run points at its owner's next run; then entry k becomes m.
+    latest = np.empty(n, np.intp)
+    for r in runs:
+        latest[r[:-1]] = r[1:]
+    np.maximum.accumulate(latest, out=latest)
+    np.maximum(latest, max(int(r[0]) for r in runs), out=latest)
     cycles = []
     for r in runs:
         start = r[:np.searchsorted(r, n - 1)]  # every run but the final one
-        close = _first_at(r).take(latest.take(start))
+        close = r.take(np.searchsorted(r, latest.take(start)))
         # latest never decreases, so neither does close: the cycles that
         # close before the final run are a prefix.
         k = np.count_nonzero(close < n - 1)

@@ -580,6 +580,25 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--pkt-range=-10:0:10",), "bad duration '-10'; use slots or <n>us"),
+        # TDMA is the first default protocol, so it meets the point first.
+        (("--pkt-range", "0:0:1"), "packet lengths must be at least 1 slot"),
+        (("--protocols", "aloha", "--pkt-range", "0:0:1"),
+         "slot length must be at least 1 tick"),
+        (("--protocols", "csma-basic", "--pkt-range", "0:0:1"),
+         "l_pkt must be at least 1 slot"),
+        (("--protocols", "aloha", "--p-range", "0.5:1.5:0.5"),
+         "cycle time needs both probabilities inside (0, 1)"),
+        (("--protocols", "csma-basic", "--cw-range", "0:0:1"),
+         "cw_min must be at least 1"),
+    ], ids=["negative-pkt", "zero-pkt-tdma", "zero-pkt-aloha",
+            "zero-pkt-csma", "p-past-one", "zero-cw"])
+    def test_bad_point_is_exit_1(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", *flags, "--slots", "1000")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("protocols,axis,text", [
         ("aloha", "--pkt-range", "100:30:10"),
         ("aloha", "--p-range", "0.8:0.2:0.1"),
@@ -847,3 +866,19 @@ class TestReadmeExamples:
         argv = shlex.split(line, comments=True)
         assert argv[0] == "macfair"
         cli.build_parser().parse_args(argv[1:])
+
+
+def test_runtime_needs_numpy_alone():
+    # The package declares numpy as its one dependency: with the test
+    # extras made unimportable, it still imports and runs.
+    code = ("import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "import macfair\n"
+            "from macfair.cli import main\n"
+            "assert main(['simulate', '--protocol', 'aloha',"
+            " '--slots', '2000']) == 0\n"
+            "assert main(['analytic', 'csma', '--pkt', '30']) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr

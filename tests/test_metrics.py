@@ -311,6 +311,11 @@ _SEARCH_CASES = {
     "nuser-5-seed-1": lambda: helpers.nuser_trace(1, 100_000, 5),
     "nuser-5-seed-2": lambda: helpers.nuser_trace(2, 100_000, 5),
     "nuser-3": lambda: helpers.nuser_trace(3, 100_000, 3),
+    "nuser-12": lambda: helpers.nuser_trace(4, 100_000, 12),
+    "tdma-63": lambda: simulate_tdma(
+        [1 + i % 5 for i in range(63)],
+        SimConfig(seed=0, horizon=60_000,
+                  users=tuple(f"U{i:02d}" for i in range(63)))),
     "one-user-stops": _never_again_trace,
 }
 
@@ -396,55 +401,21 @@ class TestRunSearch:
                 with pytest.raises(TooFewUsersError):
                     part_decomposition(tr, user)
 
-    @pytest.mark.parametrize("make", list(_SEARCH_CASES.values()),
-                             ids=list(_SEARCH_CASES))
-    def test_int64_runs_give_the_same_cycles(self, make, monkeypatch):
-        # Run numbers are int32 while the run count fits; past the limit
-        # the search takes int64, with the same results.
-        tr = make()
-        label = metrics._run_ends(tr)[0]
-
-        def search(dtype):
-            assert metrics._run_dtype(len(label)) == dtype
-            runs = metrics._cycle_runs(label, len(tr.users))
-            # The two-user rule's slices hold no run numbers to widen.
-            assert all(isinstance(r, slice) if len(tr.users) == 2
-                       else r.dtype == dtype for pair in runs for r in pair)
-            parts = ([part_decomposition(tr, u) for u in tr.users]
-                     if len(tr.users) == 2 else None)
-            return [_run_numbers(r, len(label)).tolist()
-                    for pair in runs for r in pair], \
-                channel_cycle_time(tr), parts
-
-        runs, rep, parts = search(np.int32)
-        monkeypatch.setattr(metrics, "_INT32_RUNS", len(label) - 1)
-        wide_runs, wide_rep, wide_parts = search(np.int64)
-        assert wide_runs == runs and wide_parts == parts
-        assert wide_rep.psi_slots == rep.psi_slots
-        for user in tr.users:
-            assert np.array_equal(wide_rep.per_user_samples[user],
-                                  rep.per_user_samples[user])
-
 
 def _run_numbers(r, n: int) -> np.ndarray:
     """The run numbers a `_cycle_runs` index picks out of n runs."""
     return np.arange(n)[r] if isinstance(r, slice) else r
 
 
-def _rule_and_search(label: np.ndarray, wide: bool) -> None:
-    """The two-user rule's slices pick the search's cycles, found at the
-    int32 width or, with `wide`, at int64."""
+def _rule_and_search(label: np.ndarray) -> None:
+    """The two-user rule's slices pick the search's cycles."""
     n = len(label)
-    limit = n - 1 if wide else metrics._INT32_RUNS
-    with mock.patch.object(metrics, "_INT32_RUNS", limit):
-        dtype = metrics._run_dtype(n)
-        assert dtype == (np.int64 if wide else np.int32)
-        got = metrics._cycle_runs(label, 2)
-        want = metrics._cycle_search(label, 2)
+    got = metrics._cycle_runs(label, 2)
+    want = metrics._cycle_search(label, 2)
     assert len(got) == len(want) == 2
     for pair, want_pair in zip(got, want):
         for r, w in zip(pair, want_pair):
-            assert isinstance(r, slice) and w.dtype == dtype
+            assert isinstance(r, slice) and w.dtype == np.intp
             assert np.array_equal(_run_numbers(r, n), w)
 
 
@@ -452,13 +423,12 @@ class TestTwoUserRule:
     """The two-user cycle rule (close = start + 2 runs) against the general
     search it bypasses, and a guard that it does bypass it."""
 
-    @given(st.integers(0, 80), st.integers(0, 1), st.booleans())
+    @given(st.integers(0, 80), st.integers(0, 1))
     @settings(max_examples=300, deadline=None)
-    def test_matches_search(self, n, first, wide):
+    def test_matches_search(self, n, first):
         # The run labels of a two-user trace: n runs alternating from `first`.
-        _rule_and_search(((np.arange(n) + first) % 2).astype(np.uint8), wide)
+        _rule_and_search(((np.arange(n) + first) % 2).astype(np.uint8))
 
-    @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
     @pytest.mark.parametrize("pattern", [
         "", "A", "B", "AB", "BA", "ABA", "BAB", "ABAB", "BABA",
         "AAAA", "BBBB"],
@@ -466,13 +436,13 @@ class TestTwoUserRule:
              "2-runs-B-first", "3-runs-A-first", "3-runs-B-first",
              "4-runs-A-first", "4-runs-B-first", "only-A-succeeds",
              "only-B-succeeds"])
-    def test_short_cases(self, pattern, wide):
+    def test_short_cases(self, pattern):
         events = [success(i, i + 1, u) for i, u in enumerate(pattern)]
         tr = ChannelTrace.from_events(("A", "B"), events, len(pattern))
         label = metrics._run_ends(tr)[0]
         assert label.tolist() == [tr.user_index(u)
                                   for u, _ in itertools.groupby(pattern)]
-        _rule_and_search(label, wide)
+        _rule_and_search(label)
         for user in tr.users:
             assert cycle_intervals(tr, user).tolist() == \
                 [list(p) for p in helpers.brute_cycle_intervals(tr, user)]
@@ -496,13 +466,13 @@ class TestTwoUserRule:
                     [part_decomposition(tr, u) for u in tr.users])
 
         want = results()
-        with mock.patch.object(metrics, "_first_at",
-                               side_effect=AssertionError("first-run table")):
+        with mock.patch.object(metrics, "_cycle_search",
+                               side_effect=AssertionError("cycle search")):
             assert results() == want
 
     def test_three_users_search(self):
         tr = helpers.nuser_trace(3, 2_000, 3)
-        with mock.patch.object(metrics, "_first_at",
-                               side_effect=AssertionError("first-run table")):
-            with pytest.raises(AssertionError, match="first-run table"):
+        with mock.patch.object(metrics, "_cycle_search",
+                               side_effect=AssertionError("cycle search")):
+            with pytest.raises(AssertionError, match="cycle search"):
                 channel_cycle_time(tr)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import (aloha_cycle_pmf, reference_aloha_trace,
+from helpers import (aloha_cycle_pmf, nuser_trace, reference_aloha_trace,
                      reference_csma_counters)
 from macfair import analytic, metrics, sim
 from macfair.core import (
@@ -166,11 +166,8 @@ class TestAlohaMemory:
         assert "kinds" not in vars(trace)
         assert peak - base < 25 * self.SLOTS
 
-    def test_cycle_search_peak(self):
-        # A cold call decodes the success index too; the run search's int64
-        # temporaries must not outlive their pass.
-        trace = simulate_aloha(AlohaParams(0.5, 0.5),
-                               SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
+    @staticmethod
+    def _cycle_time_peak(trace) -> int:
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
@@ -178,10 +175,23 @@ class TestAlohaMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base < 35 * len(trace.success_index[0])
-        # The run lists, `latest` and the first-run tables are int32 when
-        # the run count fits.
-        assert peak - base < 28 * len(trace.success_index[0])
+        return peak - base
+
+    def test_cycle_search_peak(self):
+        # A cold call decodes the success index too; the two-user rule
+        # slices the run end times and builds no run-number array.
+        trace = simulate_aloha(AlohaParams(0.5, 0.5),
+                               SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
+        peak = self._cycle_time_peak(trace)
+        assert peak < 35 * len(trace.success_index[0])
+        assert peak < 28 * len(trace.success_index[0])
+
+    def test_nuser_search_peak(self):
+        # Five users take the next-run search: the run lists, `latest` and
+        # each owner's starts and closes, as intp run numbers.
+        trace = nuser_trace(7, 1_000_000, 5)
+        peak = self._cycle_time_peak(trace)
+        assert peak < 36 * len(trace.success_index[0])
 
     def test_throughput_peak(self):
         # At most an int64 length and a bool mask an event: the temporaries

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -97,10 +98,19 @@ def _predict(protocol: str, params, args) -> analytic.AnalyticCct:
                              mode=_CSMA_MODES[protocol], p_c=args.p_c)
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # not both exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_simulate(args) -> int:
     mps = args.micros_per_slot
     if args.audit_out and args.protocol not in _CSMA_MODES:
         raise TraceError("--audit-out applies to CSMA only")
+    if args.out and args.audit_out and _same_file(args.out, args.audit_out):
+        raise TraceError("--out and --audit-out name the same file")
     users = tuple(args.users.split(","))
     config = SimConfig(seed=args.seed, horizon=args.slots, users=users,
                        warmup=args.warmup)
@@ -110,11 +120,20 @@ def cmd_simulate(args) -> int:
     # Every figure before any file or output, so that an error leaves none.
     report = metrics.channel_cycle_time(trace)
     busy = metrics.throughput(trace)
-    if args.out:
-        trace.to_file(args.out)
-    if audit_rec is not None:
-        with open(args.audit_out, "w", encoding="utf-8") as fp:
-            write_audit(audit_rec, fp)
+    # An output that cannot be opened or written leaves no new file.
+    new = [p for p in (args.out, args.audit_out)
+           if p and not os.path.lexists(p)]
+    try:
+        if args.out:
+            trace.to_file(args.out)
+        if audit_rec is not None:
+            with open(args.audit_out, "w", encoding="utf-8") as fp:
+                write_audit(audit_rec, fp)
+    except BaseException:
+        for path in new:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     psi = "nan" if report.psi_slots is None else f"{report.psi_slots:.6f}"
     psi_us = "nan" if report.psi_slots is None \
         else f"{report.psi_slots * mps:.6f}"
@@ -264,7 +283,12 @@ def cmd_sweep(args) -> int:
             "n_ok"]
     for pi, (label, flags) in enumerate(points):
         point_args = argparse.Namespace(**{**vars(args), **flags})
+        # Build then predict per protocol: a bad point fails on the first
+        # protocol it breaks.
         params, predicted = [], []
+        for protocol in protocols:
+            params.append(_build_params(protocol, point_args))
+            predicted.append(_predict(protocol, params[-1], args).psi_slots)
         sampled = [[] for _ in protocols]
         for rep in range(args.reps):
             config = SimConfig(seed=_run_seed(args.seed, pi, rep),
@@ -274,12 +298,6 @@ def cmd_sweep(args) -> int:
             # dropped before the next rep's are drawn.
             rounds = None
             for i, protocol in enumerate(protocols):
-                if rep == 0:
-                    # Built at first use, so a bad point fails as it did when
-                    # each protocol ran all its reps before the next.
-                    params.append(_build_params(protocol, point_args))
-                    predicted.append(
-                        _predict(protocol, params[i], args).psi_slots)
                 if protocol in _CSMA_MODES and rounds is None:
                     rounds = ContentionRounds(params[i], config)
                 # No name holds the trace, so it is freed before the next run.

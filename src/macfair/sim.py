@@ -21,7 +21,9 @@ recorded.  So the counters at every round start depend only on the seed, the
 users and the window schedule; the mode and the packet length only time the
 rounds.  A `ContentionRounds` holds a run's counters and serves every mode
 and packet length with that seed, users and windows, drawing further rounds
-only when a run reaches past those drawn, with the same values.
+only when a run reaches past those drawn, with the same values.  It also
+times them for the caller's mode, and `simulate_csma` takes every event
+boundary from their end ticks.
 
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
@@ -307,10 +309,11 @@ class ContentionRounds:
     A round's counters depend on the earlier rounds' counters and on each
     user's stream alone, never on time, so they are the same for every mode
     and packet length with the same seed, users and windows (`_rounds_key`).
-    One instance serves every such `simulate_csma` call: a call whose cutoff
-    lies within the rounds drawn counts its rounds off their lengths, and one
-    past them resumes the round loop from the saved state, at the time that
-    call's round lengths give the last round's end.
+    One instance serves every such `simulate_csma` call.  `upto` is the one
+    place a round is timed: it times the rounds drawn for the caller's mode,
+    resuming the round loop from the last one's end tick when a call's
+    cutoff lies past them, and `simulate_csma` takes every event boundary
+    from the busy lengths and end ticks it returns.
     """
 
     def __init__(self, params: CsmaParams, config: SimConfig):
@@ -327,25 +330,24 @@ class ContentionRounds:
         # Both counters at every round start drawn so far.
         self.counter = np.empty((2, 0), np.int64)
 
-    def upto(self, params: CsmaParams, mode: CsmaMode,
-             cutoff: int) -> np.ndarray:
-        """Both counters of every round starting before tick `cutoff`, as a
-        (2, n) array, the rounds timed by `params.busy_slots(mode)`."""
+    def upto(self, params: CsmaParams, mode: CsmaMode, cutoff: int):
+        """(counter, busy, ends) of the rounds starting before tick `cutoff`,
+        timed by `params.busy_slots(mode)`: both counters at each round start
+        as a (2, n) array, each round's busy slots and its end tick."""
         succ_len, coll_len = params.busy_slots(mode)
-        t = 0
-        if self.counter.shape[1]:
+        while True:
             # Each round: a DIFS, the smaller backoff, then a success's busy
-            # period, or a collision's when the counters tie.
+            # period, or a collision's when the counters tie.  Round k spans
+            # [edge[k], edge[k + 1]).
             c0, c1 = self.counter
-            busy = np.where(c0 == c1, coll_len, succ_len) + params.l_difs
-            ends = np.cumsum(np.minimum(c0, c1) + busy)
-            if ends[-1] >= cutoff:
-                # Round 0 starts at 0 < cutoff; round k + 1 where k ends.
-                return self.counter[:, :1 + int(np.searchsorted(ends, cutoff))]
-            t = int(ends[-1])
-        self._extend(t, params.l_difs + succ_len, params.l_difs + coll_len,
-                     cutoff)
-        return self.counter
+            busy = np.where(c0 == c1, coll_len, succ_len)
+            edge = np.zeros(len(busy) + 1, np.int64)
+            np.cumsum(np.minimum(c0, c1) + busy + params.l_difs, out=edge[1:])
+            if edge[-1] >= cutoff:
+                n = int(np.searchsorted(edge, cutoff))
+                return self.counter[:, :n], busy[:n], edge[1:n + 1]
+            self._extend(int(edge[-1]), params.l_difs + succ_len,
+                         params.l_difs + coll_len, cutoff)
 
     def _extend(self, t: int, succ_round: int, coll_round: int,
                 cutoff: int) -> None:
@@ -414,9 +416,9 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     finds 0 (a block's end, a rejected word, a row not yet mapped) and for a
     collision's redraws.
 
-    The rounds' counters come from `rounds`, a `ContentionRounds` built for
-    the same seed, users and windows, which may already hold the rounds of
-    another mode or packet length; a fresh one is built when it is None.
+    The rounds' counters and times come from `rounds`, a `ContentionRounds`
+    built for the same seed, users and windows, which may hold the rounds of
+    another mode or packet length already; a fresh one is built when None.
     Either way the trace and audit are the same.  A `rounds` drawn for
     another seed, users or window schedule raises TraceError.
 
@@ -427,19 +429,17 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     elif rounds.key != _rounds_key(params, config):
         raise TraceError("contention rounds drawn for another seed, users "
                          "or window schedule")
-    succ_len, coll_len = params.busy_slots(mode)
-    counter = rounds.upto(params, mode, config.warmup + config.horizon)
+    counter, busy, ends = rounds.upto(params, mode,
+                                      config.warmup + config.horizon)
     outcome = (counter[1] < counter[0]).astype(np.int64)
     coll = counter[0] == counter[1]
     outcome[coll] = COLLISION_OUTCOME
     # Each round is an idle event (DIFS and backoff) followed by its busy
     # event; edge holds every event boundary.
     n = len(outcome)
-    length = np.empty(2 * n, np.int64)
-    length[0::2] = counter.min(axis=0) + params.l_difs
-    length[1::2] = np.where(coll, coll_len, succ_len)
     edge = np.zeros(2 * n + 1, np.int64)
-    np.cumsum(length, out=edge[1:])
+    edge[2::2] = ends
+    np.subtract(ends, busy, out=edge[1::2])
     masks = np.zeros(2 * n, np.uint8)
     masks[1::2] = np.where(coll, 3, outcome + 1)  # winner u has mask 1 << u
     trace = _window_trace(config.users, edge, masks, config.warmup,

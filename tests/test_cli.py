@@ -193,6 +193,52 @@ class TestSimulate:
         assert err == "error: channel cycle time needs at least two users\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "symlink", "hard-link"])
+    def test_out_and_audit_out_same_file_is_exit_1(self, tmp_path, capsys,
+                                                   spelling):
+        # A symlink to a file not yet there is caught by its real path, a
+        # hard link by `os.path.samefile`.
+        path = tmp_path / "x.csv"
+        other = path if spelling == "same" else tmp_path / "link.csv"
+        if spelling == "symlink":
+            os.symlink(path, other)
+        elif spelling == "hard-link":
+            path.write_text("keep\n")
+            os.link(path, other)
+        code, out, err = run(capsys, "simulate", "--protocol", "csma-rtscts",
+                             "--slots", "20000", "--out", str(path),
+                             "--audit-out", str(other))
+        assert (code, out) == (1, "")
+        assert err == "error: --out and --audit-out name the same file\n"
+        # Rejected before simulating: nothing is written.
+        assert path.exists() == (spelling == "hard-link")
+        if spelling == "hard-link":
+            assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_unwritable_audit_leaves_no_trace_file(self, tmp_path, capsys,
+                                                   existed):
+        # Only files the run created are removed.
+        path = tmp_path / "t.csv"
+        if existed:
+            path.write_text("older\n")
+        code, out, err = run(capsys, "simulate", "--protocol", "csma-rtscts",
+                             "--slots", "20000", "--out", str(path),
+                             "--audit-out",
+                             str(tmp_path / "missing" / "a.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "missing" in err
+        assert path.exists() == existed
+
+    def test_unwritable_trace_leaves_no_audit_file(self, tmp_path, capsys):
+        audit_path = tmp_path / "a.csv"
+        code, out, err = run(capsys, "simulate", "--protocol", "csma-basic",
+                             "--slots", "20000", "--out", str(tmp_path),
+                             "--audit-out", str(audit_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not audit_path.exists()
+
     def test_bad_probability_is_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--protocol", "aloha",
                            "--pa", "1.5", "--slots", "1000")
@@ -592,8 +638,12 @@ class TestSweep:
          "cycle time needs both probabilities inside (0, 1)"),
         (("--protocols", "csma-basic", "--cw-range", "0:0:1"),
          "cw_min must be at least 1"),
+        # Every protocol's params are built before any rep runs, so Aloha's
+        # bad p_a is met before CSMA/CA's window is tried by the simulator.
+        (("--protocols", "csma-rtscts,aloha", "--pkt-range", "30:30:1",
+          "--beta", "28", "--pa", "1.5"), "p_a=1.5 outside [0, 1]"),
     ], ids=["negative-pkt", "zero-pkt-tdma", "zero-pkt-aloha",
-            "zero-pkt-csma", "p-past-one", "zero-cw"])
+            "zero-pkt-csma", "p-past-one", "zero-cw", "double-fault"])
     def test_bad_point_is_exit_1(self, capsys, flags, message):
         code, out, err = run(capsys, "sweep", *flags, "--slots", "1000")
         assert (code, out) == (1, "")

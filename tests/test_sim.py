@@ -587,6 +587,50 @@ class TestSharedRounds:
         assert rounds.counter.shape == (2, max(drawn))
         assert (drawn[1] > drawn[0]) == (second == "longer")
 
+    @pytest.mark.parametrize("first", [None, "shorter", "longer"])
+    @pytest.mark.parametrize("mode", [CsmaMode.RTS_CTS, CsmaMode.BASIC])
+    def test_upto_times_each_round(self, mode, first):
+        # upto's busy lengths and end ticks are the scalar loop's, whether it
+        # draws from scratch, counts off rounds drawn for the other mode's
+        # longer cutoff, or resumes past the other mode's shorter one.
+        params = CsmaParams(cw_min=8, beta=3, l_difs=2, l_pkt=5, l_rts=3)
+        cutoff = 3 * BLOCK * 10 + 7
+
+        def reference(mode, cutoff):
+            counters = reference_csma_counters(
+                params, SimConfig(seed=11, horizon=cutoff, warmup=0), mode)
+            succ, coll = params.busy_slots(mode)
+            busy = [coll if c0 == c1 else succ for c0, c1 in counters]
+            ends = list(itertools.accumulate(
+                params.l_difs + min(c) + b for c, b in zip(counters, busy)))
+            return counters, busy, ends
+
+        config = SimConfig(seed=11, horizon=cutoff)
+        rounds = ContentionRounds(params, config)
+        want = reference(mode, cutoff)
+        drawn = want[0]
+        if first is not None:
+            other = (CsmaMode.BASIC if mode is CsmaMode.RTS_CTS
+                     else CsmaMode.RTS_CTS)
+            first_cutoff = cutoff // 2 if first == "shorter" else cutoff * 2
+            rounds.upto(params, other, first_cutoff)
+            other_drawn = reference(other, first_cutoff)[0]
+            # A longer first call leaves rounds to count off; a shorter one
+            # leaves the loop to resume.
+            assert (len(other_drawn) > len(drawn)) == (first == "longer")
+            drawn = max(drawn, other_drawn, key=len)
+        counter, busy, ends = rounds.upto(params, mode, cutoff)
+        np.testing.assert_array_equal(counter.T, want[0])
+        np.testing.assert_array_equal(busy, want[1])
+        np.testing.assert_array_equal(ends, want[2])
+        assert ends[-1] >= cutoff
+        assert ends[-1] - busy[-1] - params.l_difs - counter[:, -1].min() \
+            < cutoff
+        fresh = ContentionRounds(params, config).upto(params, mode, cutoff)
+        for got, alone in zip((counter, busy, ends), fresh):
+            np.testing.assert_array_equal(got, alone)
+        np.testing.assert_array_equal(rounds.counter.T, drawn)
+
     def test_chain_of_another_run_rejected(self):
         params = CsmaParams(cw_min=8, beta=3, l_difs=2, l_pkt=5)
         config = SimConfig(seed=4, horizon=2000)

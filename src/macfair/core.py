@@ -84,6 +84,23 @@ def _one_user(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks) == 1
 
 
+def _successes(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the Success events among `masks` and each one's user
+    index, in order."""
+    pos = np.flatnonzero(_one_user(masks))
+    # A Success mask is 1 << i, and mask - 1 has exactly its i lowest
+    # bits set: its bit count is the user index.
+    below = masks.take(pos)
+    below -= 1
+    return pos, np.bitwise_count(below)
+
+
+# Events a block of `metrics.throughput` and of `ChannelTrace.run_ends`:
+# their temporaries stay small instead of holding a value per event or per
+# success of the trace.
+_BLOCK = 1 << 16
+
+
 def _kind_codes(masks: np.ndarray) -> np.ndarray:
     """The int8 kind code of each non-negative participant mask: Idle for
     no user, Success for one, Collision for two or more."""
@@ -309,15 +326,35 @@ class ChannelTrace:
     def success_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Trace positions of the Success events and each one's user index,
         in trace order: decoded once per trace, both arrays read-only."""
-        hit = np.flatnonzero(_one_user(self.masks))
-        # A Success mask is 1 << i, and mask - 1 has exactly its i lowest
-        # bits set: its bit count is the user index.
-        below = self.masks.take(hit)
-        below -= 1
-        uidx = np.bitwise_count(below)
+        hit, uidx = _successes(self.masks)
         hit.setflags(write=False)
         uidx.setflags(write=False)
         return hit, uidx
+
+    @functools.cached_property
+    def run_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each maximal run of one user's successes, in trace order: the
+        run's user index and the end time of its last success.  Decoded
+        once per trace, block by block, so no array a success long is
+        built; both arrays read-only."""
+        labels, times = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
+        for lo in range(0, len(self), _BLOCK):
+            pos, uidx = _successes(self.masks[lo:lo + _BLOCK])
+            if not len(pos):
+                continue
+            # A block's last success is kept as a run end, and dropped here
+            # if the next block's first success is the same user's.
+            if len(labels[-1]) and labels[-1][-1] == uidx[0]:
+                labels[-1], times[-1] = labels[-1][:-1], times[-1][:-1]
+            last = np.ones(len(uidx), bool)
+            np.not_equal(uidx[1:], uidx[:-1], out=last[:-1])
+            last = np.flatnonzero(last)
+            labels.append(uidx.take(last))
+            times.append(self.ends[lo:lo + _BLOCK].take(pos.take(last)))
+        label, t = np.concatenate(labels), np.concatenate(times)
+        label.setflags(write=False)
+        t.setflags(write=False)
+        return label, t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChannelTrace):
@@ -836,8 +873,7 @@ def _check_kinds(k: np.ndarray, m: np.ndarray) -> None:
 def successes_of(trace: ChannelTrace, user: str) -> list[ChannelEvent]:
     """Ordered Success events of one user."""
     i = trace.user_index(user)
-    hit, uidx = trace.success_index
-    return [trace[k] for k in hit[uidx == i].tolist()]
+    return [trace[k] for k in np.flatnonzero(trace.masks == 1 << i).tolist()]
 
 
 @dataclass(frozen=True)

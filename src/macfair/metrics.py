@@ -35,13 +35,17 @@ up to k, and a user with none first appears at its first run.  So m is the
 running maximum of the pointers up to k, raised to the latest first run
 over users.  Each owner's closes are then one binary search in its runs.
 
-Every metric but `throughput` reads the success sequence from
-`ChannelTrace.success_index`, decoded once per trace from the masks;
-`throughput` reads the masks itself, block by block.  No metric reads
-`ChannelTrace.kinds`.  Cycles, and the two parts of a two-user cycle, are
-found as run numbers and mapped back to positions in the success sequence;
-end times are gathered at those positions last, and the two-user rule's
-slices make each user's samples one subtraction of two views.
+`refresh_moments`, `cycle_intervals` and `channel_cycle_time` read the runs
+from `ChannelTrace.run_ends`: each run's user index and the end time of its
+last success, decoded once per trace from the masks block by block, so they
+build no array a success long.  `part_decomposition` and the
+inter-transmission counts need every success, and read the success
+sequence from `ChannelTrace.success_index`, decoded once per trace from the
+masks.  `throughput` reads the masks itself, block by block.  No metric
+reads `ChannelTrace.kinds`.  Cycles, and the two parts of a two-user cycle,
+are found as run numbers; end times are gathered at those runs (through
+the success positions, for the parts) last, and the two-user rule's slices
+make each user's samples one subtraction of two views.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelTrace, TraceError, _int_list, _one_user
+from .core import _BLOCK, ChannelTrace, TraceError, _int_list, _one_user
 
 
 class TooFewUsersError(TraceError):
@@ -64,12 +68,6 @@ def _success_runs(trace: ChannelTrace) -> tuple[np.ndarray, ...]:
     np.not_equal(uidx[1:], uidx[:-1], out=edge[:-1])
     last = np.flatnonzero(edge)
     return hit, last, uidx.take(last)
-
-
-def _run_ends(trace: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's user index, and the end time of the run's last success."""
-    hit, last, label = _success_runs(trace)
-    return label, trace.ends.take(hit.take(last))
 
 
 def _cycle_runs(label: np.ndarray, n_users: int) -> list[tuple]:
@@ -123,14 +121,14 @@ def refresh_moments(trace: ChannelTrace, user: str) -> np.ndarray:
     to hand the channel to).
     """
     i = trace.user_index(user)
-    label, t = _run_ends(trace)
+    label, t = trace.run_ends
     return t[:-1][label[:-1] == i]
 
 
 def cycle_intervals(trace: ChannelTrace, user: str) -> np.ndarray:
     """(start, end) refresh-moment pairs delimiting the user's cycles, shape (k, 2)."""
     i = trace.user_index(user)
-    label, t = _run_ends(trace)
+    label, t = trace.run_ends
     start, close = _cycle_runs(label, len(trace.users))[i]
     return np.column_stack([t[start], t[close]])
 
@@ -187,7 +185,7 @@ def channel_cycle_time(trace: ChannelTrace) -> CycleTimeReport:
     """Average the per-user mean cycle times into one channel-wide figure."""
     if len(trace.users) < 2:
         raise TooFewUsersError("channel cycle time needs at least two users")
-    label, t = _run_ends(trace)
+    label, t = trace.run_ends
     samples = {u: t[close] - t[start] for u, (start, close)
                in zip(trace.users, _cycle_runs(label, len(trace.users)))}
     missing = tuple(u for u in trace.users if len(samples[u]) == 0)
@@ -286,11 +284,6 @@ def part_decomposition(trace: ChannelTrace, user: str) -> list[PartSplit]:
     part2 = t1 - t_split
     return [PartSplit(*split) for split in zip(
         n_b.tolist(), n_a_prime.tolist(), part1.tolist(), part2.tolist())]
-
-
-# Events a block of `throughput`: its temporaries stay small instead of
-# holding an int64 per event of the trace.
-_BLOCK = 1 << 16
 
 
 def throughput(trace: ChannelTrace) -> float:

@@ -386,6 +386,100 @@ class TestSuccessIndex:
                          [SUCCESS_CODE] * 5, [1, mask, 1, 2, 1], 5)
 
 
+def _runs_reference(tr: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's user index and end time, from the whole success index:
+    a success ends its run when the next success is another user's, and the
+    final success always does."""
+    hit, uidx = tr.success_index
+    last = np.ones(len(uidx), bool)
+    last[:-1] = uidx[1:] != uidx[:-1]
+    return uidx[last], tr.ends[hit[last]]
+
+
+def _letter_trace(letters: str) -> ChannelTrace:
+    """Back-to-back unit events over users A and B: "A" and "B" succeed,
+    "c" is their collision and "." is idle."""
+    masks = ["." "AB" "c".index(ch) for ch in letters]
+    n = len(letters)
+    return ChannelTrace(("A", "B"), np.arange(n), np.arange(n) + 1,
+                        masks=masks, horizon=n)
+
+
+def _run_ends_at(tr: ChannelTrace, block: int | None):
+    """`run_ends` of a fresh copy of `tr`, decoded in blocks of `block`
+    events (the default when None)."""
+    fresh = ChannelTrace(tr.users, tr.starts, tr.ends, masks=tr.masks,
+                         horizon=tr.horizon)
+    with mock.patch.object(core, "_BLOCK", block or core._BLOCK):
+        return fresh.run_ends
+
+
+class TestRunEnds:
+    """`ChannelTrace.run_ends`, decoded block by block, against the runs
+    read off the whole success index."""
+
+    BLOCKS = [1, 2, 3, None]
+
+    @given(helpers.traces(max_users=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, tr):
+        want = _runs_reference(tr)
+        for block in self.BLOCKS:
+            got = _run_ends_at(tr, block)
+            for g, w, dtype in zip(got, want, (np.uint8, np.int64)):
+                assert g.dtype == dtype
+                assert g.tolist() == w.tolist()
+
+    @pytest.mark.parametrize("letters,labels,times", [
+        ("BcAAAABc", [1, 0, 1], [1, 6, 7]),
+        ("ABAAc..cAB..", [0, 1, 0, 1], [1, 2, 9, 10]),
+        ("ABA.c..cB...", [0, 1, 0, 1], [1, 2, 3, 9]),
+        ("", [], []),
+        ("c..c.", [], []),
+        ("..A", [0], [3]),
+    ], ids=["run-spans-blocks", "run-spans-empty-block",
+            "run-ends-before-empty-block", "empty-trace", "no-success",
+            "one-success"])
+    def test_named_cases(self, letters, labels, times):
+        # In blocks of 4, the first case's run of A spans two blocks, and
+        # the next two have a middle block of collisions and idles only.
+        tr = _letter_trace(letters)
+        for block in [4] + self.BLOCKS:
+            got = _run_ends_at(tr, block)
+            assert got[0].tolist() == labels
+            assert got[1].tolist() == times
+            assert (got[0].dtype, got[1].dtype) == (np.uint8, np.int64)
+
+    @pytest.mark.parametrize("k,extra", [
+        (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+    def test_lengths_near_block_multiples(self, k, extra):
+        tr = helpers.nuser_trace(5, k * core._BLOCK + extra, 3)
+        want = _runs_reference(tr)
+        for got, w in zip(tr.run_ends, want):
+            assert np.array_equal(got, w)
+
+    def test_read_only_and_decoded_once(self, fig_trace):
+        ends = fig_trace.run_ends
+        assert fig_trace.run_ends is ends
+        for arr in ends:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        assert ends[0].tolist() == [0, 1, 2, 1, 0, 2, 1, 2, 0, 1]
+        assert ends[1].tolist() == [1, 4, 6, 7, 8, 9, 10, 11, 12, 13]
+
+    @pytest.mark.parametrize("metric", [
+        metrics.channel_cycle_time,
+        lambda tr: metrics.cycle_intervals(tr, "U1"),
+        lambda tr: metrics.refresh_moments(tr, "U2"),
+    ], ids=["channel_cycle_time", "cycle_intervals", "refresh_moments"])
+    def test_cycle_metrics_skip_success_index(self, metric):
+        tr = helpers.nuser_trace(3, 200_000, 3)
+        metric(tr)
+        assert "success_index" not in vars(tr)
+        assert "run_ends" in vars(tr)
+
+
 class TestMaskDtype:
     """Masks are stored in the narrowest unsigned dtype over the user set,
     after validation at the width the caller gave."""

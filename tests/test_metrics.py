@@ -439,7 +439,7 @@ class TestTwoUserRule:
     def test_short_cases(self, pattern):
         events = [success(i, i + 1, u) for i, u in enumerate(pattern)]
         tr = ChannelTrace.from_events(("A", "B"), events, len(pattern))
-        label = metrics._run_ends(tr)[0]
+        label = tr.run_ends[0]
         assert label.tolist() == [tr.user_index(u)
                                   for u, _ in itertools.groupby(pattern)]
         _rule_and_search(label)

@@ -178,13 +178,15 @@ class TestAlohaMemory:
         return peak - base
 
     def test_cycle_search_peak(self):
-        # A cold call decodes the success index too; the two-user rule
-        # slices the run end times and builds no run-number array.
+        # A cold call decodes the run ends block by block, with no array a
+        # success long; the two-user rule slices the run end times and
+        # builds no run-number array.
         trace = simulate_aloha(AlohaParams(0.5, 0.5),
                                SimConfig(seed=7, horizon=self.SLOTS, warmup=0))
         peak = self._cycle_time_peak(trace)
         assert peak < 35 * len(trace.success_index[0])
         assert peak < 28 * len(trace.success_index[0])
+        assert peak < 14 * len(trace.success_index[0])
 
     def test_nuser_search_peak(self):
         # Five users take the next-run search: the run lists, `latest` and
@@ -192,6 +194,7 @@ class TestAlohaMemory:
         trace = nuser_trace(7, 1_000_000, 5)
         peak = self._cycle_time_peak(trace)
         assert peak < 36 * len(trace.success_index[0])
+        assert peak < 28 * len(trace.success_index[0])
 
     def test_throughput_peak(self):
         # At most an int64 length and a bool mask an event: the temporaries

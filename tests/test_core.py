@@ -399,7 +399,7 @@ def _runs_reference(tr: ChannelTrace) -> tuple[np.ndarray, np.ndarray]:
 def _letter_trace(letters: str) -> ChannelTrace:
     """Back-to-back unit events over users A and B: "A" and "B" succeed,
     "c" is their collision and "." is idle."""
-    masks = ["." "AB" "c".index(ch) for ch in letters]
+    masks = [".ABc".index(ch) for ch in letters]
     n = len(letters)
     return ChannelTrace(("A", "B"), np.arange(n), np.arange(n) + 1,
                         masks=masks, horizon=n)

@@ -381,7 +381,7 @@ class ChannelTrace:
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
             text = _render_events(self.starts[block], self.ends[block],
-                                  *fields.rows(self.masks[block]))
+                                  fields.rows(self.masks[block]))
             fp.write(text.decode())
 
     def to_file(self, path) -> None:
@@ -565,8 +565,8 @@ _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
 _WIDEST_BOUNDS = 45       # two 20-byte bounds, ",K,", "," and "\n"
 
 _NL, _COMMA, _MINUS, _ZERO = (np.uint8(ord(c)) for c in "\n,-0")
-_POW10 = np.array([10**j for j in range(20)], np.uint64)
-_DIGIT_WEIGHT = _POW10[_MAX_DIGITS - 1::-1].astype(np.int64)  # 10**17 .. 1
+_PAD = np.uint8(0xFF)     # an unused byte when writing: no UTF-8 text holds it
+_DIGIT_WEIGHT = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)[::-1]  # 10**17 .. 1
 _KIND_OF_BYTE = np.full(256, -1, np.int8)
 _KIND_OF_BYTE[[ord(k.value) for k in _KIND_TO_CODE]] = \
     list(_KIND_TO_CODE.values())
@@ -662,9 +662,10 @@ class _SlotTable:
 
 class _UsersFields:
     """The `kind,users` texts of one `write` call: each participant set's
-    text rendered once into one byte buffer, and found by mask through a
-    _SlotTable whose value is the text's span, `start << 32 | width`;
-    masks whose slot is taken find their span in a dict."""
+    text rendered once into one byte buffer, followed by one _PAD, and
+    found by mask through a _SlotTable whose value is the text's span,
+    `start << 32 | width`; masks whose slot is taken find their span in a
+    dict."""
 
     def __init__(self, users: tuple[str, ...]):
         self.users = users
@@ -674,9 +675,9 @@ class _UsersFields:
         self.table, self.spans = _SlotTable(), {}
         self.text = bytearray()
 
-    def rows(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, masks: np.ndarray) -> np.ndarray:
         """The masks' `kind,users` texts, one column per event in a byte
-        matrix, each padded at its end, and the mask of the bytes each uses."""
+        matrix as wide as the widest of them, each padded with _PAD."""
         # Past a block's worth of text, start over: the buffer then stays
         # within about two blocks, so both halves of a span fit 32 bits.
         if len(self.text) > _BLOCK_BYTES:
@@ -685,8 +686,9 @@ class _UsersFields:
                                    lambda i: self._span(masks[i:i + 1]))
         width = spans & 0xFFFFFFFF
         rows = np.arange(int(width.max()))[:, None]
+        # Past its own width, each column reads the pad after its text.
         text = np.frombuffer(self.text, np.uint8)
-        return text.take((spans >> 32) + rows, mode="clip"), rows < width
+        return text.take(np.minimum(rows, width) + (spans >> 32))
 
     def _span(self, mask: np.ndarray) -> int:
         """The span of the text of `mask`, an array of one mask."""
@@ -697,53 +699,55 @@ class _UsersFields:
             users = "+".join(u for b, u in enumerate(self.users) if m >> b & 1)
             text = f"{kind},{users}".encode()
             span = self.spans[m] = len(self.text) << 32 | len(text)
-            self.text += text
+            self.text += text + _PAD.tobytes()
         return span
 
 
-def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _int_rows(values: np.ndarray) -> np.ndarray:
     """Decimal text of int64 values, one column per value, right-aligned in
-    a (width, n) byte matrix, and the mask of the bytes each number uses."""
-    neg = values < 0
+    a (width, n) byte matrix whose bytes before each number hold _PAD."""
+    neg = np.flatnonzero(values < 0)
     mag = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to 2**63
-    width = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1) + neg
-    w = int(width.max())
-    text = np.empty((w, len(values)), np.uint8)
-    for row in text[::-1]:
+    width = len(str(int(mag.max(initial=0)))) + (len(neg) > 0)
+    text = np.empty((width, len(values)), np.uint8)
+    for place, row in enumerate(text[::-1]):  # the units first
         quot = mag // np.uint64(10)
-        row[:] = mag - quot * np.uint64(10)
+        np.subtract(mag, quot * np.uint64(10), out=row, casting="unsafe")
+        row += _ZERO
+        if place:  # a place whose quotient is zero is before the number
+            row |= (mag == 0) * _PAD  # "0" | 0xFF is _PAD
         mag = quot
-    text += _ZERO
-    first = w - width
-    text[first[neg], np.flatnonzero(neg)] = _MINUS
-    return text, np.arange(w)[:, None] >= first
+    if len(neg):  # each minus sign takes the last pad before its number
+        text[np.count_nonzero(text[:, neg] == _PAD, 0) - 1, neg] = _MINUS
+    return text
+
+
+def _unpadded(text: np.ndarray) -> bytes:
+    """A byte matrix's columns, one after another, with every _PAD dropped."""
+    return text.T.tobytes().translate(None, _PAD.tobytes())
 
 
 def _int_list(values: np.ndarray) -> str:
     """int64 values in decimal joined by commas, as
     `",".join(map(str, values.tolist()))` writes them."""
-    n = len(values)
-    if n == 0:
-        return ""
-    text, keep = _int_rows(values)
-    text = np.concatenate((text, np.full((1, n), _COMMA)))
-    keep = np.concatenate((keep, np.ones((1, n), bool)))
     # Value by value, each followed by a comma; the last comma is dropped.
-    return np.compress(keep.T.ravel(), text.T.ravel())[:-1].tobytes().decode()
+    text = np.concatenate((_int_rows(values), np.full((1, len(values)), _COMMA)))
+    return _unpadded(text)[:-1].decode()
 
 
-def _render_events(starts, ends, who_text, who_keep) -> bytes:
-    """One block of event lines: the bounds, then the `kind,users` texts and
-    their byte mask that `_UsersFields.rows` gives."""
+def _render_events(starts, ends, who) -> bytes:
+    """One block of event lines: the bounds, then the `kind,users` texts
+    that `_UsersFields.rows` gives."""
     n = len(starts)
-    s_text, s_keep = _int_rows(starts)
-    e_text, e_keep = _int_rows(ends)
-    comma, one = np.full((1, n), _COMMA), np.ones((1, n), bool)
-    text = np.concatenate((s_text, comma, e_text, comma, who_text,
-                           np.full((1, n), _NL)))
-    keep = np.concatenate((s_keep, one, e_keep, one, who_keep, one))
-    # Line by line: the transposes read each event's bytes in order.
-    return np.compress(keep.T.ravel(), text.T.ravel()).tobytes()
+    # A tiled block's n + 1 boundaries are rendered once: its starts are the
+    # first n, its ends the last n.  Otherwise starts, then ends.
+    tiled = np.array_equal(starts[1:], ends[:-1])
+    bounds = _int_rows(np.concatenate((starts, ends[-1:] if tiled else ends)))
+    k = 1 if tiled else n
+    comma = np.full((1, n), _COMMA)
+    # Line by line: the transpose reads each event's bytes in order.
+    return _unpadded(np.concatenate((bounds[:, :n], comma, bounds[:, k:k + n],
+                                     comma, who, np.full((1, n), _NL))))
 
 
 def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

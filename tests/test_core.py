@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -833,6 +833,42 @@ _WRITE_CASES = {
 }
 
 
+# Labels that hold control bytes and 2- and 4-byte UTF-8 characters, beside
+# any legal ones: none of them may hold the writer's pad byte.
+_ODD_LABELS = st.one_of(st.sampled_from(["\x00", "\x7f", "é", "\U0001F600",
+                                         "a\x00é\U0001F600"]),
+                        helpers._LABELS)
+
+# Every 10**k and its two neighbours that fits in int64, with their negatives.
+_DECADES = sorted({s * (10**k + d) for k in range(19) for d in (-1, 0, 1)
+                   for s in (1, -1)})
+
+_TILED_CASES = {
+    "one-event": ChannelTrace(("A", "B"), [7], [12], masks=[1], horizon=12),
+    "tiled": ChannelTrace(("A", "B"), [0, 3, 5, 9, 10, 14],
+                          [3, 5, 9, 10, 14, 20], masks=[1, 3, 0, 2, 2, 1],
+                          horizon=20),
+    "gapped": ChannelTrace(("A", "B"), [0, 4, 6, 11], [3, 5, 9, 12],
+                           masks=[1, 0, 3, 2], horizon=15),
+    # Tiled pairs: at two lines a block, every block edge is at a gap.
+    "gap-at-edges": ChannelTrace(("A", "B"), [0, 1, 4, 5, 8, 9],
+                                 [1, 2, 5, 6, 9, 10], masks=[1, 2, 3, 0, 2, 1],
+                                 horizon=10),
+    # Events [10**k, 10**(k + 1)]: every boundary is a power of ten.
+    "tiled-decades": ChannelTrace(("A", "B"), [10**k for k in range(18)],
+                                  [10**k for k in range(1, 19)],
+                                  masks=[1, 2] * 9, horizon=10**18),
+    # Tiled pairs 10**k - 1, 10**k, 10**k + 1, gapped between.
+    "decade-pairs": ChannelTrace(
+        ("A", "B"), [10**k + d for k in range(1, 19) for d in (-1, 0)],
+        [10**k + d for k in range(1, 19) for d in (0, 1)],
+        masks=[3, 2] * 18, horizon=2**63 - 1),
+    "odd-labels": ChannelTrace(("\x00", "\x7f", "é", "\U0001F600"),
+                               [0, 2, 3, 5, 9, 10, 11], [2, 3, 5, 6, 10, 11, 12],
+                               masks=[1, 2, 15, 4, 8, 0, 9], horizon=12),
+}
+
+
 class TestColumnarWrite:
     """`write` emits the bytes of the f-string writer in `helpers`."""
 
@@ -847,6 +883,46 @@ class TestColumnarWrite:
     def test_edge_cases(self, tr):
         assert _written(tr, ChannelTrace.write) == \
             _written(tr, helpers.write_rows)
+
+    @given(helpers.traces(max_users=4, max_events=30, labels=_ODD_LABELS),
+           st.sampled_from([0] + [10**k - 7 for k in range(1, 19)]),
+           st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_small_blocks_match_row_writer(self, tr, offset, block_bytes):
+        # Gaps are often zero, so blocks of one to eight events are tiled,
+        # gapped or both; an offset of 10**k - 7 takes bounds across 10**k.
+        tr = ChannelTrace(tr.users, tr.starts + offset, tr.ends + offset,
+                          masks=tr.masks, horizon=tr.horizon + offset)
+        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+            assert _written(tr, ChannelTrace.write) == \
+                _written(tr, helpers.write_rows)
+
+    @pytest.mark.parametrize("tr", list(_TILED_CASES.values()),
+                             ids=list(_TILED_CASES))
+    @pytest.mark.parametrize("lines", [1, 2, 3, None],
+                             ids=["1-line", "2-line", "3-line", "whole"])
+    def test_tiled_edge_cases(self, tr, lines):
+        widest = core._WIDEST_BOUNDS + len("+".join(tr.users).encode())
+        size = core._BLOCK_BYTES if lines is None else lines * widest
+        with mock.patch.object(core, "_BLOCK_BYTES", size):
+            assert _written(tr, ChannelTrace.write) == \
+                _written(tr, helpers.write_rows)
+
+
+class TestIntList:
+    """`_int_list` writes what `",".join(map(str, values))` writes."""
+
+    @given(st.lists(st.one_of(helpers._INT64, st.sampled_from(_DECADES))))
+    @example([])
+    @example([0])
+    @example([-2**63])
+    @example([2**63 - 1])
+    @example([-2**63, 2**63 - 1, 0])
+    @example(_DECADES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_join(self, values):
+        v = np.array(values, np.int64)
+        assert core._int_list(v) == ",".join(map(str, v.tolist()))
 
 
 def _outcome(reader, text: str):
@@ -909,6 +985,9 @@ _READ_CASES = {
     "unknown-user-in-collision": "#users=A+B\n0,5,C,A+Z\n",
     "three-fields": "0,5,S\n",
     "five-fields": "0,5,S,A,B\n",
+    # Three commas a line on average, but not on each line.
+    "five-then-three-fields": "0,2,S,A,5\n7,S,B\n",
+    "three-then-five-fields": "0,5,S\nA,7,9,S,B\n",
     "header-after-event": "0,5,S,A\n#horizon=9\n",
     "users-header-last": "0,5,S,A\n5,9,S,B\n#users=A+B\n",
     "scale-beyond-int64-zero":
@@ -1146,11 +1225,13 @@ class TestUsersFieldTable:
 
     def test_one_field_per_mask(self, one_slot):
         # Masks that lose slot 0 are found again in the dict, not rendered
-        # again: each set's text is in the buffer once, as first met.
+        # again: each set's text is in the buffer once, as first met, and
+        # followed by one pad byte.
         fields = core._UsersFields(("A", "B", "C"))
         for masks in ([1, 2, 3], [3, 4, 1, 5], [5, 6, 2, 1]):
             fields.rows(np.array(masks, np.uint8))
-        assert fields.text == b"S,AS,BC,A+BS,CC,A+CC,B+C"
+        assert fields.text.split(b"\xff") == \
+            [b"S,A", b"S,B", b"C,A+B", b"S,C", b"C,A+C", b"C,B+C", b""]
 
     def test_more_fields_than_slots(self):
         # 62 one-character users and 6000 distinct 2- and 3-user collisions,

@@ -95,9 +95,9 @@ def _successes(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, np.bitwise_count(below)
 
 
-# Events a block of `metrics.throughput` and of `ChannelTrace.run_ends`:
-# their temporaries stay small instead of holding a value per event or per
-# success of the trace.
+# Events a block of `metrics.throughput` and of `ChannelTrace.run_ends`, and
+# Aloha slots a block of `sim._draw_tx`: their temporaries stay small instead
+# of holding a value per event, success or slot of the run.
 _BLOCK = 1 << 16
 
 

@@ -4,10 +4,8 @@ round-robin TDMA, all emitting validated channel traces.
 Determinism contract: identical parameters and SimConfig produce bit-identical
 traces.  Each user draws from its own child stream of the run seed, so one
 user's consumption never perturbs another's.  Slotted Aloha draws each
-user's stream on its own lane, in blocks of DRAW_BLOCK slots, and a run
-longer than one block draws the second user's lane on a worker thread while
-the caller draws the first's; `Generator.random` in blocks gives the values
-of one call, and no stream is read by two lanes, so neither changes a value.
+user's slots in turn, in blocks of `core._BLOCK` through one reused buffer;
+`Generator.random` in blocks gives the values of one whole-array call.
 CSMA/CA backoffs are taken from blocks of raw 32-bit words and mapped exactly
 as `Generator.integers(1, cw + 1)` maps them, so every backoff equals the
 value of one such call per draw.  The map works by block and window: the
@@ -38,7 +36,6 @@ their memory alone that no two events overlap.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -46,6 +43,7 @@ import numpy as np
 
 from . import metrics
 from .core import (
+    _BLOCK,
     AlohaParams,
     ChannelTrace,
     CsmaMode,
@@ -181,46 +179,17 @@ def _window_trace(users, edge, masks, warmup: int,
     return ChannelTrace(users, e[:-1], e[1:], masks=masks, horizon=horizon)
 
 
-# Aloha slots drawn a block at a time per user: one float64 buffer of this
-# many slots per lane, reused, instead of one float per slot of the run.
-DRAW_BLOCK = 1 << 16
-
-
+# Aloha slots drawn `_BLOCK` at a time per user: one float64 buffer of one
+# block's slots, reused, instead of one float per slot of the run.
 def _draw_tx(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
     """Fill the bool row `out` with `rng.random(len(out)) < p`, block by
     block; `Generator.random` in blocks gives the values of one call."""
-    buf = np.empty(min(len(out), DRAW_BLOCK))
-    for lo in range(0, len(out), DRAW_BLOCK):
-        row = out[lo:lo + DRAW_BLOCK]
+    buf = np.empty(min(len(out), _BLOCK))
+    for lo in range(0, len(out), _BLOCK):
+        row = out[lo:lo + _BLOCK]
         draws = buf[:len(row)]
         rng.random(out=draws)
         np.less(draws, p, out=row)
-
-
-def _draw_lanes(lane_a: tuple, lane_b: tuple) -> None:
-    """Run `_draw_tx` on both users' lanes, each its (rng, p, out).  Past
-    one block, B's lane runs on one worker thread while the caller runs A's;
-    the worker is always joined, and its exception is raised in the caller."""
-    if len(lane_a[2]) <= DRAW_BLOCK:
-        _draw_tx(*lane_a)
-        _draw_tx(*lane_b)
-        return
-    failed = []
-
-    def run_b():
-        try:
-            _draw_tx(*lane_b)
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=run_b, name="macfair-aloha-lane")
-    worker.start()
-    try:
-        _draw_tx(*lane_a)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
 
 
 def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
@@ -231,9 +200,8 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     `params.slot` ticks long, so event times sit on that coarser grid.
 
     User u transmits in slot i when draw i of its child stream is below its
-    p.  Each user's draws are taken on its own lane, in blocks of DRAW_BLOCK
-    slots; a run longer than one block draws B's lane on one worker thread
-    beside A's.  Neither the blocks nor the lanes change a value.
+    p.  A's slots are drawn, then B's, each in blocks of `core._BLOCK`
+    through one reused buffer, with the values of one whole-array draw.
     """
     if len(config.users) != 2:
         raise TraceError("slotted Aloha simulation is two-user")
@@ -242,7 +210,8 @@ def simulate_aloha(params: AlohaParams, config: SimConfig) -> ChannelTrace:
     n_slots = -(-total_ticks // slot)
     rng_a, rng_b = _user_streams(config)
     tx = np.empty((2, n_slots), bool)
-    _draw_lanes((rng_a, params.p_a, tx[0]), (rng_b, params.p_b, tx[1]))
+    _draw_tx(rng_a, params.p_a, tx[0])
+    _draw_tx(rng_b, params.p_b, tx[1])
     # Each slot's participant mask, built in B's row: bit 0 for A, bit 1 for B.
     a_bits, code = tx.view(np.uint8)
     code <<= 1

@@ -394,10 +394,14 @@ class ChannelTrace:
 
         Headers are read line by line, then the body in blocks of whole lines:
         a block in the plain form (ASCII digits, one-letter kinds, no spaces,
-        `\\n` endings) as byte columns, any other by the row parser, which
-        accepts the same inputs and gives every error its line number.  Each
-        block's four columns are kept as they are and joined once at the
-        end, so no file size is needed and a pipe reads the same way.
+        `\\n` endings) in 8-byte words, any other by the row parser, which
+        accepts the same inputs and gives every error its line number.  A
+        plain block's bytes go between zero pads and are viewed, without a
+        copy, as an unaligned little-endian `<u8` word at every byte offset;
+        each bound is parsed from the words that end at it, each users field
+        keyed by the words that start it.  Each block's four columns are
+        kept as they are and joined once at the end, so no file size is
+        needed and a pipe reads the same way.
         """
         state = _FileState()
         for line_no, raw in enumerate(iter(fp.readline, ""), start=1):
@@ -551,10 +555,12 @@ def _parse_rows(text: str, state: _FileState,
             np.array(kinds, np.int8), np.array(masks, np.int64))
 
 
-# -- trace file body as byte columns -------------------------------------------
+# -- trace file body in blocks ------------------------------------------------
 # Both directions work through the body in blocks of about _BLOCK_BYTES, so
 # that temporaries stay small whatever the file size.  An event line is its
-# bounds, then its participant set's `kind,users` text.  One _SlotTable per
+# bounds, then its participant set's `kind,users` text.  Writing builds each
+# block as byte columns; reading takes a block's fields as 8-byte words, each
+# bound's digits combined by SWAR multiply-shift steps.  One _SlotTable per
 # file maps a users field's bytes, of any width, to its mask when reading,
 # and a mask to the span of its set's text when writing.  Both directions
 # resolve the keys a table misses in the same way, `_SlotTable.resolve`:
@@ -566,10 +572,21 @@ _WIDEST_BOUNDS = 45       # two 20-byte bounds, ",K,", "," and "\n"
 
 _NL, _COMMA, _MINUS, _ZERO = (np.uint8(ord(c)) for c in "\n,-0")
 _PAD = np.uint8(0xFF)     # an unused byte when writing: no UTF-8 text holds it
-_DIGIT_WEIGHT = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)[::-1]  # 10**17 .. 1
 _KIND_OF_BYTE = np.full(256, -1, np.int8)
 _KIND_OF_BYTE[[ord(k.value) for k in _KIND_TO_CODE]] = \
     list(_KIND_TO_CODE.values())
+
+# Reading takes a block's fields as little-endian 64-bit words, the word at
+# byte offset i holding bytes i to i + 7, byte i in its lowest bits.  The
+# zero pads around a block keep inside it every word a field reads: up to
+# three back from a bound's end, and a users field's last, which may run up
+# to 7 bytes past the field.  _KEEP_FIRST[m] keeps a word's first m bytes,
+# _KEEP_LAST[m] its last m.
+_FRONT_PAD, _BACK_PAD = bytes(24), bytes(8)
+_EACH_BYTE = 0x0101010101010101
+_ONES = 2**64 - 1
+_KEEP_FIRST = np.array([(1 << 8 * m) - 1 for m in range(9)], np.uint64)
+_KEEP_LAST = np.array([_ONES ^ (_ONES >> 8 * m) for m in range(9)], np.uint64)
 
 
 class _NotPlain(Exception):
@@ -750,34 +767,78 @@ def _render_events(starts, ends, who) -> bytes:
                                      comma, who, np.full((1, n), _NL))))
 
 
-def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Values of the fields b[lo:hi], each 1 to 18 ASCII digits."""
+def _words(b: np.ndarray) -> np.ndarray:
+    """The unaligned `<u8` word at every byte offset of `b`, without a copy."""
+    return np.ndarray(len(b) - 7, "<u8", b, strides=(1,))
+
+
+def _eight_digits(d: np.ndarray) -> np.ndarray:
+    """In place, the number each word's eight digit values (0 to 9, the
+    first in the lowest byte) spell, by three multiply-shift steps that
+    each join neighbouring lanes (Langdale and Lemire, VLDB J. 2019)."""
+    d *= np.uint64(10 << 8 | 1)            # byte 2i: digits 2i, 2i+1
+    d >>= np.uint64(8)
+    d &= np.uint64(0x00FF00FF00FF00FF)
+    d *= np.uint64(100 << 16 | 1)          # 16 bits at 32i: digits 4i to 4i+3
+    d >>= np.uint64(16)
+    d &= np.uint64(0x0000FFFF0000FFFF)
+    d *= np.uint64(10000 << 32 | 1)        # the low 32 bits: all eight
+    d >>= np.uint64(32)
+    return d
+
+
+def _digit_field(words: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """Values of the fields at byte offsets lo to hi of `words`' block, each
+    1 to 18 ASCII digits."""
     width = hi - lo
     w = int(width.max())
     if int(width.min()) < 1 or w > _MAX_DIGITS:
         raise _NotPlain
-    rows = np.arange(w)[:, None]
-    # Row j holds each field's j-th digit from the left, right-aligned; the
-    # bytes before a shorter field are zeroed.
-    digit = (b.take(hi + (rows - w), mode="clip") - _ZERO) * (rows >= w - width)
-    if np.any(digit > np.uint8(9)):
+    # Column j is the word that ends 8j bytes before each field's end, so it
+    # holds digits 8j+1 to 8j+8 from the right; the bytes before the field
+    # are masked off and read as leading zeros.
+    back = np.arange(0, w, 8)
+    d = words[hi[:, None] - (back + 8)]
+    d ^= np.uint64(0x30 * _EACH_BYTE)
+    # Clipped into the table, a word's count of field bytes is 0 to 8.
+    d &= _KEEP_LAST.take(width[:, None] - back, mode="clip")
+    # Every byte is ASCII, so a byte over 9 here sets its top bit, and only
+    # its own, when 0x76 is added.
+    test = np.bitwise_or.reduce(d + np.uint64(0x76 * _EACH_BYTE), axis=None)
+    if test & np.uint64(0x80 * _EACH_BYTE):
         raise _NotPlain
-    return _DIGIT_WEIGHT[-w:] @ digit
+    d = _eight_digits(d)
+    value = d[:, -1]
+    for j in range(d.shape[1] - 2, -1, -1):
+        value = value * np.uint64(10**8) + d[:, j]
+    # A copy, not a view of d: a block's column is then one array.
+    return value.astype(np.int64)
+
+
+def _users_keys(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The fields b[lo:hi] as slot-table keys: each field's bytes in words
+    of `_words(b)`, left-aligned, zero-padded to the widest field's
+    ceil(w / 8) words, one at least."""
+    width = hi - lo
+    ahead = np.arange(0, max(int(width.max()), 1), 8)
+    at = lo[:, None] + ahead
+    # A word wholly past its field may run off the block; it is masked off.
+    keys = _words(b)[np.minimum(at, len(b) - 8, out=at)]
+    in_field = np.subtract(width[:, None], ahead, out=at)
+    keys &= _KEEP_FIRST.take(in_field, mode="clip")
+    return keys
 
 
 def _users_masks(b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  state: _FileState, first_line: int) -> np.ndarray:
     """Masks of the users fields b[lo:hi], looked up in the file's slot
-    table by their bytes in zero-padded 64-bit words; each distinct field it
-    misses goes through `state.mask` once, in order of first appearance."""
-    width = hi - lo
-    w = int(width.max())
-    if w * len(lo) > 8 * len(b):  # a field far longer than the block's lines
+    table by their `_users_keys`; each distinct field it misses goes through
+    `state.mask` once, in order of first appearance."""
+    # A field far longer than the block's lines; the pads do not count.
+    if int((hi - lo).max()) * len(lo) > 8 * (len(b) - len(_FRONT_PAD + _BACK_PAD)):
         raise _NotPlain
-    rows = np.arange(w)[:, None]
-    keys = np.zeros((len(lo), -(-w // 8) or 1), np.uint64)
-    keys.view(np.uint8)[:, :w] = (b.take(lo + rows, mode="clip") * (rows < width)).T
-    return state.table.resolve(keys, lambda i: state.mask(
+    return state.table.resolve(_users_keys(b, lo, hi), lambda i: state.mask(
         b[lo[i]:hi[i]].tobytes().decode("ascii"), first_line + i))
 
 
@@ -787,22 +848,26 @@ def _parse_events(text: str, state: _FileState, first_line: int):
         raise _NotPlain
     if not text.endswith("\n"):
         text += "\n"
-    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    b = np.frombuffer(b"".join((_FRONT_PAD, text.encode("ascii"), _BACK_PAD)),
+                      np.uint8)
+    body = b[len(_FRONT_PAD):-len(_BACK_PAD)]
     nl = np.flatnonzero(b == _NL)
     commas = np.flatnonzero(b == _COMMA)
     n = len(nl)
     # Plain: printable ASCII other than space, and "\n" (the one byte below "!").
-    if (b.max() > np.uint8(0x7E) or len(commas) != 3 * n
-            or np.count_nonzero(b < np.uint8(0x21)) != n):
+    if (body.max() > np.uint8(0x7E) or len(commas) != 3 * n
+            or np.count_nonzero(body < np.uint8(0x21)) != n):
         raise _NotPlain
     c0, c1, c2 = commas.reshape(n, 3).T
     # With both bounds non-empty, c0 follows the previous newline, so each
     # line holds exactly its own three commas.
     if np.any(c2 >= nl) or np.any(c2 - c1 != 2):
         raise _NotPlain
+    words = _words(b)
     bounds = []
-    for lo, hi in ((np.concatenate(([0], nl[:-1] + 1)), c0), (c0 + 1, c1)):
-        values = _digit_field(b, lo, hi)
+    for lo, hi in ((np.concatenate(([len(_FRONT_PAD)], nl[:-1] + 1)), c0),
+                   (c0 + 1, c1)):
+        values = _digit_field(words, lo, hi)
         if state.scale != 1:
             if state.scale > _INT64_MAX // max(int(values.max()), 1):
                 raise _NotPlain

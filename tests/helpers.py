@@ -91,6 +91,21 @@ def read_rows(fp) -> ChannelTrace:
     return state.trace([], [], [], [])
 
 
+def byte_matrix_keys(b: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
+    """Slot-table keys of the users fields b[lo:hi] built byte by byte:
+    each field's bytes left-aligned in little-endian 64-bit words,
+    zero-padded to the widest field's ceil(w / 8) words, one at least.  The
+    reference for `core._users_keys`."""
+    width = hi - lo
+    w = int(width.max())
+    rows = np.arange(w)[:, None]
+    keys = np.zeros((len(lo), -(-w // 8) or 1), "<u8")
+    keys.view(np.uint8)[:, :w] = (b.take(lo + rows, mode="clip")
+                                  * (rows < width)).T
+    return keys
+
+
 def position_cycle_samples(trace: ChannelTrace) -> dict[str, np.ndarray]:
     """Per-user cycle samples by the search over single successes that the
     run search replaced: the bit-for-bit reference for `channel_cycle_time`.

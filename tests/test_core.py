@@ -951,6 +951,10 @@ _EDITS = {
 }
 
 
+# Printable ASCII other than the digits and the comma: in a bound, each
+# keeps its line's three commas, so only the digit test can catch it.
+_NON_DIGITS = [chr(c) for c in range(0x21, 0x7F) if chr(c) not in "0123456789,"]
+
 # Plain-form labels of 1 to 12 characters.
 _WORD_LABELS = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
                        max_size=12)
@@ -1141,6 +1145,41 @@ class TestColumnarRead:
             got = _outcome(ChannelTrace.read, text)
         assert got == _outcome(helpers.read_rows, text)
 
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_bounds_of_every_width(self, data):
+        # Bounds shifted across 10**k, so every width from 1 to 19 digits
+        # occurs, some zero-padded and some with one non-digit among the
+        # digits of a field of 8, 9, 16, 17 or 18: each of a bound's three
+        # words meets a bad byte in each of its places.  Blocks of a line or
+        # a few, so an edited line is often the first of its block.
+        tr = data.draw(helpers.traces(max_events=12))
+        offset = data.draw(st.sampled_from(
+            [0] + [10**k + d for k in range(1, 19) for d in range(-7, 2)]))
+        tr = ChannelTrace(tr.users, tr.starts + offset, tr.ends + offset,
+                          masks=tr.masks, horizon=tr.horizon + offset)
+        lines = _written(tr, ChannelTrace.write).splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(0, 3)) if len(tr) else 0):
+            i = data.draw(st.integers(3, len(lines) - 1))
+            fields = lines[i].split(",", 2)
+            f = data.draw(st.integers(0, 1))
+            if data.draw(st.booleans()):
+                fields[f] = fields[f].zfill(data.draw(st.integers(1, 20)))
+            else:
+                bound = fields[f].zfill(data.draw(
+                    st.sampled_from([8, 9, 16, 17, 18])))
+                p = data.draw(st.integers(0, len(bound) - 1))
+                fields[f] = bound[:p] + data.draw(
+                    st.sampled_from(_NON_DIGITS)) + bound[p + 1:]
+            lines[i] = ",".join(fields)
+        text = "".join(lines)
+        if data.draw(st.booleans()):
+            text = text.removesuffix("\n")
+        with mock.patch.object(core, "_BLOCK_BYTES",
+                               data.draw(st.integers(1, 100))):
+            got = _outcome(ChannelTrace.read, text)
+        assert got == _outcome(helpers.read_rows, text)
+
     def test_long_field_among_short_lines(self):
         # Mixed into short lines, a long users field goes to the row parser
         # rather than widening every line's key to its length.
@@ -1322,6 +1361,35 @@ class TestUsersFieldTable:
                 got = ChannelTrace.read(io.StringIO(t))
             assert got == helpers.read_rows(io.StringIO(t))
             assert sorted(calls) == sorted(users)
+
+    @pytest.mark.parametrize("size", [48, 256, None],
+                             ids=["48-bytes", "256-bytes", "whole"])
+    def test_word_keys_match_byte_keys(self, size):
+        # Users fields of every width from 0 to 70, then back down, and the
+        # edge fields: one to a block, a few, or all in one, where the words
+        # past the last, empty field run off its block.  Each block's keys
+        # are the ones the byte-matrix build gives.
+        users = tuple("u" * n for n in range(1, 36))
+        field = {len(f): f for f in itertools.chain(
+            [""], users, ("+".join(p) for p in itertools.combinations(users, 2)))}
+        fields = [field[w] for w in range(71)]
+        edges = _edge_fields(8, 9, 16, 17, 24, 25, 64, 65)
+        words, calls = core._users_keys, []
+
+        def spy(b, lo, hi):
+            keys = words(b, lo, hi)
+            want = helpers.byte_matrix_keys(b, lo, hi)
+            calls.append(keys.dtype == want.dtype and np.array_equal(keys, want))
+            return keys
+
+        for tr in (_trace_of_fields(users, fields + fields[::-1]),
+                   _trace_of_fields(_EDGE_USERS, edges + edges[::-1] + [""])):
+            with mock.patch.object(core, "_BLOCK_BYTES",
+                                   size or core._BLOCK_BYTES), \
+                    mock.patch.object(core, "_users_keys", spy):
+                assert ChannelTrace.read(
+                    io.StringIO(_written(tr, ChannelTrace.write))) == tr
+        assert calls and all(calls)
 
     @pytest.mark.parametrize("users, fields", [
         (_ABCD, ["ABCD+EFG", "ABCD+EFGH", "EFG", "ABCD+EFG", "ABCD+EFGH", "",

@@ -262,7 +262,6 @@ class TestTraceFileMemory:
         path = tmp_path / "t.csv"
         trace.to_file(path)
         peak = self._peak(ChannelTrace.from_file, path)
-        assert peak < 45 * len(trace)
         # The blocks' columns, 25 bytes an event, joined one column at a
         # time: at most one 8-byte column more.
         assert peak < 35 * len(trace)

@@ -195,8 +195,6 @@ def solve_collision_probability(cw_min: int, beta: int) -> CollisionFixedPoint:
             lo = mid
         else:
             hi = mid
-        if iterations >= 200:
-            break
     p = 0.5 * (lo + hi)
     return CollisionFixedPoint(p, abs(f(p)), iterations)
 

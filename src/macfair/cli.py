@@ -25,6 +25,7 @@ from .core import (
     CsmaParams,
     TraceError,
     UnitError,
+    _decimal,
     us_to_slots,
 )
 from .sim import (
@@ -36,7 +37,17 @@ from .sim import (
     write_audit,
 )
 
-_DURATION_RE = re.compile(r"^(\d+)(us)?$")
+_DURATION_RE = re.compile(r"^(\d+)(us)?$", re.ASCII)
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag, read by the trace file's rule: ASCII decimal digits
+    only, so digit group underscores and non-ASCII digits are usage errors."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
 
 
 def parse_duration(text: str, micros_per_slot: int) -> int:
@@ -188,7 +199,7 @@ def _parse_range(text: str, integer: bool) -> list:
     try:
         lo_s, hi_s, step_s = text.split(":")
         if integer:
-            lo, hi, step = int(lo_s), int(hi_s), int(step_s)
+            lo, hi, step = _decimal(lo_s), _decimal(hi_s), _decimal(step_s)
             if step <= 0:
                 raise ValueError
             values = list(range(lo, hi + 1, step))
@@ -331,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="macfair", allow_abbrev=False,
         description="Short-term fairness lab: cycle-time metrics, closed forms, "
                     "and slot-level MAC simulators.")
-    parser.add_argument("--micros-per-slot", type=int, default=MICROS_PER_SLOT)
+    parser.add_argument("--micros-per-slot", type=_int_flag,
+                        default=MICROS_PER_SLOT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flags shared by subcommands, each declared once.  The subcommands share
@@ -339,15 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     # `analytic` requires the point it evaluates, so its --pa, --pb and --pkt
     # stay its own.
     csma = argparse.ArgumentParser(add_help=False)
-    csma.add_argument("--cw-min", type=int, default=32)
-    csma.add_argument("--beta", type=int, default=5)
+    csma.add_argument("--cw-min", type=_int_flag, default=32)
+    csma.add_argument("--beta", type=_int_flag, default=5)
     csma.add_argument("--difs", default="4", help="slots or <n>us")
     csma.add_argument("--ack", default="1")
     csma.add_argument("--rts", default="1")
     csma.add_argument("--cts", default="1")
     runs = argparse.ArgumentParser(add_help=False, parents=[csma])
-    runs.add_argument("--seed", type=int, default=0)
-    runs.add_argument("--warmup", type=int, default=1000)
+    runs.add_argument("--seed", type=_int_flag, default=0)
+    runs.add_argument("--warmup", type=_int_flag, default=1000)
     runs.add_argument("--pa", type=float, default=0.5)
     runs.add_argument("--pb", type=float, default=0.5)
     runs.add_argument("--slot", default="1", help="Aloha slot length")
@@ -359,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", allow_abbrev=False, parents=[runs],
                          help="run a simulator and report cycle times")
     sim.add_argument("--protocol", required=True, choices=_PROTOCOLS)
-    sim.add_argument("--slots", type=int, required=True, help="trace horizon")
+    sim.add_argument("--slots", type=_int_flag, required=True,
+                     help="trace horizon")
     sim.add_argument("--users", default="A,B")
     sim.add_argument("--out", help="write the trace to this file")
     sim.add_argument("--audit-out", help="write the CSMA round audit log")
@@ -395,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--pkt-range", help="lo:hi:step in slots")
     sw.add_argument("--p-range", help="lo:hi:step transmit probability grid")
     sw.add_argument("--cw-range", help="lo:hi:step contention windows")
-    sw.add_argument("--slots", type=int, default=200_000)
-    sw.add_argument("--reps", type=int, default=3)
+    sw.add_argument("--slots", type=_int_flag, default=200_000)
+    sw.add_argument("--reps", type=_int_flag, default=3)
     sw.add_argument("--out", help="write CSV here instead of stdout")
     # No --p-c here: every sweep point solves the fixed point.
     sw.set_defaults(func=cmd_sweep, p_c=None)

@@ -225,8 +225,11 @@ class ChannelTrace:
     from `masks` on first use.  Construction rejects columns that are not
     one-dimensional integers, and a horizon that is not a whole number, and
     runs `validate_trace` on the masks as given, narrowing them only then,
-    so an out-of-range value fails with its event and never wraps; columns
-    already in their dtype are kept without a copy.  The `kinds` argument
+    so an out-of-range value fails with its event and never wraps.  Columns
+    already contiguous in their dtype (int64 bounds, masks in `mask_dtype`)
+    are kept without a copy and made read-only, which freezes the caller's
+    own array too: pass a copy to keep yours writable.  Other columns are
+    copied, leaving the caller's object as it was.  The `kinds` argument
     may be omitted; when given, it is checked against the masks after
     `validate_trace` and then dropped.  Every trace is valid.
     """

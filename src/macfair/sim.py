@@ -18,10 +18,10 @@ values in the same order, and what it draws after the last round is never
 recorded.  So the counters at every round start depend only on the seed, the
 users and the window schedule; the mode and the packet length only time the
 rounds.  A `ContentionRounds` holds a run's counters and serves every mode
-and packet length with that seed, users and windows, drawing further rounds
-only when a run reaches past those drawn, with the same values.  It also
-times them for the caller's mode, and `simulate_csma` takes every event
-boundary from their end ticks.
+and packet length with that seed, users and windows.  Its round loop draws
+counters only; `upto` times them for the caller's mode and, while they end
+before its cutoff, asks for as many more as the mean round so far needs to
+reach it.  `simulate_csma` takes every event boundary from their end ticks.
 
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
@@ -279,10 +279,11 @@ class ContentionRounds:
     user's stream alone, never on time, so they are the same for every mode
     and packet length with the same seed, users and windows (`_rounds_key`).
     One instance serves every such `simulate_csma` call.  `upto` is the one
-    place a round is timed: it times the rounds drawn for the caller's mode,
-    resuming the round loop from the last one's end tick when a call's
-    cutoff lies past them, and `simulate_csma` takes every event boundary
-    from the busy lengths and end ticks it returns.
+    place a round is timed: it times the rounds drawn for the caller's mode
+    and, while they end before a call's cutoff, has the round loop draw as
+    many more as the mean round so far needs to reach it, so a chain may
+    hold a few rounds past its longest call.  `simulate_csma` takes every
+    event boundary from the busy lengths and end ticks it returns.
     """
 
     def __init__(self, params: CsmaParams, config: SimConfig):
@@ -315,28 +316,27 @@ class ContentionRounds:
             if edge[-1] >= cutoff:
                 n = int(np.searchsorted(edge, cutoff))
                 return self.counter[:, :n], busy[:n], edge[1:n + 1]
-            self._extend(int(edge[-1]), params.l_difs + succ_len,
-                         params.l_difs + coll_len, cutoff)
+            # Draw enough rounds to reach the cutoff at the mean round so
+            # far, or at a stage-0 round's before any is drawn.
+            mean = (edge[-1] / len(busy) if len(busy) else
+                    params.l_difs + succ_len + (params.cw_min + 1) / 2)
+            self._extend(int((cutoff - edge[-1]) / mean) + 1)
 
-    def _extend(self, t: int, succ_round: int, coll_round: int,
-                cutoff: int) -> None:
-        """Run the round loop from tick t, the end of the last round drawn,
-        until a round starts at or past `cutoff`, with the rounds of
-        `simulate_csma`.  A success round lasts `succ_round` slots and a
-        collision `coll_round`, each plus the smaller backoff."""
+    def _extend(self, n: int) -> None:
+        """Draw the next n rounds' counters with the round loop of
+        `simulate_csma`; `upto` times them."""
         draw0, draw1 = self._draw
         beta, step = self._beta, self._step
         c0, p0, row0, c1, p1, row1, s0, s1 = self._state
         rec0: list[int] = []
         rec1: list[int] = []
         push0, push1 = rec0.append, rec1.append
-        while t < cutoff:
+        for _ in range(n):
             push0(c0)
             push1(c1)
             if c0 < c1:
                 # The loser defers for the exchange; its counter expires one
                 # slot of backoff while the channel is held.
-                t += succ_round + c0
                 c1 -= c0 + 1
                 s0 = 0
                 c0 = row0[p0]
@@ -345,7 +345,6 @@ class ContentionRounds:
                 else:
                     c0, p0, row0 = draw0(0, p0)
             elif c1 < c0:
-                t += succ_round + c1
                 c0 -= c1 + 1
                 s1 = 0
                 c1 = row1[p1]
@@ -354,7 +353,6 @@ class ContentionRounds:
                 else:
                     c1, p1, row1 = draw1(0, p1)
             else:
-                t += coll_round + c0
                 if s0 < beta:
                     s0 += 1
                 if s1 < beta:

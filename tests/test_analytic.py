@@ -186,6 +186,30 @@ class TestCollisionFixedPoint:
         assert 0.0 < solve_collision_probability(32, 1018).p_c < 0.5
         assert math.isfinite(expected_backoff_sum(0.0, 32, 1018))
 
+    @pytest.mark.parametrize("cw", [1, 2, 3, 32, 1000, 10**6, 2**30])
+    def test_bisection_ends_within_fifty_steps(self, cw):
+        # The interval starts just under 1/2 wide and halves until it is
+        # below 1e-15, which takes 49 steps for every window; the result is
+        # that of an unbounded bisection, step for step.  2**30 is the
+        # widest power-of-two window whose root lies above the bracket's
+        # 1e-9 lower end.
+        for beta in range(11):
+            if (cw, beta) == (1, 0):
+                continue  # no interior root
+            fp = solve_collision_probability(cw, beta)
+
+            def f(p):
+                return p - analytic._fixed_point_rhs(p, cw, beta)
+
+            lo, hi, steps = 1e-9, 0.5 - 1e-9, 0
+            while hi - lo > 1e-15:
+                steps += 1
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+            p = 0.5 * (lo + hi)
+            assert fp.iterations == steps <= 50
+            assert (fp.p_c, fp.residual) == (p, abs(f(p)))
+
     def test_uniqueness_by_sign_scan(self):
         cw, beta = 32, 5
         grid = np.linspace(1e-6, 0.5 - 1e-6, 10_000)

@@ -750,6 +750,57 @@ class TestDurationParsing:
             cli.parse_duration("30ms", 20)
 
 
+class TestAsciiIntegers:
+    """CLI integers follow the trace file's rule: ASCII decimal digits, with
+    an optional sign and surrounding spaces; digit group underscores and
+    non-ASCII digits are errors."""
+
+    ARABIC_30 = "\u0663\u0660"
+    INT_FLAGS = ["--micros-per-slot", "--cw-min", "--beta", "--seed",
+                 "--warmup", "--slots", "--reps"]
+
+    @staticmethod
+    def _argv(flag, text):
+        if flag == "--micros-per-slot":
+            return [flag, text, "analytic", "tdma", "--lengths", "3"]
+        return ["sweep", flag, text]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("analytic", "csma", "--pkt", ARABIC_30),
+         f"bad duration {ARABIC_30!r}; use slots or <n>us"),
+        (("simulate", "--protocol", "tdma", "--lengths", f"{ARABIC_30},30",
+          "--slots", "100"), f"bad duration {ARABIC_30!r}; use slots or <n>us"),
+        (("sweep", "--protocols", "tdma", "--pkt-range", "3_0:3_0:1",
+          "--slots", "100"), "bad range '3_0:3_0:1'; use lo:hi:step"),
+        (("sweep", "--protocols", "csma-basic", "--cw-range",
+          f"8:{ARABIC_30}:8", "--slots", "100"),
+         f"bad range '8:{ARABIC_30}:8'; use lo:hi:step"),
+    ], ids=["analytic-pkt", "tdma-lengths", "pkt-range", "cw-range"])
+    def test_bad_duration_or_range_is_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["\u0663\u0662", "3_2", "3.0"])
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_bad_int_flag_is_exit_2(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self._argv(flag, text))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            f"error: argument {flag}: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", ["32", " 32", "+32", "32 "])
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_int_flag_parses(self, flag, text):
+        args = cli.build_parser().parse_args(self._argv(flag, text))
+        assert getattr(args, flag[2:].replace("-", "_")) == 32
+
+    def test_range_bounds_parse(self):
+        assert cli._parse_range(" 30:+32: 1", integer=True) == [30, 31, 32]
+
+
 def _crossover_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "rtscts_crossover.py"
     spec = importlib.util.spec_from_file_location("rtscts_crossover", path)

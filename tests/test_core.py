@@ -536,6 +536,39 @@ class TestMaskDtype:
         assert wide.masks.dtype == np.uint8
         assert wide == tr
 
+    def test_columns_in_their_dtype_are_kept_and_frozen(self):
+        # Int64 bounds and uint8 masks for two users are the trace's own
+        # arrays, so the caller's arrays become read-only with them.
+        s = np.array([0, 1, 2], np.int64)
+        e = np.array([1, 2, 3], np.int64)
+        m = np.array([1, 0, 2], np.uint8)
+        tr = ChannelTrace(("A", "B"), s, e, masks=m, horizon=3)
+        for given, kept in ((s, tr.starts), (e, tr.ends), (m, tr.masks)):
+            assert kept is given
+            assert not given.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                given[0] = 5
+
+    def test_columns_in_another_dtype_are_copied(self):
+        # A list, int32 bounds and int64 masks for two users are copied,
+        # and the caller's objects stay writable and unchanged.
+        s = [0, 1, 2]
+        e = np.array([1, 2, 3], np.int32)
+        m = np.array([1, 0, 2], np.int64)
+        tr = ChannelTrace(("A", "B"), s, e, masks=m, horizon=3)
+        assert (tr.starts.dtype, tr.ends.dtype, tr.masks.dtype) == (
+            np.int64, np.int64, np.uint8)
+        for arr in (tr.starts, tr.ends, tr.masks):
+            assert not arr.flags.writeable
+        assert not np.shares_memory(tr.ends, e)
+        assert not np.shares_memory(tr.masks, m)
+        s[0] = 5
+        e[0] = 5
+        m[0] = 5
+        assert tr.starts.tolist() == [0, 1, 2]
+        assert tr.ends.tolist() == [1, 2, 3]
+        assert tr.masks.tolist() == [1, 0, 2]
+
     @pytest.mark.parametrize("n,mask", [
         (2, np.array([1, 257], np.int64)),  # would wrap to 1, a valid Success
         (2, np.array([1, 4], np.uint8)),

@@ -175,6 +175,13 @@ def solve_collision_probability(cw_min: int, beta: int) -> CollisionFixedPoint:
     The difference f(p) = p - rhs(p) is negative at 0+ and positive at 1/2-,
     and the root is unique, so plain bisection suffices.  With beta = 0 the
     equation collapses to p = 2 / (cw_min + 3).
+
+    The bracket [1e-9, 1/2 - 1e-9] is halved until it is at most 1e-15
+    wide.  A root at or below 1e-9 (cw_min of about 2**31 and more) is
+    bracketed from 0 instead, where f(0) = -2/(cw_min + 3) < 0, and halved
+    until the width is at most 1e-15 of the upper end.  Roots between 1e-9
+    and about 1e-3 keep the absolute stop, so their relative error may
+    reach 1e-6.
     """
     _check_window(cw_min, beta)
 
@@ -182,13 +189,16 @@ def solve_collision_probability(cw_min: int, beta: int) -> CollisionFixedPoint:
         return p - _fixed_point_rhs(p, cw_min, beta)
 
     lo, hi = 1e-9, 0.5 - 1e-9
+    relative = f(lo) >= 0.0
+    if relative:
+        lo = 0.0
     if not (f(lo) < 0.0 < f(hi)):
         # cw_min=1, beta=0 pins the root to the boundary p=1/2: two stations
         # that always pick a one-slot backoff collide forever.
         raise NoRootError(
             f"no interior root for cw_min={cw_min}, beta={beta}")
     iterations = 0
-    while hi - lo > 1e-15:
+    while hi - lo > (1e-15 * hi if relative else 1e-15):
         iterations += 1
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:

@@ -8,10 +8,10 @@ user's slots in turn, in blocks of `core._BLOCK` through one reused buffer;
 `Generator.random` in blocks gives the values of one whole-array call.
 CSMA/CA backoffs are taken from blocks of raw 32-bit words and mapped exactly
 as `Generator.integers(1, cw + 1)` maps them, so every backoff equals the
-value of one such call per draw.  The map works by block and window: the
-first draw of a window from a block maps all of the block's words for that
-window with numpy, a word numpy would reject reading 0, and the simulator
-reads stage-0 draws from that row inline.  A CSMA/CA user draws its next
+value of one such call per draw.  A block is mapped once, by numpy, for
+the stage-0 window when it is drawn, a word numpy would reject reading 0;
+the simulator reads stage-0 draws from that row inline, and a retry stage
+maps the words it reads one at a time.  A CSMA/CA user draws its next
 backoff as soon as a round ends in its win or in a collision, not when the
 next round starts; as no other user reads its stream, it draws the same
 values in the same order, and what it draws after the last round is never
@@ -19,9 +19,10 @@ recorded.  So the counters at every round start depend only on the seed, the
 users and the window schedule; the mode and the packet length only time the
 rounds.  A `ContentionRounds` holds a run's counters and serves every mode
 and packet length with that seed, users and windows.  Its round loop draws
-counters only; `upto` times them for the caller's mode and, while they end
-before its cutoff, asks for as many more as the mean round so far needs to
-reach it.  `simulate_csma` takes every event boundary from their end ticks.
+counters only, packed into int64 rows by `_int64_rows`; `upto` times them
+for the caller's mode and, while they end before its cutoff, asks for as
+many more as the mean round so far needs to reach it.  `simulate_csma`
+takes every event boundary from their end ticks.
 
 Every simulator emits its events sorted and tiling the channel from tick 0,
 each event starting where the previous one ends, so one non-decreasing
@@ -36,6 +37,7 @@ their memory alone that no two events overlap.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -78,45 +80,40 @@ def _window_row(words: np.ndarray, cw: int) -> list[int]:
     return row
 
 
-# A block's row before its window is mapped: every read finds 0.
-_UNMAPPED = (0,) * (BLOCK + 1)
-
-
 def _backoff_stream(rng: np.random.Generator, cws: list[int]):
     """Return draw(stage, pos), giving what `rng.integers(1, cws[stage] + 1)`
     would, call by call.
 
     Words come in blocks of BLOCK from `integers(0, 2**32, BLOCK,
     dtype=np.uint64)`, which reads the same buffered 32-bit stream as the
-    bounded call, so taking words in blocks changes no value drawn.  The first
-    draw of a window from a block maps the whole block for that window
-    (`_window_row`).  `pos` is the index of the caller's next word in the
-    block, BLOCK before the first draw.  draw returns the backoff, the index
-    of the next word, and the block's stage-0 row, which the caller may read
-    itself: a non-zero `row[pos]` is the next stage-0 backoff, after which the
-    next word is pos + 1, or pos for a window of 1, which spends no word; a 0
-    (a rejected word, the block's end or an unmapped row) means calling
-    draw(0, pos) instead.  A window of 1 drawn at a block's end takes the next
-    block early, which changes no value, as no one else reads the stream.
-    This leans on numpy's bounded-integer algorithm, which
-    tests/test_sim.py::TestBackoffDraw checks against the numpy in use.
+    bounded call, so taking words in blocks changes no value drawn.  A block
+    is mapped once, for the stage-0 window, when it is drawn (`_window_row`);
+    draw maps the words it reads one at a time, by the same rule.  `pos` is
+    the index of the caller's next word in the block, BLOCK before the first
+    draw.  draw returns the backoff, the index of the next word, and the
+    block's stage-0 row, which the caller may read itself: a non-zero
+    `row[pos]` is the next stage-0 backoff, after which the next word is
+    pos + 1, or pos for a window of 1, which spends no word; a 0 (a rejected
+    word or the block's end) means calling draw(0, pos) instead.  A window
+    of 1 drawn at a block's end takes the next block early, which changes no
+    value, as no one else reads the stream.  This leans on numpy's
+    bounded-integer algorithm, which tests/test_sim.py::TestBackoffDraw
+    checks against the numpy in use.
     """
-    words = None
-    rows = [_UNMAPPED] * len(cws)
+    rejects = [(_WORD - cw) % cw for cw in cws]
+    words = row0 = None
 
     def draw(stage: int, pos: int):
-        nonlocal words, rows
+        nonlocal words, row0
+        cw, reject = cws[stage], rejects[stage]
         while True:
             if pos == BLOCK:
                 words = rng.integers(0, _WORD, BLOCK, dtype=np.uint64)
-                rows = [_UNMAPPED] * len(cws)
+                row0 = _window_row(words, cws[0])
                 pos = 0
-            row = rows[stage]
-            if row is _UNMAPPED:
-                row = rows[stage] = _window_row(words, cws[stage])
-            c = row[pos]
-            if c:
-                return c, pos + (cws[stage] > 1), rows[0]
+            m = int(words[pos]) * cw
+            if m & 0xFFFFFFFF >= reject:
+                return 1 + (m >> 32), pos + (cw > 1), row0
             pos += 1
 
     return draw
@@ -324,7 +321,8 @@ class ContentionRounds:
 
     def _extend(self, n: int) -> None:
         """Draw the next n rounds' counters with the round loop of
-        `simulate_csma`; `upto` times them."""
+        `simulate_csma`, as two lists of Python ints that `_int64_rows`
+        packs onto `counter`; `upto` times them."""
         draw0, draw1 = self._draw
         beta, step = self._beta, self._step
         c0, p0, row0, c1, p1, row1, s0, s1 = self._state
@@ -361,7 +359,25 @@ class ContentionRounds:
                 c1, p1, row1 = draw1(s1, p1)
         self._state = (c0, p0, row0, c1, p1, row1, s0, s1)
         self.counter = np.concatenate(
-            (self.counter, np.array((rec0, rec1), np.int64)), axis=1)
+            (self.counter, _int64_rows((rec0, rec1))), axis=1)
+
+
+def _int64_rows(rows) -> np.ndarray:
+    """Equal-length lists of Python ints as one int64 array, a row each.
+
+    `struct` packs each list into its row's buffer as 8-byte `q` integers,
+    at most `core._BLOCK` of them per call, which beats numpy's generic
+    conversion of nested sequences; besides the result it holds one block's
+    argument list and tuple at a time.  Every value must fit 64 bits: the
+    round loop's counters are at most cw_max <= 2**32 (`_rounds_key`).
+    """
+    n = len(rows[0])
+    out = np.empty((len(rows), n), np.int64)
+    for row, ints in zip(out, rows):
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            struct.pack_into(f"{hi - lo}q", row, 8 * lo, *ints[lo:hi])
+    return out
 
 
 def simulate_csma(params: CsmaParams, config: SimConfig,
@@ -378,10 +394,10 @@ def simulate_csma(params: CsmaParams, config: SimConfig,
     collision hold the channel for `params.busy_slots(mode)`.
 
     Backoffs come from `_backoff_stream`, which maps each block of a user's
-    words once per window drawn from it, a rejected word reading 0.  A win's
+    words once for the stage-0 window, a rejected word reading 0.  A win's
     stage-0 redraw reads that row inline; the stream is called when the read
-    finds 0 (a block's end, a rejected word, a row not yet mapped) and for a
-    collision's redraws.
+    finds 0 (a block's end or a rejected word) and for a collision's
+    redraws, and maps the words it reads one at a time.
 
     The rounds' counters and times come from `rounds`, a `ContentionRounds`
     built for the same seed, users and windows, which may hold the rounds of

@@ -2,6 +2,7 @@
 CSMA cycle times, window optimum, and the RTS/CTS-vs-basic inflection."""
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ class TestAlohaCct:
             assert aloha_cct(AlohaParams(pa, pa)).psi_slots >= 2.0
 
 
+def _exact_root(cw_min: int, beta: int) -> Fraction:
+    """The contention fixed point's root by bisection of [0, 1/2] in exact
+    rational arithmetic, to a width of 2**-60 of the upper end."""
+    def f(p):
+        q = 1 - 2 * p
+        return p - 2 * q / (q * (cw_min + 3)
+                            + p * cw_min * (1 - (2 * p) ** beta))
+
+    lo, hi = Fraction(0), Fraction(1, 2)
+    while hi - lo > hi / 2**60:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
 class TestCollisionFixedPoint:
     def test_default_window(self):
         fp = solve_collision_probability(32, 5)
@@ -209,6 +225,17 @@ class TestCollisionFixedPoint:
             p = 0.5 * (lo + hi)
             assert fp.iterations == steps <= 50
             assert (fp.p_c, fp.residual) == (p, abs(f(p)))
+
+    @pytest.mark.parametrize("cw", [2**31, 2**31 + 1, 3 * 2**31, 2**32,
+                                    2**40, 10**15, 2**64, 2**100])
+    def test_roots_below_the_bracket(self, cw):
+        # f(1e-9) >= 0 from about 2**31 on, so the bracket starts at 0,
+        # where f is -2/(cw_min + 3) < 0, and stops on a relative width.
+        fp = solve_collision_probability(cw, 0)
+        assert fp.p_c == pytest.approx(2 / (cw + 3), rel=1e-10)
+        fp = solve_collision_probability(cw, 5)
+        assert fp.p_c == pytest.approx(float(_exact_root(cw, 5)), rel=1e-10)
+        assert fp.p_c < 1e-9
 
     def test_uniqueness_by_sign_scan(self):
         cw, beta = 32, 5

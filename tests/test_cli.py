@@ -72,6 +72,12 @@ class TestAnalytic:
         assert code == 0
         assert "p_c_residual" not in out and "p_c_iterations" not in out
 
+    def test_window_with_root_below_1e_9(self, capsys):
+        code, out, err = run(capsys, "analytic", "csma", "--pkt", "30",
+                             "--cw-min", "2147483648", "--beta", "0")
+        assert code == 0 and err == ""
+        assert float(kv(out)["p_c_residual"]) < 1e-24
+
     def test_microsecond_durations(self, capsys):
         code, out, _ = run(capsys, "analytic", "csma", "--pkt", "600us",
                            "--difs", "80us")

@@ -466,10 +466,16 @@ class TestBackoffDraw:
         got, want = self._both(seed, windows, stages)
         assert got == want
 
-    @pytest.mark.parametrize("cw", [3, 12345, 2**31 + 1, 3 * 2**30,
-                                    2**32 - 1, 2**32])
-    def test_rejection_heavy_windows(self, cw):
-        got, want = self._both(7, [cw], [0] * (2 * BLOCK + 3))
+    HEAVY = [3, 12345, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+    # Stage 0 reads the block's row; a retry stage maps word by word, and its
+    # rejected words run across block ends too.
+    @pytest.mark.parametrize("stage,cw", [
+        *(pytest.param(0, cw, id=str(cw)) for cw in HEAVY),
+        *(pytest.param(1, cw, id=f"retry-{cw}") for cw in HEAVY)])
+    def test_rejection_heavy_windows(self, stage, cw):
+        windows = [cw] if stage == 0 else [5, cw]
+        got, want = self._both(7, windows, [stage] * (2 * BLOCK + 3))
         assert got == want
         assert min(got) >= 1 and max(got) <= cw
 
@@ -664,6 +670,24 @@ class TestSharedRounds:
         simulate_csma(other, SimConfig(seed=4, horizon=900, warmup=0),
                       CsmaMode.BASIC, rounds=rounds)
 
+    @pytest.mark.parametrize("cw_min,beta", [(2**31, 1), (2**32, 0)])
+    def test_counters_beyond_31_bits(self, cw_min, beta):
+        # Windows up to 2**32 give counters past int32's range, which the
+        # packed records must keep; the second call resumes the chain.
+        params = CsmaParams(cw_min=cw_min, beta=beta, l_difs=2, l_pkt=5)
+        rounds = ContentionRounds(params, SimConfig(seed=5, horizon=1))
+        held = []
+        for horizon in (300 * cw_min, 900 * cw_min):
+            config = SimConfig(seed=5, horizon=horizon, warmup=0)
+            simulate_csma(params, config, CsmaMode.BASIC, rounds=rounds)
+            want = reference_csma_counters(params, config, CsmaMode.BASIC)
+            np.testing.assert_array_equal(rounds.counter.T[:len(want)], want)
+            held.append(rounds.counter.shape[1])
+        assert held[0] < held[1]
+        if cw_min == 2**32:
+            assert rounds.counter.max() > 2**31
+        assert rounds.counter.max() <= params.cw_max
+
     def test_window_beyond_32_bits_message(self):
         params = CsmaParams(cw_min=3, beta=31, l_difs=1, l_pkt=1)
         config = SimConfig(seed=0, horizon=100)
@@ -677,6 +701,33 @@ class TestSharedRounds:
             with pytest.raises(TraceError) as exc:
                 build()
             assert str(exc.value) == message
+
+
+class TestRecordPacking:
+    """`sim._int64_rows`, which packs the round loop's Python-int records."""
+
+    def test_values(self):
+        rows = [[0, 1, 2**31, 2**32, 2**63 - 1], [-1, -2**63, 5, 7, 2**31 - 1]]
+        got = sim._int64_rows(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == rows
+
+    @pytest.mark.parametrize("n", [3 * _BLOCK + 7, 1_000_000])
+    def test_peak(self, n):
+        # Besides the result, packing holds one block's argument list and
+        # tuple, 8 bytes an int each; a whole-list pack would hold 16 bytes
+        # a record.  Small ints are cached, so the rows allocate nothing
+        # more.
+        rows = [[i % 200 for i in range(n)], [i % 199 for i in range(n)]]
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out = sim._int64_rows(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base - out.nbytes < 16 * _BLOCK + 4096
+        np.testing.assert_array_equal(out, np.array(rows, np.int64))
 
 
 class TestAlohaPinned:

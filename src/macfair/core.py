@@ -376,10 +376,10 @@ class ChannelTrace:
         fp.write("#slots_per_unit=1\n")
         fp.write(f"#users={'+'.join(self.users)}\n")
         fp.write(f"#horizon={self.horizon}\n")
-        # A block's byte matrix is as wide as its longest line, so the block
-        # length follows from the widest line these users allow.
-        widest = _WIDEST_BOUNDS + len("+".join(self.users).encode())
-        step = max(1, _BLOCK_BYTES // widest)
+        # A block's byte matrix holds a column per line, as long as the
+        # block's widest line, so blocks of _BLOCK_BYTES // _widest_line(self)
+        # lines keep every matrix within _BLOCK_BYTES.
+        step = max(1, _BLOCK_BYTES // _widest_line(self))
         fields = _UsersFields(self.users)
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
@@ -565,13 +565,12 @@ def _parse_rows(text: str, state: _FileState,
 # block as byte columns; reading takes a block's fields as 8-byte words, each
 # bound's digits combined by SWAR multiply-shift steps.  One _SlotTable per
 # file maps a users field's bytes, of any width, to its mask when reading,
-# and a mask to the span of its set's text when writing.  Both directions
+# and a mask to the row of its set's text when writing.  Both directions
 # resolve the keys a table misses in the same way, `_SlotTable.resolve`:
 # only those keys are sorted, and each distinct one takes the slow path once.
 
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18          # every bound of at most 18 digits fits in int64
-_WIDEST_BOUNDS = 45       # two 20-byte bounds, ",K,", "," and "\n"
 
 _NL, _COMMA, _MINUS, _ZERO = (np.uint8(ord(c)) for c in "\n,-0")
 _PAD = np.uint8(0xFF)     # an unused byte when writing: no UTF-8 text holds it
@@ -680,47 +679,84 @@ class _SlotTable:
         return values
 
 
+def _widest_line(trace: ChannelTrace) -> int:
+    """The bytes of the widest event line `trace` can write: its largest
+    bound twice, `,K,`, `,` and `\\n`, and the text naming every user.  A
+    trace's bounds are non-negative and its ends increase, so its largest
+    bound is its last end."""
+    largest = int(trace.ends[-1]) if len(trace) else 0
+    return (2 * len(str(largest)) + len(",K,,\n")
+            + len("+".join(trace.users).encode()))
+
+
+class _Full(Exception):
+    """Widening the users table would take it past _BLOCK_BYTES."""
+
+
 class _UsersFields:
     """The `kind,users` texts of one `write` call: each participant set's
-    text rendered once into one byte buffer, followed by one _PAD, and
-    found by mask through a _SlotTable whose value is the text's span,
-    `start << 32 | width`; masks whose slot is taken find their span in a
-    dict."""
+    text rendered once into a row of a byte table, padded with _PAD to the
+    table's width, and found by mask through a _SlotTable whose value is
+    the row; masks whose slot is taken find their row in a dict.  The rows
+    and the width grow independently: a text wider than all before it
+    widens the table and leaves the earlier rows as they are."""
 
     def __init__(self, users: tuple[str, ...]):
         self.users = users
         self.clear()
 
     def clear(self) -> None:
-        self.table, self.spans = _SlotTable(), {}
-        self.text = bytearray()
+        self.table, self.row_of = _SlotTable(), {}
+        self.text = np.full((16, 0), _PAD)
+        self.widths = np.zeros(16, np.intp)
+        self.used = 0
 
     def rows(self, masks: np.ndarray) -> np.ndarray:
-        """The masks' `kind,users` texts, one column per event in a byte
-        matrix as wide as the widest of them, each padded with _PAD."""
-        # Past a block's worth of text, start over: the buffer then stays
-        # within about two blocks, so both halves of a span fit 32 bits.
-        if len(self.text) > _BLOCK_BYTES:
-            self.clear()
-        spans = self.table.resolve(masks.astype(np.uint64)[:, None],
-                                   lambda i: self._span(masks[i:i + 1]))
-        width = spans & 0xFFFFFFFF
-        rows = np.arange(int(width.max()))[:, None]
-        # Past its own width, each column reads the pad after its text.
-        text = np.frombuffer(self.text, np.uint8)
-        return text.take(np.minimum(rows, width) + (spans >> 32))
+        """The masks' `kind,users` texts, a row per event in a byte matrix
+        as wide as the widest of them, each padded with _PAD."""
+        # Past a block's worth of table, start over; a block whose new texts
+        # would widen the table past that starts over too, and one block's
+        # texts alone fit it: at most one row for each of its lines, none
+        # wider than its widest line.
+        keys = masks.astype(np.uint64)[:, None]
 
-    def _span(self, mask: np.ndarray) -> int:
-        """The span of the text of `mask`, an array of one mask."""
+        def find(i: int) -> int:
+            return self._row(masks[i:i + 1])
+
+        if self.used * self.text.shape[1] > _BLOCK_BYTES:
+            self.clear()
+        try:
+            row = self.table.resolve(keys, find)
+        except _Full:
+            self.clear()
+            row = self.table.resolve(keys, find)
+        return self.text.take(row, 0)[:, :self.widths.take(row).max()]
+
+    def _row(self, mask: np.ndarray) -> int:
+        """The row of the text of `mask`, an array of one mask."""
         m = int(mask[0])
-        span = self.spans.get(m)
-        if span is None:
+        row = self.row_of.get(m)
+        if row is None:
             kind = "S" if _one_user(mask)[0] else "C" if m else "I"
             users = "+".join(u for b, u in enumerate(self.users) if m >> b & 1)
-            text = f"{kind},{users}".encode()
-            span = self.spans[m] = len(self.text) << 32 | len(text)
-            self.text += text + _PAD.tobytes()
-        return span
+            text = np.frombuffer(f"{kind},{users}".encode(), np.uint8)
+            rows, width = self.text.shape
+            if len(text) > width:
+                if self.used and self.used * len(text) > _BLOCK_BYTES:
+                    raise _Full
+                wide = np.full((rows, len(text)), _PAD)
+                wide[:, :width] = self.text
+                self.text = wide
+            if self.used == rows:
+                self.text = np.concatenate((self.text,
+                                            np.full_like(self.text, _PAD)))
+                self.widths = np.concatenate((self.widths,
+                                              np.zeros_like(self.widths)))
+            row = self.row_of[m] = self.used
+            self.text[row, :len(text)] = text
+            self.widths[row] = len(text)
+            self.used += 1
+        return row
 
 
 def _int_rows(values: np.ndarray) -> np.ndarray:
@@ -728,15 +764,25 @@ def _int_rows(values: np.ndarray) -> np.ndarray:
     a (width, n) byte matrix whose bytes before each number hold _PAD."""
     neg = np.flatnonzero(values < 0)
     mag = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to 2**63
-    width = len(str(int(mag.max(initial=0)))) + (len(neg) > 0)
+    top = int(mag.max(initial=0))
+    width = len(str(top)) + (len(neg) > 0)
+    if top < 2**32:  # the divisions run faster on narrower words
+        mag = mag.astype(np.uint32)
+    ten = mag.dtype.type(10)
     text = np.empty((width, len(values)), np.uint8)
+    low = mag.astype(np.uint8)
     for place, row in enumerate(text[::-1]):  # the units first
-        quot = mag // np.uint64(10)
-        np.subtract(mag, quot * np.uint64(10), out=row, casting="unsafe")
+        # A place whose quotient is zero is before the number.
+        pad = (mag == 0).view(np.uint8) * _PAD if place else None
+        mag //= ten
+        high = mag.astype(np.uint8)
+        # Modulo 256, a digit is the low byte less ten times the quotient's.
+        np.multiply(high, np.uint8(10), out=row)
+        np.subtract(low, row, out=row)
         row += _ZERO
-        if place:  # a place whose quotient is zero is before the number
-            row |= (mag == 0) * _PAD  # "0" | 0xFF is _PAD
-        mag = quot
+        if place:
+            row |= pad  # "0" | 0xFF is _PAD
+        low = high
     if len(neg):  # each minus sign takes the last pad before its number
         text[np.count_nonzero(text[:, neg] == _PAD, 0) - 1, neg] = _MINUS
     return text
@@ -757,7 +803,7 @@ def _int_list(values: np.ndarray) -> str:
 
 def _render_events(starts, ends, who) -> bytes:
     """One block of event lines: the bounds, then the `kind,users` texts
-    that `_UsersFields.rows` gives."""
+    that `_UsersFields.rows` gives, a row per line."""
     n = len(starts)
     # A tiled block's n + 1 boundaries are rendered once: its starts are the
     # first n, its ends the last n.  Otherwise starts, then ends.
@@ -765,9 +811,10 @@ def _render_events(starts, ends, who) -> bytes:
     bounds = _int_rows(np.concatenate((starts, ends[-1:] if tiled else ends)))
     k = 1 if tiled else n
     comma = np.full((1, n), _COMMA)
-    # Line by line: the transpose reads each event's bytes in order.
+    # Byte by byte, a column per line, whose transpose reads each line's
+    # bytes in order: whole rows copy faster than lines of a few bytes.
     return _unpadded(np.concatenate((bounds[:, :n], comma, bounds[:, k:k + n],
-                                     comma, who, np.full((1, n), _NL))))
+                                     comma, who.T, np.full((1, n), _NL))))
 
 
 def _words(b: np.ndarray) -> np.ndarray:

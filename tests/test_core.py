@@ -857,7 +857,10 @@ _WRITE_CASES = {
                                [2**62, 2**62 + 1, 2**63 - 1],
                                [SUCCESS_CODE, SUCCESS_CODE, IDLE_CODE],
                                [1, 2, 0], 2**63 - 1),
-    "many-blocks": _block_trace(3 * core._BLOCK_BYTES // core._WIDEST_BOUNDS),
+    # Three blocks at the widest line of its first five events, so at least
+    # three at its own, which is no narrower.
+    "many-blocks": _block_trace(
+        3 * core._BLOCK_BYTES // core._widest_line(_block_trace(5))),
     "long-label": ChannelTrace(("L" * 300_000, "B"), np.arange(40),
                                np.arange(1, 41),
                                np.tile([SUCCESS_CODE, SUCCESS_CODE,
@@ -935,11 +938,68 @@ class TestColumnarWrite:
     @pytest.mark.parametrize("lines", [1, 2, 3, None],
                              ids=["1-line", "2-line", "3-line", "whole"])
     def test_tiled_edge_cases(self, tr, lines):
-        widest = core._WIDEST_BOUNDS + len("+".join(tr.users).encode())
-        size = core._BLOCK_BYTES if lines is None else lines * widest
+        size = (core._BLOCK_BYTES if lines is None
+                else lines * core._widest_line(tr))
         with mock.patch.object(core, "_BLOCK_BYTES", size):
             assert _written(tr, ChannelTrace.write) == \
                 _written(tr, helpers.write_rows)
+
+    def test_many_blocks_case_spans_three_blocks(self):
+        tr = _WRITE_CASES["many-blocks"]
+        assert len(tr) > 2 * (core._BLOCK_BYTES // core._widest_line(tr))
+
+    @pytest.mark.parametrize("tr", [
+        ChannelTrace(("A", "B"), [], [], masks=[], horizon=0),
+        ChannelTrace(("A", "B"), [], [], masks=[], horizon=2**63 - 1),
+        ChannelTrace((), [], [], masks=[], horizon=5),
+        ChannelTrace(("A", "B"), [0], [1], masks=[3], horizon=1),
+        ChannelTrace(("A",), [2**63 - 2], [2**63 - 1], masks=[1],
+                     horizon=2**63 - 1),
+        ChannelTrace((), [4], [9], masks=[0], horizon=12),
+    ], ids=["empty", "empty-long-horizon", "empty-no-users", "one-collision",
+            "one-at-int64-max", "one-idle-no-users"])
+    @pytest.mark.parametrize("block_bytes", [1, None], ids=["1-byte", "whole"])
+    def test_empty_and_one_event(self, tr, block_bytes):
+        # The block length reads the trace's last end, which an empty trace
+        # does not have.
+        with mock.patch.object(core, "_BLOCK_BYTES",
+                               block_bytes or core._BLOCK_BYTES):
+            assert _written(tr, ChannelTrace.write) == \
+                _written(tr, helpers.write_rows)
+
+    @pytest.mark.parametrize("users, first, n, block_bytes, digits", [
+        (("A", "B", "C"), 0, 6, 40, 1),
+        (("A", "B", "C"), 10**6, 30_000, None, 7),
+        (("A", "B", "C"), 10**18, 30_000, None, 19),
+        (tuple(f"{i:02d}" + "L" * 198 for i in range(63)), 0, 400, None, 3),
+    ], ids=["1-digit", "7-digit", "19-digit", "63-users-wide"])
+    def test_block_matrix_within_budget(self, users, first, n, block_bytes,
+                                        digits):
+        # Every fourth event a collision of all users, so each block holds
+        # the widest line its bounds allow; every other event a gap.
+        budget = block_bytes or core._BLOCK_BYTES
+        i = np.arange(n)
+        starts = first + 2 * i - i // 2
+        masks = np.where(i % 4 == 3, 2**len(users) - 1,
+                         1 << (i % len(users)))
+        tr = ChannelTrace(users, starts, starts + 1, masks=masks,
+                          horizon=int(starts[-1]) + 1)
+        last = int(tr.ends[-1])
+        assert len(str(last)) == digits
+        widest = len(f"{last},{last},C,{'+'.join(users)}\n".encode())
+        assert core._widest_line(tr) == widest
+        sizes, unpadded = [], core._unpadded
+
+        def spy(text):
+            sizes.append(text.nbytes)
+            return unpadded(text)
+
+        with mock.patch.object(core, "_BLOCK_BYTES", budget), \
+                mock.patch.object(core, "_unpadded", spy):
+            assert _written(tr, ChannelTrace.write) == \
+                _written(tr, helpers.write_rows)
+        assert len(sizes) == -(-n // (budget // widest)) > 1
+        assert max(sizes) <= budget
 
 
 class TestIntList:
@@ -1297,13 +1357,40 @@ class TestUsersFieldTable:
 
     def test_one_field_per_mask(self, one_slot):
         # Masks that lose slot 0 are found again in the dict, not rendered
-        # again: each set's text is in the buffer once, as first met, and
-        # followed by one pad byte.
+        # again: each set's text is in the table once, as first met, in a
+        # row that holds only pad bytes after it.
         fields = core._UsersFields(("A", "B", "C"))
         for masks in ([1, 2, 3], [3, 4, 1, 5], [5, 6, 2, 1]):
             fields.rows(np.array(masks, np.uint8))
-        assert fields.text.split(b"\xff") == \
-            [b"S,A", b"S,B", b"C,A+B", b"S,C", b"C,A+C", b"C,B+C", b""]
+        texts = [bytes(row).rstrip(b"\xff") for row in fields.text[:fields.used]]
+        assert texts == [b"S,A", b"S,B", b"C,A+B", b"S,C", b"C,A+C", b"C,B+C"]
+        assert b"".join(texts).count(b"\xff") == 0
+        assert (fields.text[fields.used:] == core._PAD).all()
+
+    def test_wider_text_widens_table(self):
+        # Each text wider than all before it widens the table; the rows
+        # before it keep their text and gain pad bytes.  The rows grow
+        # apart from the width, by doubling only when all are in use.
+        users = tuple("u" * n for n in range(1, 36))
+        fields = core._UsersFields(users)
+        want = []
+        for k in range(35):
+            who = fields.rows(np.array([1 << k, 0], np.uint64))
+            text = b"S," + b"u" * (k + 1)
+            want += [text, b"I,"] if k == 0 else [text]
+            assert [bytes(row).rstrip(b"\xff") for row in who] == \
+                [text, b"I,"]
+            assert fields.text.shape[1] == k + 3
+            assert [bytes(row).rstrip(b"\xff")
+                    for row in fields.text[:fields.used]] == want
+        assert fields.text.shape == (64, 37)
+        who = fields.rows(np.array([1, 1 << 34 | 1, 0], np.uint64))
+        assert [bytes(row).rstrip(b"\xff") for row in who] == \
+            [b"S,u", b"C,u+" + b"u" * 35, b"I,"]
+        assert fields.text.shape == (64, 39)
+        assert [bytes(row).rstrip(b"\xff")
+                for row in fields.text[:fields.used]] == \
+            want + [b"C,u+" + b"u" * 35]
 
     def test_more_fields_than_slots(self):
         # 62 one-character users and 6000 distinct 2- and 3-user collisions,

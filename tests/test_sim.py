@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from helpers import (aloha_cycle_pmf, nuser_trace, reference_aloha_trace,
-                     reference_csma_counters)
+                     reference_csma_counters, write_rows)
 from macfair import analytic, metrics, sim
 from macfair.core import (
     _BLOCK,
@@ -257,6 +257,22 @@ class TestTraceFileMemory:
         trace = ChannelTrace(users, np.arange(n), np.arange(1, n + 1),
                              np.full(n, COLLISION_CODE), np.array(masks), n)
         assert self._peak(trace.to_file, tmp_path / "t.csv") < 3_000_000
+
+    def test_write_peak_wide_after_narrow(self, tmp_path):
+        # 1891 distinct 5-byte users fields, then one of 20 KB: the writer's
+        # table of fields must start over rather than widen every row held.
+        users = tuple("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                      "0123456789") + ("W" * 20_000,)
+        masks = [1 << a | 1 << b for a, b in itertools.combinations(range(62), 2)]
+        masks += [1 << 62, 3, 1 << 62 | 1] * 10
+        n = len(masks)
+        trace = ChannelTrace(users, np.arange(n), np.arange(1, n + 1),
+                             masks=np.array(masks, np.uint64), horizon=n)
+        path = tmp_path / "t.csv"
+        assert self._peak(trace.to_file, path) < 3_000_000
+        want = io.StringIO()
+        write_rows(trace, want)
+        assert path.read_text(encoding="utf-8") == want.getvalue()
 
     def test_read_peak(self, trace, tmp_path):
         path = tmp_path / "t.csv"

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, ChannelTrace, TraceError, _int_list, _one_user
+from .core import _BLOCK, ChannelTrace, TraceError, _one_user
+from .traceio import _int_list
 
 
 class TooFewUsersError(TraceError):

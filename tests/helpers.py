@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from macfair import core
+from macfair import traceio
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -79,7 +79,7 @@ def write_rows(trace: ChannelTrace, fp) -> None:
 def read_rows(fp) -> ChannelTrace:
     """A whole file through the row parser, after a header pass of its own:
     the reference for `ChannelTrace.read`."""
-    state = core._FileState()
+    state = traceio._FileState()
     lines = fp.read().split("\n")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -87,7 +87,7 @@ def read_rows(fp) -> ChannelTrace:
             state.header(line, line_no)
         elif line:
             body = "\n".join(lines[line_no - 1:])
-            return state.trace(*core._parse_rows(body, state, line_no))
+            return state.trace(*traceio._parse_rows(body, state, line_no))
     return state.trace([], [], [], [])
 
 
@@ -96,7 +96,7 @@ def byte_matrix_keys(b: np.ndarray, lo: np.ndarray,
     """Slot-table keys of the users fields b[lo:hi] built byte by byte:
     each field's bytes left-aligned in little-endian 64-bit words,
     zero-padded to the widest field's ceil(w / 8) words, one at least.  The
-    reference for `core._users_keys`."""
+    reference for `traceio._users_keys`."""
     width = hi - lo
     w = int(width.max())
     rows = np.arange(w)[:, None]

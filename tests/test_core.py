@@ -1,4 +1,5 @@
 """Core types: events, traces, validation, unit conversion, file round-trips."""
+import contextlib
 import dataclasses
 import io
 import itertools
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import helpers
 import macfair
-from macfair import core, metrics
+from macfair import core, metrics, traceio
 from macfair.core import (
     COLLISION_CODE,
     IDLE_CODE,
@@ -286,8 +287,16 @@ class TestKindsView:
 
     def test_pipeline_never_derives_kinds(self):
         cfg = SimConfig(seed=3, horizon=20_000)
-        with mock.patch.object(core, "_kind_codes",
-                               side_effect=AssertionError("kinds derived")):
+        # Patched in every macfair module that binds it, as the bench wraps
+        # its layers: a module that imported it by name escapes `core`'s.
+        derive = core._kind_codes
+        with contextlib.ExitStack() as patches:
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").split(".")[0] == "macfair"
+                        and vars(mod).get("_kind_codes") is derive):
+                    patches.enter_context(mock.patch.object(
+                        mod, "_kind_codes",
+                        side_effect=AssertionError("kinds derived")))
             traces = [simulate_aloha(AlohaParams(0.5, 0.5), cfg),
                       simulate_csma(CsmaParams(32, 5, 4, 30), cfg),
                       simulate_tdma([3, 5], cfg)]
@@ -860,7 +869,7 @@ _WRITE_CASES = {
     # Three blocks at the widest line of its first five events, so at least
     # three at its own, which is no narrower.
     "many-blocks": _block_trace(
-        3 * core._BLOCK_BYTES // core._widest_line(_block_trace(5))),
+        3 * traceio._BLOCK_BYTES // traceio._widest_line(_block_trace(5))),
     "long-label": ChannelTrace(("L" * 300_000, "B"), np.arange(40),
                                np.arange(1, 41),
                                np.tile([SUCCESS_CODE, SUCCESS_CODE,
@@ -929,7 +938,7 @@ class TestColumnarWrite:
         # gapped or both; an offset of 10**k - 7 takes bounds across 10**k.
         tr = ChannelTrace(tr.users, tr.starts + offset, tr.ends + offset,
                           masks=tr.masks, horizon=tr.horizon + offset)
-        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(traceio, "_BLOCK_BYTES", block_bytes):
             assert _written(tr, ChannelTrace.write) == \
                 _written(tr, helpers.write_rows)
 
@@ -938,15 +947,15 @@ class TestColumnarWrite:
     @pytest.mark.parametrize("lines", [1, 2, 3, None],
                              ids=["1-line", "2-line", "3-line", "whole"])
     def test_tiled_edge_cases(self, tr, lines):
-        size = (core._BLOCK_BYTES if lines is None
-                else lines * core._widest_line(tr))
-        with mock.patch.object(core, "_BLOCK_BYTES", size):
+        size = (traceio._BLOCK_BYTES if lines is None
+                else lines * traceio._widest_line(tr))
+        with mock.patch.object(traceio, "_BLOCK_BYTES", size):
             assert _written(tr, ChannelTrace.write) == \
                 _written(tr, helpers.write_rows)
 
     def test_many_blocks_case_spans_three_blocks(self):
         tr = _WRITE_CASES["many-blocks"]
-        assert len(tr) > 2 * (core._BLOCK_BYTES // core._widest_line(tr))
+        assert len(tr) > 2 * (traceio._BLOCK_BYTES // traceio._widest_line(tr))
 
     @pytest.mark.parametrize("tr", [
         ChannelTrace(("A", "B"), [], [], masks=[], horizon=0),
@@ -962,8 +971,8 @@ class TestColumnarWrite:
     def test_empty_and_one_event(self, tr, block_bytes):
         # The block length reads the trace's last end, which an empty trace
         # does not have.
-        with mock.patch.object(core, "_BLOCK_BYTES",
-                               block_bytes or core._BLOCK_BYTES):
+        with mock.patch.object(traceio, "_BLOCK_BYTES",
+                               block_bytes or traceio._BLOCK_BYTES):
             assert _written(tr, ChannelTrace.write) == \
                 _written(tr, helpers.write_rows)
 
@@ -977,7 +986,7 @@ class TestColumnarWrite:
                                         digits):
         # Every fourth event a collision of all users, so each block holds
         # the widest line its bounds allow; every other event a gap.
-        budget = block_bytes or core._BLOCK_BYTES
+        budget = block_bytes or traceio._BLOCK_BYTES
         i = np.arange(n)
         starts = first + 2 * i - i // 2
         masks = np.where(i % 4 == 3, 2**len(users) - 1,
@@ -987,15 +996,15 @@ class TestColumnarWrite:
         last = int(tr.ends[-1])
         assert len(str(last)) == digits
         widest = len(f"{last},{last},C,{'+'.join(users)}\n".encode())
-        assert core._widest_line(tr) == widest
-        sizes, unpadded = [], core._unpadded
+        assert traceio._widest_line(tr) == widest
+        sizes, unpadded = [], traceio._unpadded
 
         def spy(text):
             sizes.append(text.nbytes)
             return unpadded(text)
 
-        with mock.patch.object(core, "_BLOCK_BYTES", budget), \
-                mock.patch.object(core, "_unpadded", spy):
+        with mock.patch.object(traceio, "_BLOCK_BYTES", budget), \
+                mock.patch.object(traceio, "_unpadded", spy):
             assert _written(tr, ChannelTrace.write) == \
                 _written(tr, helpers.write_rows)
         assert len(sizes) == -(-n // (budget // widest)) > 1
@@ -1015,7 +1024,7 @@ class TestIntList:
     @settings(max_examples=300, deadline=None)
     def test_matches_join(self, values):
         v = np.array(values, np.int64)
-        assert core._int_list(v) == ",".join(map(str, v.tolist()))
+        assert traceio._int_list(v) == ",".join(map(str, v.tolist()))
 
 
 def _outcome(reader, text: str):
@@ -1163,11 +1172,11 @@ class TestColumnarRead:
         assert tr.starts.tolist() == [0, 5] and tr.ends.tolist() == [5, 9]
 
     def test_plain_body_skips_row_parser(self, monkeypatch):
-        tr = _block_trace(3 * core._BLOCK_BYTES // 30)
+        tr = _block_trace(3 * traceio._BLOCK_BYTES // 30)
         text = _written(tr, ChannelTrace.write)
-        assert len(text) > 2 * core._BLOCK_BYTES
+        assert len(text) > 2 * traceio._BLOCK_BYTES
         headerless = text.split("\n", 3)[3]
-        long_line = "0,5,S," + "L" * (core._BLOCK_BYTES + 5) + "\n5,9,I,\n"
+        long_line = "0,5,S," + "L" * (traceio._BLOCK_BYTES + 5) + "\n5,9,I,\n"
         texts = [text, headerless, "#slots_per_unit=3\n" + headerless,
                  long_line]
         want = [helpers.read_rows(io.StringIO(t)) for t in texts]
@@ -1177,24 +1186,24 @@ class TestColumnarRead:
         def no_rows(*args):
             raise AssertionError("plain block sent to the row parser")
 
-        monkeypatch.setattr(core, "_parse_rows", no_rows)
+        monkeypatch.setattr(traceio, "_parse_rows", no_rows)
         assert [ChannelTrace.read(io.StringIO(t)) for t in texts] == want
 
     def test_anomaly_sends_only_its_block_to_row_parser(self, monkeypatch):
-        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+        lines = _written(_block_trace(3 * traceio._BLOCK_BYTES // 30),
                          ChannelTrace.write).splitlines(keepends=True)
         i = len(lines) // 2
         lines[i] = lines[i].replace("\n", " \n")
         text = "".join(lines)
         want = helpers.read_rows(io.StringIO(text))
         calls = []
-        rows = core._parse_rows
+        rows = traceio._parse_rows
 
         def spy(block, state, first_line):
             calls.append((first_line, block.count("\n")))
             return rows(block, state, first_line)
 
-        monkeypatch.setattr(core, "_parse_rows", spy)
+        monkeypatch.setattr(traceio, "_parse_rows", spy)
         assert ChannelTrace.read(io.StringIO(text)) == want
         [(first_line, n_lines)] = calls
         assert first_line <= i + 1 < first_line + n_lines
@@ -1202,7 +1211,7 @@ class TestColumnarRead:
 
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     def test_anomaly_in_any_block(self, first):
-        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+        lines = _written(_block_trace(3 * traceio._BLOCK_BYTES // 30),
                          ChannelTrace.write).splitlines(keepends=True)
         i = 3 if first else len(lines) - 1  # after the three headers
         lines[i] = lines[i].replace(",", ",,", 1)
@@ -1234,7 +1243,7 @@ class TestColumnarRead:
         text = "".join(head + body)
         if cut_end:
             text = text.removesuffix("\n")
-        with mock.patch.object(core, "_BLOCK_BYTES", 48):
+        with mock.patch.object(traceio, "_BLOCK_BYTES", 48):
             got = _outcome(ChannelTrace.read, text)
         assert got == _outcome(helpers.read_rows, text)
 
@@ -1268,7 +1277,7 @@ class TestColumnarRead:
         text = "".join(lines)
         if data.draw(st.booleans()):
             text = text.removesuffix("\n")
-        with mock.patch.object(core, "_BLOCK_BYTES",
+        with mock.patch.object(traceio, "_BLOCK_BYTES",
                                data.draw(st.integers(1, 100))):
             got = _outcome(ChannelTrace.read, text)
         assert got == _outcome(helpers.read_rows, text)
@@ -1290,12 +1299,85 @@ class TestColumnarRead:
             def seek(self, *args):
                 raise io.UnsupportedOperation("not seekable")
 
-        lines = _written(_block_trace(3 * core._BLOCK_BYTES // 30),
+        lines = _written(_block_trace(3 * traceio._BLOCK_BYTES // 30),
                          ChannelTrace.write).splitlines(keepends=True)
         lines[-1] = lines[-1].replace("\n", " \n")
         for text in ("".join(lines), "#users=A+B\n0,5,S,A\n5,9,S,B \n"):
             assert ChannelTrace.read(Pipe(text)) == \
                 _outcome(helpers.read_rows, text)
+
+
+class TestReadBlocks:
+    """`traceio.read_blocks` yields each body block's columns, parsed from
+    whole lines; `read` only joins them."""
+
+    @given(st.one_of(helpers.traces(max_events=40),
+                     helpers.traces(max_events=40, labels=_ODD_LABELS)),
+           st.sampled_from([ChannelTrace.write, helpers.write_rows]),
+           st.integers(1, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_of_whole_lines_join_to_read(self, tr, writer, size):
+        # ASCII labels give plain blocks, the odd ones blocks that only the
+        # row parser takes.  Each yielded block is one parser call's text.
+        text = _written(tr, writer)
+        parsed = []
+        parse_events, parse_rows = traceio._parse_events, traceio._parse_rows
+
+        def events_spy(block, state, first_line):
+            values = parse_events(block, state, first_line)
+            parsed.append(block)
+            return values
+
+        def rows_spy(block, state, first_line):
+            parsed.append(block)
+            return parse_rows(block, state, first_line)
+
+        with mock.patch.object(traceio, "_BLOCK_BYTES", size):
+            want = ChannelTrace.read(io.StringIO(text))
+            with mock.patch.object(traceio, "_parse_events", events_spy), \
+                    mock.patch.object(traceio, "_parse_rows", rows_spy):
+                blocks = list(traceio.read_blocks(io.StringIO(text),
+                                                  traceio._FileState()))
+        assert len(parsed) == len(blocks)
+        assert "".join(parsed) == text.split("\n", 3)[3]
+        for block, values in zip(parsed, blocks):
+            assert block.endswith("\n")
+            assert [len(v) for v in values] == [block.count("\n")] * 4
+        for column, got in zip((want.starts, want.ends, want.kinds,
+                                want.masks), zip(*blocks)):
+            assert np.array_equal(np.concatenate(got), column)
+        assert blocks or not len(want)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n \n", "#users=A+B\n#horizon=4\n", "#users=A+B\n\n  \n",
+        "#slots_per_unit=2\n#users=A+B"])
+    def test_headers_only_yield_no_block(self, text):
+        state = traceio._FileState()
+        assert list(traceio.read_blocks(io.StringIO(text), state)) == []
+        assert state.users == (("A", "B") if "users" in text else None)
+
+
+class TestFormatModule:
+    """The trace file format lives in `traceio` alone: `core` binds none of
+    its names, so a patch of one through `core` fails instead of patching
+    a name nothing reads."""
+
+    MOVED = ("_FileState", "_parse_rows", "_parse_events", "_NotPlain",
+             "_SlotTable", "_UsersFields", "_Full", "_int_rows", "_unpadded",
+             "_int_list", "_render_events", "_words", "_eight_digits",
+             "_digit_field", "_users_keys", "_users_masks", "_widest_line",
+             "_BLOCK_BYTES", "_MAX_DIGITS", "_INT64_MIN", "_INT64_MAX",
+             "_CHAR_TO_CODE", "_NL", "_COMMA", "_MINUS", "_ZERO", "_PAD",
+             "_KIND_OF_BYTE", "_FRONT_PAD", "_BACK_PAD", "_EACH_BYTE",
+             "_ONES", "_KEEP_FIRST", "_KEEP_LAST")
+
+    @pytest.mark.parametrize("name", MOVED)
+    def test_name_only_in_traceio(self, name):
+        assert hasattr(traceio, name)
+        assert not hasattr(core, name)
+        with pytest.raises(AttributeError):
+            with mock.patch.object(core, name, None):
+                pass
 
 
 def _trace_of_fields(users: tuple[str, ...], fields) -> ChannelTrace:
@@ -1332,7 +1414,7 @@ class TestUsersFieldTable:
     @pytest.fixture
     def one_slot(self, monkeypatch):
         # Every key hashes to slot 0: one key is stored, all others miss.
-        monkeypatch.setattr(core._SlotTable, "slots", staticmethod(
+        monkeypatch.setattr(traceio._SlotTable, "slots", staticmethod(
             lambda keys: np.zeros(len(keys), np.intp)))
 
     @pytest.mark.parametrize("text", list(_READ_CASES.values()),
@@ -1342,7 +1424,7 @@ class TestUsersFieldTable:
             _outcome(helpers.read_rows, text)
 
     def test_misses_over_blocks(self, one_slot):
-        tr = _block_trace(3 * core._BLOCK_BYTES // 30)
+        tr = _block_trace(3 * traceio._BLOCK_BYTES // 30)
         text = _written(tr, ChannelTrace.write)
         assert text == _written(tr, helpers.write_rows)
         for t in (text, text.split("\n", 3)[3]):
@@ -1359,20 +1441,20 @@ class TestUsersFieldTable:
         # Masks that lose slot 0 are found again in the dict, not rendered
         # again: each set's text is in the table once, as first met, in a
         # row that holds only pad bytes after it.
-        fields = core._UsersFields(("A", "B", "C"))
+        fields = traceio._UsersFields(("A", "B", "C"))
         for masks in ([1, 2, 3], [3, 4, 1, 5], [5, 6, 2, 1]):
             fields.rows(np.array(masks, np.uint8))
         texts = [bytes(row).rstrip(b"\xff") for row in fields.text[:fields.used]]
         assert texts == [b"S,A", b"S,B", b"C,A+B", b"S,C", b"C,A+C", b"C,B+C"]
         assert b"".join(texts).count(b"\xff") == 0
-        assert (fields.text[fields.used:] == core._PAD).all()
+        assert (fields.text[fields.used:] == traceio._PAD).all()
 
     def test_wider_text_widens_table(self):
         # Each text wider than all before it widens the table; the rows
         # before it keep their text and gain pad bytes.  The rows grow
         # apart from the width, by doubling only when all are in use.
         users = tuple("u" * n for n in range(1, 36))
-        fields = core._UsersFields(users)
+        fields = traceio._UsersFields(users)
         want = []
         for k in range(35):
             who = fields.rows(np.array([1 << k, 0], np.uint64))
@@ -1403,13 +1485,13 @@ class TestUsersFieldTable:
         picks = rng.integers(0, len(pool), 40_000)
         masks = np.array([sum(1 << i for i in pool[j]) for j in picks],
                          np.uint64)
-        assert len(np.unique(masks)) > 6000 > 1 << core._SlotTable.BITS
+        assert len(np.unique(masks)) > 6000 > 1 << traceio._SlotTable.BITS
         ends = np.cumsum(rng.integers(1, 10**9, len(masks)))
         tr = ChannelTrace(users, ends - 1, ends,
                           np.full(len(masks), COLLISION_CODE), masks,
                           int(ends[-1]))
         text = _written(tr, ChannelTrace.write)
-        assert len(text) > 3 * core._BLOCK_BYTES
+        assert len(text) > 3 * traceio._BLOCK_BYTES
         assert text == _written(tr, helpers.write_rows)
         for t in (text, text.split("\n", 3)[3]):
             got = ChannelTrace.read(io.StringIO(t))
@@ -1419,7 +1501,7 @@ class TestUsersFieldTable:
     def test_key_matches_on_its_own_words(self, one_slot):
         # With every key in slot 0, a stored key is found at any zero
         # padding, and a key that is a prefix of it is another key.
-        table = core._SlotTable()
+        table = traceio._SlotTable()
         table.put(np.array([[5, 7, 0]], np.uint64), np.array([1]))
         for words in ([5, 7], [5, 7, 0, 0, 0], [5, 7] + [0] * 8):
             values, hit = table.get(np.array([words], np.uint64))
@@ -1445,7 +1527,7 @@ class TestUsersFieldTable:
         if not headers:
             lines = lines[3:]
         text = "".join(lines)
-        assert len(text) > 2 * core._BLOCK_BYTES
+        assert len(text) > 2 * traceio._BLOCK_BYTES
         got = _outcome(ChannelTrace.read, text)
         assert got == _outcome(helpers.read_rows, text)
         assert (fault is None) == isinstance(got, ChannelTrace)
@@ -1459,7 +1541,7 @@ class TestUsersFieldTable:
         keys = np.zeros((len(users), 64), np.uint8)
         for i, u in enumerate(users):
             keys[i, :len(u)] = np.frombuffer(u.encode(), np.uint8)
-        slots = core._SlotTable.slots(keys.view(np.uint64))
+        slots = traceio._SlotTable.slots(keys.view(np.uint64))
         assert len(set(slots.tolist())) == len(users)
         n = 16_000
         ends = np.arange(1, n + 1)
@@ -1468,8 +1550,8 @@ class TestUsersFieldTable:
         tr = ChannelTrace(users, ends - 1, ends, np.full(n, SUCCESS_CODE),
                           np.uint64(1) << who.astype(np.uint64), n)
         text = _written(tr, ChannelTrace.write)
-        assert len(text) > 2 * core._BLOCK_BYTES
-        calls, mask = [], core._FileState.mask
+        assert len(text) > 2 * traceio._BLOCK_BYTES
+        calls, mask = [], traceio._FileState.mask
 
         def spy(state, field, line_no):
             calls.append(field)
@@ -1477,7 +1559,7 @@ class TestUsersFieldTable:
 
         for t in (text, text.split("\n", 3)[3]):
             calls.clear()
-            with mock.patch.object(core._FileState, "mask", spy):
+            with mock.patch.object(traceio._FileState, "mask", spy):
                 got = ChannelTrace.read(io.StringIO(t))
             assert got == helpers.read_rows(io.StringIO(t))
             assert sorted(calls) == sorted(users)
@@ -1494,7 +1576,7 @@ class TestUsersFieldTable:
             [""], users, ("+".join(p) for p in itertools.combinations(users, 2)))}
         fields = [field[w] for w in range(71)]
         edges = _edge_fields(8, 9, 16, 17, 24, 25, 64, 65)
-        words, calls = core._users_keys, []
+        words, calls = traceio._users_keys, []
 
         def spy(b, lo, hi):
             keys = words(b, lo, hi)
@@ -1504,9 +1586,9 @@ class TestUsersFieldTable:
 
         for tr in (_trace_of_fields(users, fields + fields[::-1]),
                    _trace_of_fields(_EDGE_USERS, edges + edges[::-1] + [""])):
-            with mock.patch.object(core, "_BLOCK_BYTES",
-                                   size or core._BLOCK_BYTES), \
-                    mock.patch.object(core, "_users_keys", spy):
+            with mock.patch.object(traceio, "_BLOCK_BYTES",
+                                   size or traceio._BLOCK_BYTES), \
+                    mock.patch.object(traceio, "_users_keys", spy):
                 assert ChannelTrace.read(
                     io.StringIO(_written(tr, ChannelTrace.write))) == tr
         assert calls and all(calls)
@@ -1531,7 +1613,7 @@ class TestUsersFieldTable:
         # 65-byte fields, which no table stores.
         tr = _trace_of_fields(users, fields)
         for size in (48, 256):
-            with mock.patch.object(core, "_BLOCK_BYTES", size):
+            with mock.patch.object(traceio, "_BLOCK_BYTES", size):
                 text = _written(tr, ChannelTrace.write)
                 assert text == _written(tr, helpers.write_rows)
                 if not headers:
